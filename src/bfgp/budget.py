@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from .errors import InvalidParameterError
 
 DEFAULT_SOLVER_NODES = 2_000_000
-DEFAULT_COVER_NODES = 1_000_000
 
 
 @dataclass(frozen=True)

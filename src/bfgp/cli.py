@@ -8,7 +8,8 @@ timestamps, so identical inputs, seed, and node budget reproduce it byte
 for byte.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 usage or parse
-error, 3 inconclusive (budget exhausted without an answer).
+error, 3 inconclusive (`gpset max` ran out of budget before proving
+optimality).
 """
 
 from __future__ import annotations
@@ -22,13 +23,8 @@ from datetime import datetime, timezone
 
 from . import cycle_cover as cc
 from . import genpos, geodesy, graph_io, graphs
-from .budget import DEFAULT_COVER_NODES, DEFAULT_SOLVER_NODES, Budget
-from .errors import (
-    BfgpError,
-    GraphParseError,
-    InvalidParameterError,
-    SearchInconclusiveError,
-)
+from .budget import DEFAULT_SOLVER_NODES, Budget
+from .errors import BfgpError, GraphParseError, InvalidParameterError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -117,12 +113,16 @@ def _summarize(result: dict) -> dict:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path")
     p.add_argument("--seed", type=int, default=0, help="seed for any randomized order")
+    p.add_argument("--manifest", help="write the run manifest to this path")
+    p.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
+
+
+def _add_budget(p: argparse.ArgumentParser) -> None:
+    """Budget flags, for the subcommands that run a search."""
     p.add_argument("--node-budget", type=int, default=None,
                    help="deterministic search node limit")
     p.add_argument("--time-budget", type=float, default=None,
                    help="advisory wall-clock limit in seconds")
-    p.add_argument("--manifest", help="write the run manifest to this path")
-    p.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
 
 
 def build_parser() -> _Parser:
@@ -155,6 +155,7 @@ def build_parser() -> _Parser:
     q.add_argument("--pool", default="all",
                    help="'all', 'deg2', or 'file:PATH' with a vertex-set JSON")
     _add_common(q)
+    _add_budget(q)
 
     p = sub.add_parser("cover", help="isometric cycle covers")
     csub = p.add_subparsers(dest="action", required=True)
@@ -179,6 +180,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exact-max-r", type=int, default=3,
                    help="run the exact solver for r up to this value")
     _add_common(p)
+    _add_budget(p)
 
     return parser
 
@@ -302,15 +304,7 @@ def cmd_gpset_max(run: Run) -> int:
 
 def cmd_cover_construct(run: Run) -> int:
     args = run.args
-    budget = Budget(node_limit=args.node_budget
-                    if args.node_budget is not None else DEFAULT_COVER_NODES,
-                    time_limit_s=args.time_budget)
-    try:
-        cover = cc.construct_bf_cycle_cover(args.r, budget=budget)
-    except SearchInconclusiveError as e:
-        result = {"command": "cover-construct", "r": args.r, "status": "inconclusive",
-                  "nodes_explored": e.nodes_explored, "error": str(e)}
-        return run.finish(result, EXIT_INCONCLUSIVE)
+    cover = cc.construct_bf_cycle_cover(args.r)
     g = graphs.build_butterfly(args.r)
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_bf_cover(g, dm, cover)
@@ -318,7 +312,7 @@ def cmd_cover_construct(run: Run) -> int:
     result = {
         "command": "cover-construct",
         "r": args.r,
-        "status": "ok",
+        "status": "ok" if report.passes else "verify-failed",
         "cycles": len(cover),
         "cycle_length": 4 * args.r,
         "passes": report.passes,
@@ -329,13 +323,7 @@ def cmd_cover_construct(run: Run) -> int:
         result["path"] = args.out
     run.note(f"BF({args.r}) cover: {len(cover)} cycles of length {4 * args.r}, "
              f"verified={report.passes}")
-    return run.finish(result, EXIT_OK)
-
-
-def _verify_cover_for(g: graphs.Graph, dm, cover: cc.CycleCover) -> cc.CoverReport:
-    if g.family == graphs.FAMILY_BUTTERFLY and cover.kind == cc.KIND_CYCLE:
-        return cc.verify_bf_cover(g, dm, cover)
-    return cc.verify_cover(g, dm, cover)
+    return run.finish(result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED)
 
 
 def cmd_cover_verify(run: Run) -> int:
@@ -343,7 +331,7 @@ def cmd_cover_verify(run: Run) -> int:
     g = _load_graph(run, args.graph)
     cover = cc.cover_from_dict(json.loads(run.read_bytes(args.cover)))
     dm = geodesy.all_pairs_distances(g)
-    report = _verify_cover_for(g, dm, cover)
+    report = cc.verify_cover(g, dm, cover)
     rdoc = cc.report_to_dict(report)
     result = {"command": "cover-verify", "cycles": len(cover), "passes": report.passes,
               "report": rdoc}
@@ -359,7 +347,7 @@ def cmd_cover_bounds(run: Run) -> int:
     g = _load_graph(run, args.graph)
     cover = cc.cover_from_dict(json.loads(run.read_bytes(args.cover)))
     dm = geodesy.all_pairs_distances(g)
-    report = _verify_cover_for(g, dm, cover)
+    report = cc.verify_cover(g, dm, cover)
     try:
         bounds = cc.gp_upper_bounds(cover, report)
     except BfgpError as e:
@@ -393,15 +381,12 @@ def cmd_report(run: Run) -> int:
             "gp_exact": None,
             "exact_optimal": None,
         }
-        try:
-            cover = cc.construct_bf_cycle_cover(
-                r, budget=_solver_budget(args, DEFAULT_COVER_NODES))
-            report = cc.verify_bf_cover(g, dm, cover)
-            row["cover_cycles"] = len(cover)
-            row["cover_verified"] = report.passes
+        cover = cc.construct_bf_cycle_cover(r)
+        report = cc.verify_bf_cover(g, dm, cover)
+        row["cover_cycles"] = len(cover)
+        row["cover_verified"] = report.passes
+        if report.passes:
             row["gp_upper_bound"] = cc.gp_upper_bounds(cover, report)["from_ic"]
-        except SearchInconclusiveError:
-            pass
         if r <= args.exact_max_r:
             res = genpos.max_general_position(
                 g, dm, budget=_solver_budget(args, DEFAULT_SOLVER_NODES))
@@ -414,7 +399,8 @@ def cmd_report(run: Run) -> int:
     result = {"command": "report", "rows": rows}
     if args.out:
         run.write_json(args.out, result)
-    return run.finish(result, EXIT_OK)
+    certified = all(row["set_verified"] and row["cover_verified"] for row in rows)
+    return run.finish(result, EXIT_OK if certified else EXIT_VERIFY_FAILED)
 
 
 _DISPATCH = {
@@ -445,9 +431,6 @@ def main(argv=None) -> int:
         return run.finish({"error": str(e), "kind": "usage"}, EXIT_USAGE)
     except (InvalidParameterError, GraphParseError) as e:
         return run.finish({"error": str(e), "kind": type(e).__name__}, EXIT_USAGE)
-    except SearchInconclusiveError as e:
-        return run.finish({"error": str(e), "kind": "inconclusive",
-                           "nodes_explored": e.nodes_explored}, EXIT_INCONCLUSIVE)
     except (OSError, json.JSONDecodeError) as e:
         return run.finish({"error": str(e), "kind": "io"}, EXIT_USAGE)
     except BfgpError as e:

@@ -1,15 +1,14 @@
 """Isometric cycle covers of butterflies, cover verification, and bounds.
 
-The butterfly constructor searches a fixed candidate family: each
-candidate cycle is the union of the four unique monotone paths between a
-level-0 vertex pair whose rows differ only in bit r and a level-r vertex
-pair whose rows differ only in bit 1.  Those pair choices are forced if
-the cycle is to be isometric, because antipodal cycle vertices must
-realize graph distance 2r, and 2r between two level-0 (level-r) rows
-means exactly bit r (bit 1) differs.  Candidates are screened for
-isometry against the distance matrix and an edge partition is found by
-deterministic first-fit backtracking, so any returned cover is correct
-by verification rather than by construction.
+The butterfly cover is a closed form: cycle k, for k < 2^(r-1), is the
+union of the four unique monotone paths between the level-0 row pair
+{2k, 2k+1} (rows differing only in bit r) and the level-r row pair
+{k, k + 2^(r-1)} (rows differing only in bit 1).  Those pair shapes are
+forced if a 4r-cycle is to be isometric, because antipodal cycle
+vertices must realize graph distance 2r, and 2r between two level-0
+(level-r) rows means exactly bit r (bit 1) differs.  The cover is
+certified by the verifier, not trusted: every bound drawn from it rests
+on a report that passed `verify_cover`.
 
 `min_cover_exact` is the independent route for tiny graphs: enumerate
 every isometric cycle (or maximal isometric path) and solve minimum
@@ -19,27 +18,23 @@ vertex set-cover by branch and bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .budget import DEFAULT_COVER_NODES, Budget
 from .errors import (
     InvalidCoverError,
     InvalidCycleError,
     InvalidParameterError,
     InvalidPathError,
-    SearchInconclusiveError,
     TooLargeError,
     UnverifiedCoverError,
 )
 from .geodesy import (
     DistanceMatrix,
-    all_pairs_distances,
     check_cycle,
     check_path,
     is_isometric_cycle,
     is_isometric_path,
 )
-from .graphs import Graph, build_butterfly, butterfly_dim
+from .graphs import FAMILY_BUTTERFLY, Graph, build_butterfly, butterfly_dim
 
 KIND_CYCLE = "cycle-cover"
 KIND_PATH = "path-cover"
@@ -106,147 +101,104 @@ def _validate_structure(g: Graph, cover: CycleCover) -> None:
 
 
 def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
-    """Family-agnostic verification: structure, isometry, vertex coverage.
+    """The cover verifier, checked in FLAG_ORDER.
 
-    Butterfly-specific flags are vacuously true here; use verify_bf_cover
-    for the full butterfly contract.
+    Every cover must consist of genuine cycles (or paths; garbage raises
+    InvalidCoverError) that are pairwise edge-disjoint, partition the
+    edges, are isometric, and cover every vertex.  A cycle cover of a
+    butterfly BF(r) must also meet the butterfly contract:
+
+    - every length is 4r;
+    - there are 2^(r-1) cycles (with the lengths, disjointness alone
+      forces the partition, since 2^(r-1) * 4r equals r * 2^(r+1));
+    - every cycle has exactly two level-0 vertices;
+    - every degree-2 vertex lies in exactly 1 cycle and every degree-4
+      vertex in exactly 2.
+
+    On other graphs and for path covers those flags are vacuously true.
+    Whenever the cover fails, first_failure names the first failing flag.
     """
     _validate_structure(g, cover)
+    is_cycle = cover.kind == KIND_CYCLE
+    r = g.family_param if is_cycle and g.family == FAMILY_BUTTERFLY else None
     flags = {name: True for name in FLAG_ORDER}
-    first_failure = None
+    failures: list[dict] = []
 
+    def fail(check: str, cycle_index: int | None, detail: str) -> None:
+        flags[check] = False
+        failures.append({"check": check, "cycle_index": cycle_index, "detail": detail})
+
+    if r is not None:
+        for i, seq in enumerate(cover.cycles):
+            if len(seq) != 4 * r:
+                fail("lengths_ok", i, f"length {len(seq)}, expected {4 * r}")
+                break
+        if len(cover.cycles) != 1 << (r - 1):
+            fail("count_ok", None, f"{len(cover.cycles)} cycles, expected {1 << (r - 1)}")
+
+    edges_of = _cycle_edges if is_cycle else _path_edges
     seen_edges: set[tuple[int, int]] = set()
-    dup = None
     for i, seq in enumerate(cover.cycles):
-        es = _cycle_edges(seq) if cover.kind == KIND_CYCLE else _path_edges(seq)
+        es = edges_of(seq)
         overlap = seen_edges & es
-        if overlap and dup is None:
-            dup = (i, min(overlap))
+        if overlap:
+            fail("edge_disjoint", i, f"edge {min(overlap)} already covered")
+            flags["edge_partition"] = False
+            break
         seen_edges |= es
-    if dup is not None:
-        flags["edge_disjoint"] = False
-        flags["edge_partition"] = False
-        first_failure = {"check": "edge_disjoint", "cycle_index": dup[0],
-                         "detail": f"edge {dup[1]} already covered"}
-    if seen_edges != set(g.edges):
-        flags["edge_partition"] = False
+    else:
+        missing = set(g.edges) - seen_edges
+        if missing:
+            fail("edge_partition", None, f"edge {min(missing)} uncovered")
 
     for i, seq in enumerate(cover.cycles):
-        if cover.kind == KIND_CYCLE:
+        if is_cycle:
             ok, pair = is_isometric_cycle(g, dm, seq)
-            detail = f"pair {pair} violates cycle distance" if not ok else ""
         else:
             ok = is_isometric_path(g, dm, seq)
-            detail = "path is not a geodesic" if not ok else ""
         if not ok:
-            flags["all_isometric"] = False
-            if first_failure is None:
-                first_failure = {"check": "all_isometric", "cycle_index": i, "detail": detail}
+            fail("all_isometric", i, f"pair {pair} violates cycle distance" if is_cycle
+                 else "path is not a geodesic")
             break
+
+    if r is not None:
+        nrows = 1 << r
+        for i, seq in enumerate(cover.cycles):
+            lvl0 = sum(1 for v in seq if v < nrows)
+            if lvl0 != 2:
+                fail("level0_pairs_ok", i, f"{lvl0} level-0 vertices, expected 2")
+                break
 
     incidence = [0] * g.n
     for seq in cover.cycles:
         for v in seq:
             incidence[v] += 1
-    if any(c == 0 for c in incidence):
-        flags["vertex_cover"] = False
-        if first_failure is None:
-            v = incidence.index(0)
-            first_failure = {"check": "vertex_cover", "cycle_index": None,
-                             "detail": f"vertex {v} uncovered"}
-    return CoverReport(flags=flags, first_failure=first_failure,
-                       incidence=tuple(incidence))
+    if r is not None:
+        for v in range(g.n):
+            expected = 1 if g.degree(v) == 2 else 2
+            if incidence[v] != expected:
+                fail("incidence_ok", None,
+                     f"vertex {v} in {incidence[v]} cycles, expected {expected}")
+                break
+    if 0 in incidence:
+        fail("vertex_cover", None, f"vertex {incidence.index(0)} uncovered")
+
+    first_failure = min(failures, key=lambda f: FLAG_ORDER.index(f["check"]), default=None)
+    return CoverReport(flags=flags, first_failure=first_failure, incidence=tuple(incidence))
 
 
 def verify_bf_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
-    """Full butterfly cover contract, checked in order:
+    """verify_cover, with the butterfly contract required rather than inferred.
 
-    (a) every sequence is a genuine cycle (garbage raises InvalidCoverError);
-    (b) every length is 4r;
-    (c) there are 2^(r-1) cycles;
-    (d) cycles are pairwise edge-disjoint and their union is all edges
-        (with (b) and (c) holding, disjointness alone forces the
-        partition, since 2^(r-1) * 4r equals r * 2^(r+1));
-    (e) every cycle is isometric;
-    (f) every cycle has exactly two level-0 vertices;
-    (g) every degree-2 vertex lies in exactly 1 cycle and every degree-4
-        vertex in exactly 2.
+    Raises UnsupportedFamilyError unless g is a butterfly, and
+    InvalidParameterError for r < 2 or a path cover.
     """
     r = butterfly_dim(g)
     if r < 2:
         raise InvalidParameterError("cover verification needs r >= 2")
     if cover.kind != KIND_CYCLE:
         raise InvalidParameterError("butterfly verification applies to cycle covers")
-    _validate_structure(g, cover)
-
-    flags = {name: True for name in FLAG_ORDER}
-    failures: list[dict] = []
-    nrows = 1 << r
-
-    for i, seq in enumerate(cover.cycles):
-        if len(seq) != 4 * r:
-            flags["lengths_ok"] = False
-            failures.append({"check": "lengths_ok", "cycle_index": i,
-                             "detail": f"length {len(seq)}, expected {4 * r}"})
-            break
-
-    if len(cover.cycles) != 1 << (r - 1):
-        flags["count_ok"] = False
-        failures.append({"check": "count_ok", "cycle_index": None,
-                         "detail": f"{len(cover.cycles)} cycles, expected {1 << (r - 1)}"})
-
-    seen_edges: set[tuple[int, int]] = set()
-    for i, seq in enumerate(cover.cycles):
-        es = _cycle_edges(seq)
-        overlap = seen_edges & es
-        if overlap:
-            flags["edge_disjoint"] = False
-            failures.append({"check": "edge_disjoint", "cycle_index": i,
-                             "detail": f"edge {min(overlap)} already covered"})
-            break
-        seen_edges |= es
-    if not flags["edge_disjoint"] or seen_edges != set(g.edges):
-        flags["edge_partition"] = False
-        if flags["edge_disjoint"]:
-            missing = min(set(g.edges) - seen_edges)
-            failures.append({"check": "edge_partition", "cycle_index": None,
-                             "detail": f"edge {missing} uncovered"})
-
-    for i, seq in enumerate(cover.cycles):
-        ok, pair = is_isometric_cycle(g, dm, seq)
-        if not ok:
-            flags["all_isometric"] = False
-            failures.append({"check": "all_isometric", "cycle_index": i,
-                             "detail": f"pair {pair} violates cycle distance"})
-            break
-
-    for i, seq in enumerate(cover.cycles):
-        lvl0 = sum(1 for v in seq if v < nrows)
-        if lvl0 != 2:
-            flags["level0_pairs_ok"] = False
-            failures.append({"check": "level0_pairs_ok", "cycle_index": i,
-                             "detail": f"{lvl0} level-0 vertices, expected 2"})
-            break
-
-    incidence = [0] * g.n
-    for seq in cover.cycles:
-        for v in seq:
-            incidence[v] += 1
-    for v in range(g.n):
-        expected = 1 if g.degree(v) == 2 else 2
-        if incidence[v] != expected:
-            flags["incidence_ok"] = False
-            failures.append({"check": "incidence_ok", "cycle_index": None,
-                             "detail": f"vertex {v} in {incidence[v]} cycles, expected {expected}"})
-            break
-    if any(c == 0 for c in incidence):
-        flags["vertex_cover"] = False
-
-    order = {name: k for k, name in enumerate(FLAG_ORDER)}
-    failures.sort(key=lambda f: order[f["check"]])
-    return CoverReport(flags=flags,
-                       first_failure=failures[0] if failures else None,
-                       incidence=tuple(incidence))
+    return verify_cover(g, dm, cover)
 
 
 def _monotone_row(x: int, y: int, lev: int, r: int) -> int:
@@ -257,7 +209,7 @@ def _monotone_row(x: int, y: int, lev: int, r: int) -> int:
 
 
 def candidate_cycle(r: int, uc: int, vc: int) -> tuple[int, ...]:
-    """Candidate isometric cycle of length 4r.
+    """The cycle of length 4r through a level-0 and a level-r row pair.
 
     uc is the level-0 row pair representative (bit r clear, partner
     uc|1); vc the level-r representative (bit 1 clear, partner with the
@@ -281,85 +233,20 @@ def candidate_cycle(r: int, uc: int, vc: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def construct_bf_cycle_cover(r: int, budget: Budget | None = None) -> CycleCover:
+def construct_bf_cycle_cover(r: int) -> CycleCover:
     """Edge partition of BF(r) into 2^(r-1) isometric cycles of length 4r.
 
-    Backtracks over lexicographically ordered candidates.  Each level-0
-    pair must end up in exactly one cycle (its two edges appear on no
-    other candidate containing it), so the search assigns one level-r
-    pair to each level-0 pair, first fit, pruning on edge collisions.
-    Raises SearchInconclusiveError when the node budget runs out, which
-    is not evidence that no cover exists.
+    Closed form: cycle k is candidate_cycle(r, 2k, k), joining level-0
+    pair 2k with level-r pair k, for k < 2^(r-1).  Nothing is checked
+    here; a claim resting on the cover must first pass verify_bf_cover.
     """
     if r < 2:
         raise InvalidParameterError(f"cover construction needs r >= 2, got {r}")
-    budget = budget or Budget(node_limit=DEFAULT_COVER_NODES)
-    g = build_butterfly(r)
-    dm = all_pairs_distances(g)
-    nrows = 1 << r
-    msb = 1 << (r - 1)
-    u_reps = [u for u in range(nrows) if not u & 1]
-    v_reps = [v for v in range(nrows) if not v & msb]
-
-    candidates: dict[tuple[int, int], tuple[tuple[int, ...], frozenset]] = {}
-    for uc in u_reps:
-        for vc in v_reps:
-            seq = candidate_cycle(r, uc, vc)
-            if len(set(seq)) != len(seq):
-                continue
-            ok, _ = is_isometric_cycle(g, dm, seq)
-            if ok:
-                candidates[(uc, vc)] = (seq, _cycle_edges(seq))
-
-    nodes = 0
-    used_edges: set = set()
-    assignment: list[tuple[int, int]] = []
-    used_v: set[int] = set()
-
-    def search(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget.node_limit:
-            raise SearchInconclusiveError(
-                f"cover search for r={r} exhausted {budget.node_limit} nodes",
-                nodes_explored=nodes)
-        if i == len(u_reps):
-            return True
-        uc = u_reps[i]
-        for vc in v_reps:
-            if vc in used_v:
-                continue
-            cand = candidates.get((uc, vc))
-            if cand is None:
-                continue
-            seq, es = cand
-            if used_edges & es:
-                continue
-            assignment.append((uc, vc))
-            used_v.add(vc)
-            used_edges.update(es)
-            if search(i + 1):
-                return True
-            assignment.pop()
-            used_v.remove(vc)
-            used_edges.difference_update(es)
-        return False
-
-    if not search(0):
-        raise SearchInconclusiveError(
-            f"no edge partition found within the candidate family for r={r}",
-            nodes_explored=nodes)
-
-    cover = CycleCover(
+    return CycleCover(
         kind=KIND_CYCLE,
-        cycles=tuple(candidates[key][0] for key in assignment),
-        graph_ref=g.ref(),
+        cycles=tuple(candidate_cycle(r, 2 * k, k) for k in range(1 << (r - 1))),
+        graph_ref=build_butterfly(r).ref(),
     )
-    report = verify_bf_cover(g, dm, cover)
-    if not report.passes:
-        raise SearchInconclusiveError(
-            f"constructed cover failed verification: {report.first_failure}")
-    return cover
 
 
 def gp_upper_bounds(cover: CycleCover, verified: CoverReport) -> dict[str, int]:

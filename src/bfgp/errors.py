@@ -57,10 +57,3 @@ class UnverifiedCoverError(BfgpError):
 class TooLargeError(BfgpError):
     """Exact enumeration refused: instance exceeds the hard guard."""
 
-
-class SearchInconclusiveError(BfgpError):
-    """Search budget exhausted before a definite answer; not a negative result."""
-
-    def __init__(self, message: str, nodes_explored: int = 0):
-        super().__init__(message)
-        self.nodes_explored = nodes_explored

@@ -5,6 +5,8 @@ import sys
 from pathlib import Path
 
 import bfgp
+from bfgp import cycle_cover as cc
+from bfgp import genpos
 from bfgp.cli import main
 
 
@@ -152,11 +154,73 @@ def test_cover_tampered_fails(capsys, tmp_path):
     assert "error" in bounds
 
 
-def test_cover_construct_budget(capsys):
-    code, doc = run_cli(capsys, "cover", "construct", "--r", "4",
-                        "--node-budget", "2", "--quiet")
-    assert code == 3
-    assert doc["status"] == "inconclusive"
+def test_cover_verify_names_uncovered_edge(capsys, tmp_path):
+    graph = tmp_path / "c6.json"
+    cover = tmp_path / "paths.json"
+    run_cli(capsys, "generate", "cycle", "--n", "6", "--out", str(graph), "--quiet")
+    cover.write_text(json.dumps({"kind": "path-cover", "cycles": [[0, 1, 2], [3, 4, 5]]}))
+    code, doc = run_cli(capsys, "cover", "verify", "--graph", str(graph),
+                        "--cover", str(cover), "--quiet")
+    assert code == 1
+    assert doc["passes"] is False
+    assert doc["report"]["first_failure"] == {
+        "check": "edge_partition", "cycle_index": None, "detail": "edge (0, 5) uncovered"}
+    code, doc = run_cli(capsys, "cover", "bounds", "--graph", str(graph),
+                        "--cover", str(cover), "--quiet")
+    assert code == 0
+    assert doc["bounds"] == {"from_ip": 4}
+
+
+def _corrupt_cover(monkeypatch):
+    construct = cc.construct_bf_cycle_cover
+
+    def corrupted(r):
+        cover = construct(r)
+        return cc.CycleCover(kind=cover.kind, cycles=cover.cycles[:1] * 2,
+                             graph_ref=cover.graph_ref)
+    monkeypatch.setattr(cc, "construct_bf_cycle_cover", corrupted)
+
+
+def test_cover_construct_fails_on_rejected_cover(capsys, monkeypatch):
+    _corrupt_cover(monkeypatch)
+    code, doc = run_cli(capsys, "cover", "construct", "--r", "2", "--quiet")
+    assert code == 1
+    assert doc["passes"] is False
+    assert doc["report"]["first_failure"]["check"] == "edge_disjoint"
+
+
+def test_report_fails_on_rejected_cover(capsys, monkeypatch):
+    _corrupt_cover(monkeypatch)
+    code, doc = run_cli(capsys, "report", "--r-min", "2", "--r-max", "2",
+                        "--exact-max-r", "0", "--quiet")
+    assert code == 1
+    row = doc["rows"][0]
+    assert row["set_verified"] is True
+    assert row["cover_verified"] is False
+    assert row["gp_upper_bound"] is None
+
+
+def test_report_fails_on_rejected_set(capsys, monkeypatch):
+    construct = genpos.construct_butterfly_gp_set
+
+    def corrupted(r):
+        s = construct(r)
+        # levels 0, 1, 2 of row 0 lie on one geodesic
+        return genpos.VertexSet(members=tuple(sorted(set(s.members) | {0, 1 << r, 2 << r})))
+    monkeypatch.setattr(genpos, "construct_butterfly_gp_set", corrupted)
+    code, doc = run_cli(capsys, "report", "--r-min", "2", "--r-max", "2",
+                        "--exact-max-r", "0", "--quiet")
+    assert code == 1
+    row = doc["rows"][0]
+    assert row["set_verified"] is False
+    assert row["cover_verified"] is True
+
+
+def test_budget_flags_only_on_searches(capsys):
+    code, doc = run_cli(capsys, "cover", "construct", "--r", "2",
+                        "--node-budget", "5", "--quiet")
+    assert code == 2
+    assert doc["kind"] == "usage"
 
 
 def test_report(capsys):

@@ -1,6 +1,5 @@
 import pytest
 
-from bfgp.budget import Budget
 from bfgp.cycle_cover import (
     KIND_CYCLE,
     KIND_PATH,
@@ -22,7 +21,6 @@ from bfgp.errors import (
     GraphParseError,
     InvalidCoverError,
     InvalidParameterError,
-    SearchInconclusiveError,
     TooLargeError,
     UnsupportedFamilyError,
     UnverifiedCoverError,
@@ -48,7 +46,7 @@ def test_constructed_bf2_cover_is_deterministic(bf2):
     assert cover.cycles == ((0, 4, 8, 5, 1, 7, 10, 6), (2, 4, 9, 5, 3, 7, 11, 6))
 
 
-@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
 def test_constructed_covers_verify(r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)
@@ -117,6 +115,25 @@ def test_structural_garbage_raises(bf2):
         verify_bf_cover(g, dm, CycleCover(kind=KIND_CYCLE, cycles=((0, 4, 0, 4),)))
 
 
+def test_verify_cover_applies_butterfly_contract(bf2):
+    # the generic entry point infers the butterfly checks from the graph
+    g, dm = bf2
+    report = verify_cover(g, dm, CycleCover(kind=KIND_CYCLE, cycles=GOLDEN_BF2_COVER[:1]))
+    assert not report.flags["count_ok"]
+    assert report.first_failure["check"] == "count_ok"
+    assert not report.passes
+
+
+def test_verify_bf_cover_rejects_path_cover_and_r1(bf2):
+    g, dm = bf2
+    with pytest.raises(InvalidParameterError):
+        verify_bf_cover(g, dm, CycleCover(kind=KIND_PATH, cycles=((0, 4, 8),)))
+    g1 = build_butterfly(1)
+    with pytest.raises(InvalidParameterError):
+        verify_bf_cover(g1, all_pairs_distances(g1),
+                        CycleCover(kind=KIND_CYCLE, cycles=((0, 2, 1, 3),)))
+
+
 def test_verify_bf_cover_rejects_non_butterfly():
     g = build_cycle(8)
     dm = all_pairs_distances(g)
@@ -166,9 +183,7 @@ def test_swap_mutations_never_pass(bf3):
                 assert not report.passes
 
 
-def test_constructor_budget_exhaustion():
-    with pytest.raises(SearchInconclusiveError):
-        construct_bf_cycle_cover(4, budget=Budget(node_limit=2))
+def test_constructor_rejects_r_below_2():
     with pytest.raises(InvalidParameterError):
         construct_bf_cycle_cover(1)
 
@@ -210,6 +225,19 @@ def test_gp_bounds_path_cover():
     report = verify_cover(g, dm, cover)
     assert report.passes
     assert gp_upper_bounds(cover, report) == {"from_ip": 2}
+
+
+def test_uncovered_edge_is_named():
+    # every vertex is covered, two edges are not
+    g = build_cycle(6)
+    dm = all_pairs_distances(g)
+    cover = CycleCover(kind=KIND_PATH, cycles=((0, 1, 2), (3, 4, 5)))
+    report = verify_cover(g, dm, cover)
+    assert not report.passes
+    assert [name for name, ok in report.flags.items() if not ok] == ["edge_partition"]
+    assert report.first_failure == {"check": "edge_partition", "cycle_index": None,
+                                    "detail": "edge (0, 5) uncovered"}
+    assert gp_upper_bounds(cover, report) == {"from_ip": 4}
 
 
 def test_gp_bounds_refuses_unverified(bf2):

@@ -189,6 +189,10 @@ def _load_graph(run: Run, path: str) -> graphs.Graph:
     return graph_io.import_graph(run.read_bytes(path))
 
 
+def _read_json(run: Run, path: str):
+    return graph_io.parse_json(run.read_bytes(path))
+
+
 def _graph_for(run: Run) -> graphs.Graph:
     args = run.args
     if getattr(args, "graph", None):
@@ -252,7 +256,7 @@ def cmd_gpset_construct(run: Run) -> int:
 def cmd_gpset_verify(run: Run) -> int:
     args = run.args
     g = _load_graph(run, args.graph)
-    s = genpos.vertex_set_from_dict(json.loads(run.read_bytes(args.set_path)))
+    s = genpos.vertex_set_from_dict(_read_json(run, args.set_path))
     dm = geodesy.all_pairs_distances(g)
     witness = genpos.verify_general_position(g, dm, s)
     wdoc = genpos.witness_to_dict(witness)
@@ -273,7 +277,7 @@ def _resolve_pool(run: Run, g: graphs.Graph):
         return [v for v in range(g.n) if g.degree(v) == 2], "deg2"
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        s = genpos.vertex_set_from_dict(json.loads(run.read_bytes(path)))
+        s = genpos.vertex_set_from_dict(_read_json(run, path))
         return sorted(s.members), f"file:{path}"
     raise _UsageError(f"unknown pool {spec!r}")
 
@@ -295,11 +299,18 @@ def cmd_gpset_max(run: Run) -> int:
         "budget_exhausted": res.budget_exhausted,
         "set": genpos.vertex_set_to_dict(res.best_set),
     }
+    witness = genpos.verify_general_position(g, dm, res.best_set)
+    if witness.ok:
+        code = EXIT_OK if res.optimal else EXIT_INCONCLUSIVE
+    else:
+        code = EXIT_VERIFY_FAILED
+        doc["status"] = "verify-failed"
+        doc["witness"] = genpos.witness_to_dict(witness)
     if args.out:
         run.write_json(args.out, doc)
     run.note(f"max general position on {g.ref()} pool={pool_desc}: "
              f"size {res.size} optimal={res.optimal}")
-    return run.finish(doc, EXIT_OK if res.optimal else EXIT_INCONCLUSIVE)
+    return run.finish(doc, code)
 
 
 def cmd_cover_construct(run: Run) -> int:
@@ -329,7 +340,7 @@ def cmd_cover_construct(run: Run) -> int:
 def cmd_cover_verify(run: Run) -> int:
     args = run.args
     g = _load_graph(run, args.graph)
-    cover = cc.cover_from_dict(json.loads(run.read_bytes(args.cover)))
+    cover = cc.cover_from_dict(_read_json(run, args.cover))
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_cover(g, dm, cover)
     rdoc = cc.report_to_dict(report)
@@ -345,7 +356,7 @@ def cmd_cover_verify(run: Run) -> int:
 def cmd_cover_bounds(run: Run) -> int:
     args = run.args
     g = _load_graph(run, args.graph)
-    cover = cc.cover_from_dict(json.loads(run.read_bytes(args.cover)))
+    cover = cc.cover_from_dict(_read_json(run, args.cover))
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_cover(g, dm, cover)
     try:
@@ -431,7 +442,7 @@ def main(argv=None) -> int:
         return run.finish({"error": str(e), "kind": "usage"}, EXIT_USAGE)
     except (InvalidParameterError, GraphParseError) as e:
         return run.finish({"error": str(e), "kind": type(e).__name__}, EXIT_USAGE)
-    except (OSError, json.JSONDecodeError) as e:
+    except OSError as e:
         return run.finish({"error": str(e), "kind": "io"}, EXIT_USAGE)
     except BfgpError as e:
         return run.finish({"error": str(e), "kind": type(e).__name__}, EXIT_USAGE)

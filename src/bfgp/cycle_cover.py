@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (
+    GraphParseError,
     InvalidCoverError,
     InvalidCycleError,
     InvalidParameterError,
@@ -34,6 +35,7 @@ from .geodesy import (
     is_isometric_cycle,
     is_isometric_path,
 )
+from .graph_io import int_array
 from .graphs import FAMILY_BUTTERFLY, Graph, build_butterfly, butterfly_dim
 
 KIND_CYCLE = "cycle-cover"
@@ -276,8 +278,6 @@ def cover_to_dict(cover: CycleCover) -> dict:
 
 
 def cover_from_dict(doc: dict) -> CycleCover:
-    from .errors import GraphParseError
-
     if not isinstance(doc, dict) or "cycles" not in doc:
         raise GraphParseError("cover JSON needs a 'cycles' array")
     kind = doc.get("kind", KIND_CYCLE)
@@ -286,12 +286,8 @@ def cover_from_dict(doc: dict) -> CycleCover:
     cycles = doc["cycles"]
     if not isinstance(cycles, list):
         raise GraphParseError("'cycles' must be an array of id arrays")
-    parsed = []
-    for i, seq in enumerate(cycles):
-        if not isinstance(seq, list) or not all(isinstance(v, int) for v in seq):
-            raise GraphParseError(f"cycle #{i} must be an array of integers")
-        parsed.append(tuple(seq))
-    return CycleCover(kind=kind, cycles=tuple(parsed), graph_ref=doc.get("graph_ref", ""))
+    parsed = tuple(tuple(int_array(seq, f"cycle #{i}")) for i, seq in enumerate(cycles))
+    return CycleCover(kind=kind, cycles=parsed, graph_ref=doc.get("graph_ref", ""))
 
 
 def report_to_dict(report: CoverReport) -> dict:
@@ -332,7 +328,6 @@ def enumerate_isometric_cycles(g: Graph, dm: DistanceMatrix) -> list[tuple[int, 
 
 def enumerate_maximal_isometric_paths(g: Graph, dm: DistanceMatrix) -> list[tuple[int, ...]]:
     """All geodesics not properly contained in a longer geodesic."""
-    rows = dm.rows
     adj = g.adj
     geodesics: list[tuple[int, ...]] = []
 
@@ -341,16 +336,16 @@ def enumerate_maximal_isometric_paths(g: Graph, dm: DistanceMatrix) -> list[tupl
         if u == target:
             geodesics.append(tuple(path))
             return
-        du = rows[u][target]
+        du = dm.dist(u, target)
         for w in adj[u]:
-            if rows[w][target] == du - 1:
+            if dm.dist(w, target) == du - 1:
                 path.append(w)
                 extend(path, target)
                 path.pop()
 
     for s in range(g.n):
         for t in range(s, g.n):
-            if rows[s][t] > 0 or s == t:
+            if dm.reachable(s, t):
                 extend([s], t)
 
     # keep one orientation, then drop geodesics contained in longer ones

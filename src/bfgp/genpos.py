@@ -1,11 +1,14 @@
 """General position sets: verification, construction, and exact search.
 
 A vertex set is in general position when no member lies on a geodesic
-between two others.  Finding a maximum one is equivalent to a maximum
-independent set in the 3-uniform hypergraph whose hyperedges are the
-collinear triples, which is what the branch-and-bound solver below works
-on.  Everything is deterministic: ties break on smallest vertex id and
-the only randomness (greedy 'random' order) sits behind an explicit seed.
+between two others.  That rule and the distances it reads belong to
+`geodesy`: every check here asks `iter_collinear` or
+`is_collinear_triple`, never the distance table.  Finding a maximum set
+is equivalent to a maximum independent set in the 3-uniform hypergraph
+whose hyperedges are the collinear triples, which is what the
+branch-and-bound solver below works on.  Everything is deterministic:
+ties break on smallest vertex id and the only randomness (greedy
+'random' order) sits behind an explicit seed.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .budget import Budget
-from .errors import InvalidParameterError, NotConnectedError
-from .geodesy import DistanceMatrix, is_collinear_triple
+from .errors import GraphParseError, InvalidParameterError, NotConnectedError
+from .geodesy import DistanceMatrix, is_collinear_triple, iter_collinear, lies_between
+from .graph_io import int_array
 from .graphs import Graph, build_butterfly
 
 PROVENANCE_CONSTRUCTION = "construction"
@@ -76,21 +80,18 @@ def verify_general_position(g: Graph, dm: DistanceMatrix, s: VertexSet) -> GpWit
     for u, v in combinations(members, 2):
         if not dm.reachable(u, v):
             raise NotConnectedError(f"set members {u} and {v} are not connected")
-    rows = dm.rows
-    for x, y, z in combinations(members, 3):
-        dxy = rows[x][y]
-        dyz = rows[y][z]
-        dxz = rows[x][z]
-        if dxy + dyz == dxz or dxy + dxz == dyz or dxz + dyz == dxy:
-            # the middle vertex is unique for distinct, mutually reachable vertices
-            if dxy + dxz == dyz:
-                mid = x
-            elif dxy + dyz == dxz:
-                mid = y
-            else:
-                mid = z
-            return GpWitness(status=VIOLATION, triple=(x, y, z), middle=mid)
-    return GpWitness(status=VERIFIED)
+    triple = next(iter_collinear(dm, members), None)
+    if triple is None:
+        return GpWitness(status=VERIFIED)
+    x, y, z = triple
+    # the middle vertex is unique for distinct, mutually reachable vertices
+    if lies_between(dm, y, x, z):
+        mid = x
+    elif lies_between(dm, x, y, z):
+        mid = y
+    else:
+        mid = z
+    return GpWitness(status=VIOLATION, triple=triple, middle=mid)
 
 
 def construct_butterfly_gp_set(r: int) -> VertexSet:
@@ -113,15 +114,7 @@ def construct_butterfly_gp_set(r: int) -> VertexSet:
 
 def collinear_triples(dm: DistanceMatrix, pool) -> list[tuple[int, int, int]]:
     """All collinear triples within pool, in lexicographic order."""
-    out = []
-    rows = dm.rows
-    for x, y, z in combinations(sorted(pool), 3):
-        dxy = rows[x][y]
-        dyz = rows[y][z]
-        dxz = rows[x][z]
-        if dxy + dyz == dxz or dxy + dxz == dyz or dxz + dyz == dxy:
-            out.append((x, y, z))
-    return out
+    return list(iter_collinear(dm, sorted(pool)))
 
 
 def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
@@ -137,19 +130,9 @@ def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
         rng.shuffle(vertices)
     else:
         raise InvalidParameterError(f"unknown order {order!r}")
-    rows = dm.rows
     chosen: list[int] = []
     for v in vertices:
-        rv = rows[v]
-        ok = True
-        for a, b in combinations(chosen, 2):
-            dab = rows[a][b]
-            dav = rv[a]
-            dbv = rv[b]
-            if dav + dbv == dab or dav + dab == dbv or dbv + dab == dav:
-                ok = False
-                break
-        if ok:
+        if not any(is_collinear_triple(dm, a, b, v) for a, b in combinations(chosen, 2)):
             chosen.append(v)
     return VertexSet(members=tuple(sorted(chosen)),
                      provenance=PROVENANCE_LOWER_BOUND, graph_ref=g.ref())
@@ -235,7 +218,7 @@ class _GpSearch:
             free &= ~freebies
 
         if not active:
-            size = _popcount(chosen)
+            size = chosen.bit_count()
             if size > self.best_size:
                 self.best_size = size
                 self.best_mask = chosen
@@ -246,7 +229,7 @@ class _GpSearch:
         trips = []
         for t in active:
             fp = t & free
-            if _popcount(fp) == 2:
+            if fp.bit_count() == 2:
                 pairs.append(fp)
             else:
                 trips.append(fp)
@@ -260,7 +243,7 @@ class _GpSearch:
             if fp & used == 0:
                 packed += 1
                 used |= fp
-        if _popcount(chosen) + _popcount(free) - packed <= self.best_size:
+        if chosen.bit_count() + free.bit_count() - packed <= self.best_size:
             return
 
         # branch vertex: most active constraints, smallest id on ties
@@ -282,10 +265,6 @@ class _GpSearch:
         return tuple(sorted(
             self.pool[i] for i in range(len(self.pool)) if self.best_mask >> i & 1
         ))
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
@@ -341,13 +320,9 @@ def vertex_set_to_dict(s: VertexSet) -> dict:
 
 
 def vertex_set_from_dict(doc: dict) -> VertexSet:
-    from .errors import GraphParseError
-
     if not isinstance(doc, dict) or "ids" not in doc:
         raise GraphParseError("vertex set JSON needs an 'ids' array")
-    ids = doc["ids"]
-    if not isinstance(ids, list) or not all(isinstance(v, int) for v in ids):
-        raise GraphParseError("'ids' must be an array of integers")
+    ids = int_array(doc["ids"], "'ids'")
     return VertexSet(members=tuple(sorted(ids)),
                      provenance=doc.get("provenance", PROVENANCE_USER),
                      graph_ref=doc.get("graph_ref", ""))
@@ -375,10 +350,10 @@ def brute_force_max_gp(g: Graph, dm: DistanceMatrix, pool=None) -> tuple[int, tu
     best_size = 0
     best_mask = 0
     for mask in range(1 << k):
-        if _popcount(mask) <= best_size:
+        if mask.bit_count() <= best_size:
             continue
         if all(t & mask != t for t in tmasks):
-            best_size = _popcount(mask)
+            best_size = mask.bit_count()
             best_mask = mask
     members = tuple(sorted(pool_ids[i] for i in range(k) if best_mask >> i & 1))
     return best_size, members

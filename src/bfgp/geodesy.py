@@ -1,9 +1,12 @@
 """All-pairs distances and geodesic predicates.
 
 Distances are exact unweighted hop counts from one breadth-first search
-per source, stored densely (the largest graph we care about, BF(8), has
-2304 vertices, so the full table is cheap).  All downstream predicates
-are O(1) lookups into that table.
+per source, stored as a dense n x n table.  That table is not free: at
+BF(8) (2304 vertices) it takes about 41 MiB and over a second to build.
+This module is the only reader of the table, through `DistanceMatrix`
+and the predicates below, and it owns the collinearity rule that
+defines general position: `iter_collinear` is the one place that tests
+whether one of three vertices lies on a geodesic of the other two.
 """
 
 from __future__ import annotations
@@ -78,13 +81,32 @@ def lies_between(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
     return row[x] + row[z] == dm.rows[x][z]
 
 
+def iter_collinear(dm: DistanceMatrix, members):
+    """Yield the collinear triples of members, in combinations(members, 3) order.
+
+    A triple is collinear when one of its vertices lies on a geodesic of
+    the other two.  Members must be distinct and mutually reachable;
+    callers check that, since UNREACHABLE would corrupt the sums.
+    """
+    rows = dm.rows
+    ms = list(members)
+    for i, x in enumerate(ms):
+        rx = rows[x]
+        for j in range(i + 1, len(ms)):
+            y = ms[j]
+            ry = rows[y]
+            dxy = rx[y]
+            for z in ms[j + 1:]:
+                dxz = rx[z]
+                dyz = ry[z]
+                if dxy + dyz == dxz or dxy + dxz == dyz or dxz + dyz == dxy:
+                    yield (x, y, z)
+
+
 def is_collinear_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
     """True iff one of the three vertices lies on a geodesic of the other two."""
     _check_triple(dm, x, y, z)
-    dxy = dm.rows[x][y]
-    dyz = dm.rows[y][z]
-    dxz = dm.rows[x][z]
-    return dxy + dyz == dxz or dxy + dxz == dyz or dxz + dyz == dxy
+    return any(iter_collinear(dm, (x, y, z)))
 
 
 def check_cycle(g: Graph, cycle) -> None:

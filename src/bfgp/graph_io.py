@@ -64,14 +64,33 @@ def export_dot(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def import_graph(data: bytes | str) -> Graph:
-    """Parse the JSON graph format back into a Graph."""
-    if isinstance(data, bytes):
-        data = data.decode()
+def parse_json(data: bytes | str):
+    """Decode one UTF-8 JSON document; every way it can be malformed is a GraphParseError."""
     try:
-        doc = json.loads(data)
+        return json.loads(data.decode() if isinstance(data, bytes) else data)
     except json.JSONDecodeError as e:
         raise GraphParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
+    except UnicodeDecodeError as e:
+        raise GraphParseError(f"invalid JSON: not UTF-8 text ({e.reason})") from e
+    except RecursionError as e:
+        raise GraphParseError("invalid JSON: nested too deeply") from e
+
+
+def is_json_int(x) -> bool:
+    """True for a JSON integer; true and false parse to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def int_array(value, what: str) -> list[int]:
+    """Return value if it is an array of JSON integers, else raise GraphParseError."""
+    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
+        raise GraphParseError(f"{what} must be an array of integers")
+    return value
+
+
+def import_graph(data: bytes | str) -> Graph:
+    """Parse the JSON graph format back into a Graph."""
+    doc = parse_json(data)
     if not isinstance(doc, dict):
         raise GraphParseError("top-level JSON value must be an object")
     family = doc.get("family", FAMILY_CUSTOM)
@@ -81,15 +100,14 @@ def import_graph(data: bytes | str) -> Graph:
     if "num_vertices" not in doc:
         raise GraphParseError("missing num_vertices")
     n = doc["num_vertices"]
-    if not isinstance(n, int) or n < 0:
+    if not is_json_int(n) or n < 0:
         raise GraphParseError(f"num_vertices must be a non-negative integer, got {n!r}")
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphParseError("edges must be an array")
     edges = []
     for i, e in enumerate(raw_edges):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, int) for x in e)):
+        if len(int_array(e, f"edge #{i}")) != 2:
             raise GraphParseError(f"edge #{i} must be a pair of integers, got {e!r}")
         edges.append((e[0], e[1]))
     try:
@@ -104,14 +122,15 @@ def _check_family_consistency(g: Graph) -> None:
     # labels and classification lean on the canonical butterfly encoding,
     # so a mislabeled family tag must not survive import
     if g.family == FAMILY_BUTTERFLY:
-        if not isinstance(g.family_param, int) or g.family_param < 1:
+        if not is_json_int(g.family_param) or g.family_param < 1:
             raise GraphParseError("butterfly graphs need an integer r >= 1")
         reference = build_butterfly(g.family_param)
         if g.n != reference.n or g.edges != reference.edges:
             raise GraphParseError(
                 f"edges do not match the canonical butterfly encoding for r={g.family_param}")
     elif g.family in (FAMILY_CYCLE, FAMILY_PATH):
-        if g.family_param is not None and g.family_param != g.n:
+        if g.family_param is not None and (not is_json_int(g.family_param)
+                                           or g.family_param != g.n):
             raise GraphParseError(
                 f"family parameter {g.family_param} disagrees with {g.n} vertices")
 

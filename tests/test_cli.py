@@ -110,6 +110,22 @@ def test_gpset_max_budget_exhaustion(capsys):
     assert doc["budget_exhausted"] is True
 
 
+def test_gpset_max_fails_on_rejected_set(capsys, monkeypatch):
+    solve = genpos.max_general_position
+
+    def corrupted(g, dm, pool=None, budget=None):
+        res = solve(g, dm, pool=pool, budget=budget)
+        # levels 0, 1, 2 of row 0 lie on one geodesic
+        s = genpos.VertexSet(members=(0, 4, 8), graph_ref=res.best_set.graph_ref)
+        return genpos.SolveResult(s, 3, res.optimal, res.nodes_explored,
+                                  res.elapsed_s, res.budget_exhausted)
+    monkeypatch.setattr(genpos, "max_general_position", corrupted)
+    code, doc = run_cli(capsys, "gpset", "max", "--r", "2", "--quiet")
+    assert code == 1
+    assert doc["status"] == "verify-failed"
+    assert doc["witness"]["triple"] == [0, 4, 8]
+
+
 def test_gpset_max_bad_pool(capsys):
     code, doc = run_cli(capsys, "gpset", "max", "--r", "2", "--pool", "huh", "--quiet")
     assert code == 2
@@ -262,6 +278,41 @@ def test_json_on_failure_paths(capsys, tmp_path):
     code, doc = run_cli(capsys, "cover", "verify", "--graph", str(bad),
                         "--cover", str(bad), "--quiet")
     assert code == 2
+    graph = tmp_path / "bf2.json"
+    run_cli(capsys, "generate", "butterfly", "--r", "2", "--out", str(graph), "--quiet")
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe\xfa")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("gpset", "verify", "--graph", str(graph), "--set", str(undecodable)),
+                 ("cover", "verify", "--graph", str(undecodable), "--cover", str(bad)),
+                 ("gpset", "verify", "--graph", str(graph), "--set", str(deep))):
+        code, doc = run_cli(capsys, *argv, "--quiet")
+        assert code == 2, argv
+        assert doc["kind"] == "GraphParseError"
+
+
+def test_booleans_are_not_integers(capsys, tmp_path):
+    graph = tmp_path / "bf2.json"
+    run_cli(capsys, "generate", "butterfly", "--r", "2", "--out", str(graph), "--quiet")
+    cover = tmp_path / "cover.json"
+    run_cli(capsys, "cover", "construct", "--r", "2", "--out", str(cover), "--quiet")
+    set_doc = {"ids": [True, False]}
+    cover_doc = json.loads(cover.read_text())
+    cover_doc["cycles"][0][0] = True
+    edges_doc = {"family": "custom", "num_vertices": 2, "edges": [[False, True]]}
+    count_doc = {"family": "custom", "num_vertices": True, "edges": []}
+    param_doc = {"family": "path", "n": True, "num_vertices": 1, "edges": []}
+    bad = tmp_path / "bad.json"
+    for doc, argv in ((set_doc, ("gpset", "verify", "--graph", str(graph), "--set")),
+                      (cover_doc, ("cover", "verify", "--graph", str(graph), "--cover")),
+                      (edges_doc, ("gpset", "max", "--graph")),
+                      (count_doc, ("gpset", "max", "--graph")),
+                      (param_doc, ("gpset", "max", "--graph"))):
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, *argv, str(bad), "--quiet")
+        assert code == 2, doc
+        assert out["kind"] == "GraphParseError"
 
 
 def test_usage_error_is_json(capsys):

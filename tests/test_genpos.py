@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,7 @@ from bfgp.genpos import (
 )
 from bfgp.geodesy import all_pairs_distances
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
-from corpus import named_corpus, random_connected_graph
+from corpus import named_corpus, oracle_collinear, random_connected_graph
 
 
 def test_small_sets_are_vacuously_verified():
@@ -110,6 +112,13 @@ def test_triangle_has_no_collinear_triples():
     assert collinear_triples(dm, range(3)) == []
     res = max_general_position(g, dm)
     assert res.size == 3
+
+
+def test_collinear_triples_match_path_oracle():
+    for name, g in named_corpus():
+        dm = all_pairs_distances(g)
+        expected = [t for t in combinations(range(g.n), 3) if oracle_collinear(g, *t)]
+        assert collinear_triples(dm, range(g.n)) == expected, name
 
 
 def test_bf2_exact(bf2):
@@ -219,6 +228,12 @@ def test_greedy_orders(bf2):
         assert verify_general_position(g, dm, s).ok
     with pytest.raises(InvalidParameterError):
         greedy_gp_lower_bound(g, dm, order="nope")
+
+
+def test_greedy_rejects_disconnected_graph():
+    disc = Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(NotConnectedError):
+        greedy_gp_lower_bound(disc, all_pairs_distances(disc))
 
 
 @settings(deadline=None, max_examples=25)

@@ -36,7 +36,7 @@ from .geodesy import (
     is_isometric_path,
 )
 from .graph_io import int_array
-from .graphs import FAMILY_BUTTERFLY, Graph, build_butterfly, butterfly_dim
+from .graphs import FAMILY_BUTTERFLY, Graph, butterfly_dim, butterfly_ref
 
 KIND_CYCLE = "cycle-cover"
 KIND_PATH = "path-cover"
@@ -247,7 +247,7 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     return CycleCover(
         kind=KIND_CYCLE,
         cycles=tuple(candidate_cycle(r, 2 * k, k) for k in range(1 << (r - 1))),
-        graph_ref=build_butterfly(r).ref(),
+        graph_ref=butterfly_ref(r),
     )
 
 

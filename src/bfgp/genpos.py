@@ -16,13 +16,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 from .budget import Budget
 from .errors import GraphParseError, InvalidParameterError, NotConnectedError
-from .geodesy import DistanceMatrix, is_collinear_triple, iter_collinear, lies_between
+from .geodesy import DistanceMatrix, iter_collinear, lies_between
 from .graph_io import int_array
-from .graphs import Graph, build_butterfly
+from .graphs import Graph, butterfly_ref
 
 PROVENANCE_CONSTRUCTION = "construction"
 PROVENANCE_EXACT = "solver-exact"
@@ -77,9 +76,11 @@ def _validate_members(g: Graph, members) -> tuple[int, ...]:
 def verify_general_position(g: Graph, dm: DistanceMatrix, s: VertexSet) -> GpWitness:
     """Check all triples of s; report the lexicographically first violation."""
     members = _validate_members(g, s.members)
-    for u, v in combinations(members, 2):
-        if not dm.reachable(u, v):
-            raise NotConnectedError(f"set members {u} and {v} are not connected")
+    # reachability is an equivalence, so members[0] reaches all or names the
+    # first unreachable pair in combinations order
+    for v in members[1:]:
+        if not dm.reachable(members[0], v):
+            raise NotConnectedError(f"set members {members[0]} and {v} are not connected")
     triple = next(iter_collinear(dm, members), None)
     if triple is None:
         return GpWitness(status=VERIFIED)
@@ -108,8 +109,8 @@ def construct_butterfly_gp_set(r: int) -> VertexSet:
     levelr = [r * nrows + row for row in range(nrows) if row & msb]
     level1 = [nrows + row for row in range(nrows) if not row & msb and not row & 1]
     members = tuple(sorted(level0 + levelr + level1))
-    g_ref = build_butterfly(r).ref()
-    return VertexSet(members=members, provenance=PROVENANCE_CONSTRUCTION, graph_ref=g_ref)
+    return VertexSet(members=members, provenance=PROVENANCE_CONSTRUCTION,
+                     graph_ref=butterfly_ref(r))
 
 
 def collinear_triples(dm: DistanceMatrix, pool) -> list[tuple[int, int, int]]:
@@ -130,9 +131,19 @@ def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
         rng.shuffle(vertices)
     else:
         raise InvalidParameterError(f"unknown order {order!r}")
+    if len(set(vertices)) != len(vertices):
+        raise InvalidParameterError("pool members must be distinct")
+    # the first two vertices are always kept, so only a pool of three or
+    # more has a triple to test, and then all of it must be mutually reachable
+    if len(vertices) >= 3:
+        for v in vertices[1:]:
+            if not dm.reachable(vertices[0], v):
+                raise NotConnectedError(f"vertices {vertices[0]} and {v} are not connected")
     chosen: list[int] = []
     for v in vertices:
-        if not any(is_collinear_triple(dm, a, b, v) for a, b in combinations(chosen, 2)):
+        # chosen is in general position, so a collinear triple must hold v;
+        # with v first, its triples come first and a rejection exits early
+        if next(iter_collinear(dm, [v, *chosen]), None) is None:
             chosen.append(v)
     return VertexSet(members=tuple(sorted(chosen)),
                      provenance=PROVENANCE_LOWER_BOUND, graph_ref=g.ref())

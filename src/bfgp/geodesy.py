@@ -1,9 +1,19 @@
-"""All-pairs distances and geodesic predicates.
+"""Distances and geodesic predicates.
 
-Distances are exact unweighted hop counts from one breadth-first search
-per source, stored as a dense n x n table.  That table is not free: at
-BF(8) (2304 vertices) it takes about 41 MiB and over a second to build.
-This module is the only reader of the table, through `DistanceMatrix`
+Distances are exact unweighted hop counts from breadth-first search.  On
+a general graph `all_pairs_distances` keeps one BFS row per vertex, an
+n x n table.  On the canonical butterfly BF(r) it keeps one row per
+level, r + 1 rows in all, and reads every other distance through an
+automorphism: XOR-ing every row label with a constant c < 2^r maps
+straight edges to straight edges and cross edges to cross edges of the
+same level, so d((l, x), v) = d((l, 0), v ^ x).  Since a vertex id is
+level * 2^r + row, v ^ x flips only the row bits of v.  Every distance
+is still a BFS distance and no formula is trusted; at r = 10 the rows
+hold 11 x 11,264 entries where a table would hold 11,264^2.  The fill
+is chosen from the edges, not the family tag: only a graph whose edges
+are exactly those of the canonical BF(r) gets the per-level rows.
+
+This module is the only reader of the rows, through `DistanceMatrix`
 and the predicates below, and it owns the collinearity rule that
 defines general position: `iter_collinear` is the one place that tests
 whether one of three vertices lies on a geodesic of the other two.
@@ -12,7 +22,6 @@ whether one of three vertices lies on a geodesic of the other two.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
 
 from .errors import (
     InvalidCycleError,
@@ -20,25 +29,36 @@ from .errors import (
     InvalidPathError,
     NotConnectedError,
 )
-from .graphs import Graph
+from .graphs import Graph, butterfly_edges
 
 UNREACHABLE = -1
 
 
 class DistanceMatrix:
-    """Symmetric table of shortest-path lengths; UNREACHABLE marks disconnected pairs."""
+    """Shortest-path lengths; UNREACHABLE marks disconnected pairs.
 
-    __slots__ = ("n", "rows")
+    d(u, v) = rows[u >> shift][v ^ (u & mask)].  On the canonical BF(r),
+    shift = r, mask = 2^r - 1 and rows[l] is the BFS row from (l, 0); on
+    any other graph shift = mask = 0 and rows[u] is the BFS row from u.
+    """
 
-    def __init__(self, n: int, rows):
+    __slots__ = ("n", "rows", "shift", "mask")
+
+    def __init__(self, n: int, rows, shift: int = 0, mask: int = 0):
         self.n = n
-        self.rows = rows  # list of per-source distance lists; treat as read-only
+        self.rows = rows  # list of BFS distance lists; treat as read-only
+        self.shift = shift
+        self.mask = mask
+
+    def source(self, u: int) -> tuple[list[int], int]:
+        """(row, a) such that d(u, v) == row[v ^ a] for every vertex v."""
+        return self.rows[u >> self.shift], u & self.mask
 
     def dist(self, u: int, v: int) -> int:
-        return self.rows[u][v]
+        return self.rows[u >> self.shift][v ^ (u & self.mask)]
 
     def reachable(self, u: int, v: int) -> bool:
-        return self.rows[u][v] != UNREACHABLE
+        return self.rows[u >> self.shift][v ^ (u & self.mask)] != UNREACHABLE
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -56,8 +76,23 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def _canonical_butterfly_dim(g: Graph) -> int | None:
+    """r if the edges of g are exactly those of the canonical BF(r), else None."""
+    r = 1
+    while (r + 1) << r < g.n:
+        r += 1
+    if (r + 1) << r != g.n or g.num_edges != r << (r + 1):
+        return None
+    return r if g.edges == butterfly_edges(r) else None
+
+
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(g.n)])
+    r = _canonical_butterfly_dim(g)
+    if r is None:
+        return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(g.n)])
+    nrows = 1 << r
+    rows = [bfs_distances(g, lev * nrows) for lev in range(r + 1)]
+    return DistanceMatrix(g.n, rows, r, nrows - 1)
 
 
 def is_connected(g: Graph) -> bool:
@@ -77,8 +112,8 @@ def _check_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> None:
 def lies_between(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
     """True iff y is on some shortest x-z path, i.e. d(x,y) + d(y,z) = d(x,z)."""
     _check_triple(dm, x, y, z)
-    row = dm.rows[y]
-    return row[x] + row[z] == dm.rows[x][z]
+    row, a = dm.source(y)
+    return row[x ^ a] + row[z ^ a] == dm.dist(x, z)
 
 
 def iter_collinear(dm: DistanceMatrix, members):
@@ -88,19 +123,29 @@ def iter_collinear(dm: DistanceMatrix, members):
     the other two.  Members must be distinct and mutually reachable;
     callers check that, since UNREACHABLE would corrupt the sums.
     """
-    rows = dm.rows
     ms = list(members)
+    # dists[k][l] = d(ms[k], ms[l]); a member's list is read from its
+    # source row when the scan first reaches it, so an early violation
+    # reads only the rows it needs
+    dists: list[list[int]] = []
     for i, x in enumerate(ms):
-        rx = rows[x]
+        if i == len(dists):
+            dists.append(_distances_to(dm, x, ms))
+        dx = dists[i]
         for j in range(i + 1, len(ms)):
-            y = ms[j]
-            ry = rows[y]
-            dxy = rx[y]
-            for z in ms[j + 1:]:
-                dxz = rx[z]
-                dyz = ry[z]
+            if j == len(dists):
+                dists.append(_distances_to(dm, ms[j], ms))
+            dy = dists[j]
+            dxy = dx[j]
+            k = j + 1
+            for z, dxz, dyz in zip(ms[k:], dx[k:], dy[k:]):
                 if dxy + dyz == dxz or dxy + dxz == dyz or dxz + dyz == dxy:
-                    yield (x, y, z)
+                    yield (x, ms[j], z)
+
+
+def _distances_to(dm: DistanceMatrix, u: int, vs: list[int]) -> list[int]:
+    row, a = dm.source(u)
+    return [row[v ^ a] for v in vs]
 
 
 def is_collinear_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
@@ -152,19 +197,20 @@ def is_isometric_cycle(g: Graph, dm: DistanceMatrix, cycle) -> tuple[bool, tuple
     """
     check_cycle(g, cycle)
     L = len(cycle)
-    rows = dm.rows
     worst = None
-    for i, j in combinations(range(L), 2):
-        k = j - i
-        if rows[cycle[i]][cycle[j]] != min(k, L - k):
-            u, v = cycle[i], cycle[j]
-            pair = (u, v) if u < v else (v, u)
-            if worst is None or pair < worst:
-                worst = pair
+    for i, u in enumerate(cycle):
+        row, a = dm.source(u)
+        for j in range(i + 1, L):
+            k = j - i
+            v = cycle[j]
+            if row[v ^ a] != min(k, L - k):
+                pair = (u, v) if u < v else (v, u)
+                if worst is None or pair < worst:
+                    worst = pair
     return (worst is None, worst)
 
 
 def is_isometric_path(g: Graph, dm: DistanceMatrix, path) -> bool:
     """True iff the path is a geodesic: its length equals d(first, last)."""
     check_path(g, path)
-    return dm.rows[path[0]][path[-1]] == len(path) - 1
+    return dm.dist(path[0], path[-1]) == len(path) - 1

@@ -18,7 +18,7 @@ from .graphs import (
     FAMILY_CYCLE,
     FAMILY_PATH,
     Graph,
-    build_butterfly,
+    butterfly_edges,
     label_of,
 )
 
@@ -124,8 +124,11 @@ def _check_family_consistency(g: Graph) -> None:
     if g.family == FAMILY_BUTTERFLY:
         if not is_json_int(g.family_param) or g.family_param < 1:
             raise GraphParseError("butterfly graphs need an integer r >= 1")
-        reference = build_butterfly(g.family_param)
-        if g.n != reference.n or g.edges != reference.edges:
+        r = g.family_param
+        # (r + 1) * 2^r vertices needs r < n.bit_length(); checking that first
+        # keeps a hostile r from building a huge shift or edge list
+        if (r >= g.n.bit_length() or g.n != (r + 1) << r
+                or g.edges != butterfly_edges(r)):
             raise GraphParseError(
                 f"edges do not match the canonical butterfly encoding for r={g.family_param}")
     elif g.family in (FAMILY_CYCLE, FAMILY_PATH):

@@ -106,11 +106,15 @@ class Graph:
 
     def ref(self) -> str:
         """Stable content reference used in set/cover files."""
-        h = hashlib.sha256()
-        h.update(f"{self.n}:".encode())
-        h.update(",".join(f"{u}-{v}" for u, v in self.edges).encode())
-        tag = self.family if self.family_param is None else f"{self.family}:{self.family_param}"
-        return f"{tag}#{h.hexdigest()[:12]}"
+        return _content_ref(self.n, self.edges, self.family, self.family_param)
+
+
+def _content_ref(n: int, edges, family: str, family_param: int | None) -> str:
+    h = hashlib.sha256()
+    h.update(f"{n}:".encode())
+    h.update(",".join(f"{u}-{v}" for u, v in edges).encode())
+    tag = family if family_param is None else f"{family}:{family_param}"
+    return f"{tag}#{h.hexdigest()[:12]}"
 
 
 @dataclass(frozen=True)
@@ -135,12 +139,11 @@ class VertexClassification:
     Xrpp: tuple[int, ...]
 
 
-def build_butterfly(r: int) -> Graph:
-    """r-dimensional butterfly: (r+1)*2^r vertices, r*2^(r+1) edges."""
+def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edge tuple of BF(r) in the canonical encoding, without a Graph."""
     if r < 1:
         raise InvalidParameterError(f"butterfly dimension must be >= 1, got {r}")
     nrows = 1 << r
-    n = (r + 1) * nrows
     edges = []
     for lev in range(r):
         bit = 1 << (r - 1 - lev)  # bit lev+1, with bit 1 the most significant
@@ -149,7 +152,20 @@ def build_butterfly(r: int) -> Graph:
             u = base + row
             edges.append((u, u + nrows))
             edges.append((u, base + nrows + (row ^ bit)))
-    return Graph(n, edges, FAMILY_BUTTERFLY, r)
+    edges.sort()
+    return tuple(edges)
+
+
+def butterfly_ref(r: int) -> str:
+    """build_butterfly(r).ref(), computed from the edge list alone."""
+    edges = butterfly_edges(r)
+    return _content_ref((r + 1) << r, edges, FAMILY_BUTTERFLY, r)
+
+
+def build_butterfly(r: int) -> Graph:
+    """r-dimensional butterfly: (r+1)*2^r vertices, r*2^(r+1) edges."""
+    edges = butterfly_edges(r)
+    return Graph((r + 1) << r, edges, FAMILY_BUTTERFLY, r)
 
 
 def build_cycle(n: int) -> Graph:

@@ -150,7 +150,8 @@ def test_criterion_7c_metric_axioms_up_to_200():
     for g in graphs:
         assert g.n <= 200
         dm = all_pairs_distances(g)
-        d = np.array(dm.rows, dtype=np.int32)
+        d = np.array([[dm.dist(u, v) for v in range(g.n)] for u in range(g.n)],
+                     dtype=np.int32)
         assert (np.diag(d) == 0).all()
         assert (d == d.T).all()
         adj = np.zeros((g.n, g.n), dtype=bool)

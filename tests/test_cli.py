@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import bfgp
 from bfgp import cycle_cover as cc
@@ -263,6 +266,33 @@ def test_stdout_is_deterministic(capsys):
                  ("cover", "construct", "--r", "3", "--quiet"),
                  ("report", "--r-min", "2", "--r-max", "2", "--quiet")):
         assert grab(*argv) == grab(*argv)
+
+
+# full stdout sha256 of each command run with --quiet --manifest <file>
+PINNED_STDOUT_SHA256 = {
+    ("report", "--r-max", "5"):
+        "9a228d5b70ba658e6cbd7a4f79b4a6d68a1788740019ac1b2d89ba9c39acdb94",
+    ("gpset", "max", "--r", "3"):
+        "00dc5ba4cddbcb19f99e6ba40e134b2f5172aebeaf8965452de3fca0525cfea7",
+    ("cover", "construct", "--r", "6"):
+        "eee8e0e2c433fc83b6f46990ab1c2006877ab06deb381c75ce871605bad5d500",
+    ("gpset", "max", "--r", "4", "--node-budget", "300"):
+        "6aa4adf3563988bb642ad0f96d68e754df1650c124fc60c6579842c7d00ade14",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_STDOUT_SHA256), ids=" ".join)
+def test_stdout_digest_is_pinned(capsys, tmp_path, argv):
+    main([*argv, "--quiet", "--manifest", str(tmp_path / "manifest.json")])
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT_SHA256[argv]
+
+
+def test_cover_construct_r10_passes(capsys, tmp_path):
+    code, doc = run_cli(capsys, "cover", "construct", "--r", "10", "--quiet",
+                        "--manifest", str(tmp_path / "manifest.json"))
+    assert code == 0
+    assert doc["passes"] is True
 
 
 def test_json_on_failure_paths(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,7 @@ from bfgp.genpos import (
     vertex_set_to_dict,
     witness_to_dict,
 )
-from bfgp.geodesy import all_pairs_distances
+from bfgp.geodesy import all_pairs_distances, is_collinear_triple
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import named_corpus, oracle_collinear, random_connected_graph
 
@@ -58,6 +59,9 @@ def test_verify_rejects_bad_sets():
     disc = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnectedError):
         verify_general_position(disc, all_pairs_distances(disc), VertexSet((0, 2, 3)))
+    # the first unreachable pair in combinations order is named
+    with pytest.raises(NotConnectedError, match="members 0 and 2 "):
+        verify_general_position(disc, all_pairs_distances(disc), VertexSet((3, 1, 0, 2)))
 
 
 def test_constructed_set_r2_golden():
@@ -232,8 +236,38 @@ def test_greedy_orders(bf2):
 
 def test_greedy_rejects_disconnected_graph():
     disc = Graph(4, [(0, 1), (2, 3)])
+    dm = all_pairs_distances(disc)
     with pytest.raises(NotConnectedError):
-        greedy_gp_lower_bound(disc, all_pairs_distances(disc))
+        greedy_gp_lower_bound(disc, dm)
+    with pytest.raises(NotConnectedError):
+        greedy_gp_lower_bound(disc, dm, pool=[0, 1, 2])
+    # two vertices form no triple, so nothing is tested
+    assert greedy_gp_lower_bound(disc, dm, pool=[0, 2]).members == (0, 2)
+
+
+def test_greedy_rejects_repeated_pool_ids(bf2):
+    g, dm = bf2
+    with pytest.raises(InvalidParameterError):
+        greedy_gp_lower_bound(g, dm, pool=[0, 1, 1])
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10_000))
+def test_greedy_matches_pairwise_scan(seed):
+    g = random_connected_graph(9, 0.4, seed)
+    dm = all_pairs_distances(g)
+    for order in ("degree", "id", "random"):
+        vertices = list(range(g.n))
+        if order == "degree":
+            vertices.sort(key=lambda v: (g.degree(v), v))
+        elif order == "random":
+            random.Random(seed).shuffle(vertices)
+        chosen = []
+        for v in vertices:
+            if not any(is_collinear_triple(dm, a, b, v) for a, b in combinations(chosen, 2)):
+                chosen.append(v)
+        s = greedy_gp_lower_bound(g, dm, order=order, seed=seed)
+        assert s.members == tuple(sorted(chosen)), order
 
 
 @settings(deadline=None, max_examples=25)

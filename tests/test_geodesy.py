@@ -13,6 +13,7 @@ from bfgp.errors import (
 from bfgp.geodesy import (
     UNREACHABLE,
     all_pairs_distances,
+    bfs_distances,
     is_collinear_triple,
     is_connected,
     is_isometric_cycle,
@@ -34,6 +35,29 @@ def test_metric_axioms_on_corpus():
                 assert (dm.dist(u, v) == 1) == ((u, v) in edge_set), (name, u, v)
         for u, v, w in combinations(range(g.n), 3):
             assert dm.dist(u, w) <= dm.dist(u, v) + dm.dist(v, w), name
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_butterfly_distances_match_fresh_bfs(r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    assert len(dm.rows) == r + 1
+    for u in range(g.n):
+        assert [dm.dist(u, v) for v in range(g.n)] == bfs_distances(g, u), (r, u)
+
+
+def test_distance_fill_follows_the_edges_not_the_tag():
+    bf3 = build_butterfly(3)
+    untagged = Graph(bf3.n, bf3.edges)
+    assert len(all_pairs_distances(untagged).rows) == 4
+    # swapping ids 0 and 9 keeps the tag but breaks the row-XOR symmetry
+    swap = {0: 9, 9: 0}
+    edges = [(swap.get(u, u), swap.get(v, v)) for u, v in bf3.edges]
+    relabeled = Graph(bf3.n, edges, bf3.family, bf3.family_param)
+    dm = all_pairs_distances(relabeled)
+    assert len(dm.rows) == relabeled.n
+    for u in range(relabeled.n):
+        assert [dm.dist(u, v) for v in range(relabeled.n)] == bfs_distances(relabeled, u)
 
 
 def test_known_distances():

@@ -12,6 +12,8 @@ from bfgp.graphs import (
     build_butterfly,
     build_cycle,
     build_path,
+    butterfly_edges,
+    butterfly_ref,
     classify_vertices,
     id_of,
     label_of,
@@ -54,9 +56,24 @@ def test_adjacency_symmetry_everywhere():
                 assert v in g.adj[w]
 
 
+@pytest.mark.parametrize("r", range(1, 9))
+def test_butterfly_edges_and_ref_without_a_graph(r):
+    g = build_butterfly(r)
+    assert butterfly_edges(r) == g.edges
+    assert butterfly_ref(r) == g.ref()
+
+
+def test_butterfly_ref_golden():
+    assert butterfly_ref(2) == "butterfly:2#6136f66dae6d"
+    assert butterfly_ref(7) == "butterfly:7#71a38b60117f"
+
+
 def test_butterfly_invalid_dimension():
-    with pytest.raises(InvalidParameterError):
-        build_butterfly(0)
+    for build in (build_butterfly, butterfly_edges, butterfly_ref):
+        with pytest.raises(InvalidParameterError):
+            build(0)
+        with pytest.raises(InvalidParameterError):
+            build(-1)
 
 
 def test_cycle_and_path_builders():
@@ -206,6 +223,10 @@ def test_import_rejects_mislabeled_family():
     doc["r"] = 2
     with pytest.raises(GraphParseError):
         import_graph(json.dumps(doc))
+    huge_r = graph_to_dict(build_butterfly(2))
+    huge_r["r"] = 10**9
+    with pytest.raises(GraphParseError):
+        import_graph(json.dumps(huge_r))
     bad_n = graph_to_dict(build_cycle(5))
     bad_n["n"] = 7
     with pytest.raises(GraphParseError):

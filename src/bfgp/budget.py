@@ -1,8 +1,8 @@
 """Search budgets.
 
-Node limits are the determinism-bearing control: two runs with the same
-inputs and the same node limit explore the same tree.  Wall-clock limits
-are advisory only (machine dependent) and merely mark results non-optimal.
+A node limit is the only control, so two runs with the same inputs and
+the same node limit explore the same tree and give the same answer on
+any machine.
 """
 
 from dataclasses import dataclass
@@ -15,10 +15,7 @@ DEFAULT_SOLVER_NODES = 2_000_000
 @dataclass(frozen=True)
 class Budget:
     node_limit: int = DEFAULT_SOLVER_NODES
-    time_limit_s: float | None = None
 
     def __post_init__(self):
         if self.node_limit <= 0:
             raise InvalidParameterError(f"node_limit must be positive, got {self.node_limit}")
-        if self.time_limit_s is not None and self.time_limit_s <= 0:
-            raise InvalidParameterError(f"time_limit_s must be positive, got {self.time_limit_s}")

@@ -8,7 +8,8 @@ timestamps, so identical inputs, seed, and node budget reproduce it byte
 for byte.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 usage or parse
-error, 3 inconclusive (`gpset max` ran out of budget before proving
+error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R),
+3 inconclusive (`gpset max` ran out of budget before proving
 optimality).
 """
 
@@ -24,7 +25,7 @@ from datetime import datetime, timezone
 from . import cycle_cover as cc
 from . import genpos, geodesy, graph_io, graphs
 from .budget import DEFAULT_SOLVER_NODES, Budget
-from .errors import BfgpError, GraphParseError, InvalidParameterError
+from .errors import BfgpError, TooLargeError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -85,7 +86,6 @@ class Run:
             "command": self.argv,
             "seed": getattr(self.args, "seed", 0),
             "node_budget": getattr(self.args, "node_budget", None),
-            "time_budget_s": getattr(self.args, "time_budget", None),
             "inputs": self.inputs,
             "outputs": self.outputs,
             "started_at": self.started_at,
@@ -118,11 +118,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    """Budget flags, for the subcommands that run a search."""
+    """The budget flag, for the subcommands that run a search."""
     p.add_argument("--node-budget", type=int, default=None,
                    help="deterministic search node limit")
-    p.add_argument("--time-budget", type=float, default=None,
-                   help="advisory wall-clock limit in seconds")
 
 
 def build_parser() -> _Parser:
@@ -202,9 +200,9 @@ def _graph_for(run: Run) -> graphs.Graph:
     raise _UsageError("either --graph or --r is required")
 
 
-def _solver_budget(args, default_nodes: int) -> Budget:
-    nodes = args.node_budget if args.node_budget is not None else default_nodes
-    return Budget(node_limit=nodes, time_limit_s=args.time_budget)
+def _solver_budget(args) -> Budget:
+    nodes = args.node_budget if args.node_budget is not None else DEFAULT_SOLVER_NODES
+    return Budget(node_limit=nodes)
 
 
 def cmd_generate(run: Run) -> int:
@@ -288,7 +286,7 @@ def cmd_gpset_max(run: Run) -> int:
     pool, pool_desc = _resolve_pool(run, g)
     dm = geodesy.all_pairs_distances(g)
     res = genpos.max_general_position(g, dm, pool=pool,
-                                      budget=_solver_budget(args, DEFAULT_SOLVER_NODES))
+                                      budget=_solver_budget(args))
     doc = {
         "command": "gpset-max",
         "graph_ref": g.ref(),
@@ -376,6 +374,9 @@ def cmd_report(run: Run) -> int:
     args = run.args
     if args.r_min < 2 or args.r_max < args.r_min:
         raise _UsageError("need 2 <= r-min <= r-max")
+    if args.r_max > graphs.MAX_BUTTERFLY_R:
+        raise TooLargeError(f"--r-max {args.r_max} exceeds the butterfly cap "
+                            f"r <= {graphs.MAX_BUTTERFLY_R}")
     rows = []
     for r in range(args.r_min, args.r_max + 1):
         g = graphs.build_butterfly(r)
@@ -400,7 +401,7 @@ def cmd_report(run: Run) -> int:
             row["gp_upper_bound"] = cc.gp_upper_bounds(cover, report)["from_ic"]
         if r <= args.exact_max_r:
             res = genpos.max_general_position(
-                g, dm, budget=_solver_budget(args, DEFAULT_SOLVER_NODES))
+                g, dm, budget=_solver_budget(args))
             row["gp_exact"] = res.size
             row["exact_optimal"] = res.optimal
         rows.append(row)
@@ -440,8 +441,6 @@ def main(argv=None) -> int:
         return handler(run)
     except _UsageError as e:
         return run.finish({"error": str(e), "kind": "usage"}, EXIT_USAGE)
-    except (InvalidParameterError, GraphParseError) as e:
-        return run.finish({"error": str(e), "kind": type(e).__name__}, EXIT_USAGE)
     except OSError as e:
         return run.finish({"error": str(e), "kind": "io"}, EXIT_USAGE)
     except BfgpError as e:

@@ -244,10 +244,11 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     """
     if r < 2:
         raise InvalidParameterError(f"cover construction needs r >= 2, got {r}")
+    ref = butterfly_ref(r)  # refuses r above the cap before any cycle is built
     return CycleCover(
         kind=KIND_CYCLE,
         cycles=tuple(candidate_cycle(r, 2 * k, k) for k in range(1 << (r - 1))),
-        graph_ref=butterfly_ref(r),
+        graph_ref=ref,
     )
 
 

@@ -55,5 +55,5 @@ class UnverifiedCoverError(BfgpError):
 
 
 class TooLargeError(BfgpError):
-    """Exact enumeration refused: instance exceeds the hard guard."""
+    """Instance refused: it exceeds a hard size guard."""
 

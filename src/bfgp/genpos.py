@@ -1,9 +1,11 @@
 """General position sets: verification, construction, and exact search.
 
 A vertex set is in general position when no member lies on a geodesic
-between two others.  That rule and the distances it reads belong to
-`geodesy`: every check here asks `iter_collinear` or
-`is_collinear_triple`, never the distance table.  Finding a maximum set
+between two others.  That rule, the distances it reads and the checks
+its vertices need belong to `geodesy`: every set or pool a caller
+passes in goes through `checked_members` (in range, distinct, mutually
+reachable), and every test asks `iter_collinear` or `lies_between`,
+never the distance table.  Finding a maximum set
 is equivalent to a maximum independent set in the 3-uniform hypergraph
 whose hyperedges are the collinear triples, which is what the
 branch-and-bound solver below works on.  Everything is deterministic:
@@ -18,8 +20,8 @@ import time
 from dataclasses import dataclass
 
 from .budget import Budget
-from .errors import GraphParseError, InvalidParameterError, NotConnectedError
-from .geodesy import DistanceMatrix, iter_collinear, lies_between
+from .errors import GraphParseError, InvalidParameterError
+from .geodesy import DistanceMatrix, checked_members, iter_collinear, lies_between
 from .graph_io import int_array
 from .graphs import Graph, butterfly_ref
 
@@ -63,24 +65,9 @@ class SolveResult:
     budget_exhausted: bool
 
 
-def _validate_members(g: Graph, members) -> tuple[int, ...]:
-    ms = tuple(sorted(members))
-    if len(set(ms)) != len(ms):
-        raise InvalidParameterError("set members must be distinct")
-    for v in ms:
-        if not 0 <= v < g.n:
-            raise InvalidParameterError(f"vertex id {v} out of range for n={g.n}")
-    return ms
-
-
 def verify_general_position(g: Graph, dm: DistanceMatrix, s: VertexSet) -> GpWitness:
     """Check all triples of s; report the lexicographically first violation."""
-    members = _validate_members(g, s.members)
-    # reachability is an equivalence, so members[0] reaches all or names the
-    # first unreachable pair in combinations order
-    for v in members[1:]:
-        if not dm.reachable(members[0], v):
-            raise NotConnectedError(f"set members {members[0]} and {v} are not connected")
+    members = checked_members(dm, s.members, "set members")
     triple = next(iter_collinear(dm, members), None)
     if triple is None:
         return GpWitness(status=VERIFIED)
@@ -103,25 +90,26 @@ def construct_butterfly_gp_set(r: int) -> VertexSet:
     """
     if r < 2:
         raise InvalidParameterError(f"construction needs r >= 2, got {r}")
+    ref = butterfly_ref(r)  # refuses r above the cap before any list is built
     nrows = 1 << r
     msb = 1 << (r - 1)
     level0 = [row for row in range(nrows) if row & 1]
     levelr = [r * nrows + row for row in range(nrows) if row & msb]
     level1 = [nrows + row for row in range(nrows) if not row & msb and not row & 1]
     members = tuple(sorted(level0 + levelr + level1))
-    return VertexSet(members=members, provenance=PROVENANCE_CONSTRUCTION,
-                     graph_ref=butterfly_ref(r))
+    return VertexSet(members=members, provenance=PROVENANCE_CONSTRUCTION, graph_ref=ref)
 
 
 def collinear_triples(dm: DistanceMatrix, pool) -> list[tuple[int, int, int]]:
     """All collinear triples within pool, in lexicographic order."""
-    return list(iter_collinear(dm, sorted(pool)))
+    return list(iter_collinear(dm, checked_members(dm, pool, "pool members")))
 
 
 def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
                           seed: int = 0, pool=None) -> VertexSet:
     """Inclusion-maximal general position set from a single deterministic scan."""
-    vertices = sorted(pool) if pool is not None else list(range(g.n))
+    vertices = list(checked_members(dm, range(g.n) if pool is None else pool,
+                                    "pool members"))
     if order == "degree":
         vertices.sort(key=lambda v: (g.degree(v), v))
     elif order == "id":
@@ -131,14 +119,6 @@ def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
         rng.shuffle(vertices)
     else:
         raise InvalidParameterError(f"unknown order {order!r}")
-    if len(set(vertices)) != len(vertices):
-        raise InvalidParameterError("pool members must be distinct")
-    # the first two vertices are always kept, so only a pool of three or
-    # more has a triple to test, and then all of it must be mutually reachable
-    if len(vertices) >= 3:
-        for v in vertices[1:]:
-            if not dm.reachable(vertices[0], v):
-                raise NotConnectedError(f"vertices {vertices[0]} and {v} are not connected")
     chosen: list[int] = []
     for v in vertices:
         # chosen is in general position, so a collinear triple must hold v;
@@ -162,7 +142,7 @@ class _GpSearch:
     triples, smallest id on ties.
     """
 
-    def __init__(self, pool: list[int], triples, budget: Budget):
+    def __init__(self, pool: tuple[int, ...], triples, budget: Budget):
         self.pool = pool
         self.index = {v: i for i, v in enumerate(pool)}
         self.tmasks = [
@@ -170,8 +150,6 @@ class _GpSearch:
             for a, b, c in triples
         ]
         self.node_limit = budget.node_limit
-        self.deadline = (time.monotonic() + budget.time_limit_s
-                         if budget.time_limit_s is not None else None)
         self.nodes = 0
         self.stopped = False
         self.best_size = -1
@@ -195,10 +173,6 @@ class _GpSearch:
         if self.nodes > self.node_limit:
             self.stopped = True
             return
-        if self.deadline is not None and self.nodes % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                self.stopped = True
-                return
 
         # propagate: drop dead triples, exclude third members of 2-chosen triples
         while True:
@@ -283,26 +257,13 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     """Exact maximum general position set restricted to pool (default: all).
 
     Runs branch and bound over the collinear-triple hypergraph, warm
-    started from the degree-order greedy set.  If the node (or advisory
-    time) budget runs out the best set found so far is returned with
-    optimal = False.
+    started from the degree-order greedy set.  If the node budget runs
+    out the best set found so far is returned with optimal = False.
     """
     if g.n == 0:
         raise InvalidParameterError("graph has no vertices")
     budget = budget or Budget()
-    if pool is None:
-        pool_ids = list(range(g.n))
-    elif isinstance(pool, VertexSet):
-        pool_ids = sorted(pool.members)
-    else:
-        pool_ids = sorted(pool)
-    if len(set(pool_ids)) != len(pool_ids):
-        raise InvalidParameterError("pool members must be distinct")
-    for v in pool_ids:
-        if not 0 <= v < g.n:
-            raise InvalidParameterError(f"pool vertex {v} out of range")
-    if g.n > 1 and not all(dm.reachable(0, v) for v in range(1, g.n)):
-        raise NotConnectedError("graph must be connected")
+    pool_ids = checked_members(dm, range(g.n) if pool is None else pool, "pool members")
 
     t0 = time.perf_counter()
     triples = collinear_triples(dm, pool_ids)
@@ -349,7 +310,7 @@ def witness_to_dict(w: GpWitness) -> dict:
 
 def brute_force_max_gp(g: Graph, dm: DistanceMatrix, pool=None) -> tuple[int, tuple[int, ...]]:
     """Independent oracle: enumerate all subsets.  Only for tiny graphs."""
-    pool_ids = sorted(pool) if pool is not None else list(range(g.n))
+    pool_ids = checked_members(dm, range(g.n) if pool is None else pool, "pool members")
     k = len(pool_ids)
     if k > 20:
         raise InvalidParameterError(f"brute force limited to 20 pool vertices, got {k}")

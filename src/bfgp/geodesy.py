@@ -16,7 +16,8 @@ are exactly those of the canonical BF(r) gets the per-level rows.
 This module is the only reader of the rows, through `DistanceMatrix`
 and the predicates below, and it owns the collinearity rule that
 defines general position: `iter_collinear` is the one place that tests
-whether one of three vertices lies on a geodesic of the other two.
+whether one of three vertices lies on a geodesic of the other two, and
+`checked_members` is the one gate a caller's vertices pass first.
 """
 
 from __future__ import annotations
@@ -101,17 +102,33 @@ def is_connected(g: Graph) -> bool:
     return UNREACHABLE not in bfs_distances(g, 0)
 
 
-def _check_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> None:
-    if x == y or y == z or x == z:
-        raise InvalidParameterError(f"vertices must be pairwise distinct: {x}, {y}, {z}")
-    for a, b in ((x, y), (y, z), (x, z)):
-        if not dm.reachable(a, b):
-            raise NotConnectedError(f"vertices {a} and {b} are not connected")
+def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
+    """ids sorted, once in range, pairwise distinct and mutually reachable.
+
+    The collinearity sum means nothing otherwise, so every function that
+    reads distances for vertices a caller supplies passes them through
+    here; `what` names them in errors.  Reachability, an equivalence, is
+    checked from the first id, which names the first unreachable pair in
+    combinations order, and only for three or more ids: fewer form no
+    triple.
+    """
+    ms = tuple(sorted(ids))
+    if ms and (ms[0] < 0 or ms[-1] >= dm.n):
+        bad = ms[0] if ms[0] < 0 else ms[-1]
+        raise InvalidParameterError(f"{what} must lie in 0..{dm.n - 1}, got {bad}")
+    for a, b in zip(ms, ms[1:]):
+        if a == b:
+            raise InvalidParameterError(f"{what} must be distinct, {a} repeats")
+    if len(ms) >= 3:
+        for v in ms[1:]:
+            if not dm.reachable(ms[0], v):
+                raise NotConnectedError(f"{what} {ms[0]} and {v} are not connected")
+    return ms
 
 
 def lies_between(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
     """True iff y is on some shortest x-z path, i.e. d(x,y) + d(y,z) = d(x,z)."""
-    _check_triple(dm, x, y, z)
+    checked_members(dm, (x, y, z), "vertices")
     row, a = dm.source(y)
     return row[x ^ a] + row[z ^ a] == dm.dist(x, z)
 
@@ -120,8 +137,8 @@ def iter_collinear(dm: DistanceMatrix, members):
     """Yield the collinear triples of members, in combinations(members, 3) order.
 
     A triple is collinear when one of its vertices lies on a geodesic of
-    the other two.  Members must be distinct and mutually reachable;
-    callers check that, since UNREACHABLE would corrupt the sums.
+    the other two.  Members must have passed `checked_members`, since an
+    out-of-range, repeated or unreachable vertex would corrupt the sums.
     """
     ms = list(members)
     # dists[k][l] = d(ms[k], ms[l]); a member's list is read from its
@@ -150,8 +167,7 @@ def _distances_to(dm: DistanceMatrix, u: int, vs: list[int]) -> list[int]:
 
 def is_collinear_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
     """True iff one of the three vertices lies on a geodesic of the other two."""
-    _check_triple(dm, x, y, z)
-    return any(iter_collinear(dm, (x, y, z)))
+    return any(iter_collinear(dm, checked_members(dm, (x, y, z), "vertices")))
 
 
 def check_cycle(g: Graph, cycle) -> None:

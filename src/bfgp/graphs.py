@@ -20,12 +20,17 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, UnsupportedFamilyError
+from .errors import InvalidParameterError, TooLargeError, UnsupportedFamilyError
 
 FAMILY_BUTTERFLY = "butterfly"
 FAMILY_CYCLE = "cycle"
 FAMILY_PATH = "path"
 FAMILY_CUSTOM = "custom"
+
+# largest butterfly dimension accepted (TooLargeError above it): BF(14)
+# has 245,760 vertices, well past every command's frontier, while a large
+# r such as 40 would exhaust memory before printing anything
+MAX_BUTTERFLY_R = 14
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,8 @@ def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
     """Sorted edge tuple of BF(r) in the canonical encoding, without a Graph."""
     if r < 1:
         raise InvalidParameterError(f"butterfly dimension must be >= 1, got {r}")
+    if r > MAX_BUTTERFLY_R:
+        raise TooLargeError(f"butterfly dimension {r} exceeds the cap r <= {MAX_BUTTERFLY_R}")
     nrows = 1 << r
     edges = []
     for lev in range(r):

@@ -240,6 +240,26 @@ def test_budget_flags_only_on_searches(capsys):
                         "--node-budget", "5", "--quiet")
     assert code == 2
     assert doc["kind"] == "usage"
+    # there is no wall-clock budget: it would make results depend on machine speed
+    code, doc = run_cli(capsys, "gpset", "max", "--r", "2", "--time-budget", "5", "--quiet")
+    assert code == 2
+    assert doc["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "butterfly", "--r", "40"),
+    ("gpset", "construct", "--r", "40"),
+    ("cover", "construct", "--r", "40"),
+    ("gpset", "max", "--r", "40"),
+    ("report", "--r-max", "40"),
+], ids=" ".join)
+def test_butterfly_dimension_is_capped(capsys, tmp_path, argv):
+    code = main([*argv, "--quiet", "--manifest", str(tmp_path / "manifest.json")])
+    out = capsys.readouterr().out
+    doc, end = json.JSONDecoder().raw_decode(out)
+    assert out[end:].strip() == ""
+    assert code == 2
+    assert doc["kind"] == "TooLargeError"
 
 
 def test_report(capsys):

@@ -163,6 +163,10 @@ def test_solver_errors(bf2):
     disc = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnectedError):
         max_general_position(disc, all_pairs_distances(disc))
+    # only the pool must be mutually reachable, not the whole graph
+    two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    assert max_general_position(two_paths, all_pairs_distances(two_paths),
+                                pool=[0, 1, 2]).size == 2
 
 
 def test_budget_exhaustion_returns_best_found(bf3):

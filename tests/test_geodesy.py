@@ -10,6 +10,14 @@ from bfgp.errors import (
     InvalidPathError,
     NotConnectedError,
 )
+from bfgp.genpos import (
+    VertexSet,
+    brute_force_max_gp,
+    collinear_triples,
+    greedy_gp_lower_bound,
+    max_general_position,
+    verify_general_position,
+)
 from bfgp.geodesy import (
     UNREACHABLE,
     all_pairs_distances,
@@ -99,6 +107,31 @@ def test_lies_between_errors():
     disc = all_pairs_distances(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(NotConnectedError):
         lies_between(disc, 0, 1, 3)
+
+
+# every public function that reads distances for vertices a caller supplies
+GATED = {
+    "verify_general_position":
+        lambda g, dm, ids: verify_general_position(g, dm, VertexSet(tuple(ids))),
+    "greedy_gp_lower_bound": lambda g, dm, ids: greedy_gp_lower_bound(g, dm, pool=ids),
+    "max_general_position": lambda g, dm, ids: max_general_position(g, dm, pool=ids),
+    "brute_force_max_gp": lambda g, dm, ids: brute_force_max_gp(g, dm, pool=ids),
+    "collinear_triples": lambda g, dm, ids: collinear_triples(dm, ids),
+    "lies_between": lambda g, dm, ids: lies_between(dm, *ids),
+    "is_collinear_triple": lambda g, dm, ids: is_collinear_triple(dm, *ids),
+}
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_vertex_lists_pass_the_gate(name):
+    call = GATED[name]
+    disc = Graph(4, [(0, 1), (2, 3)])
+    dm = all_pairs_distances(disc)
+    for ids in ([-1, 0, 1], [0, 1, disc.n], [0, 0, 1]):
+        with pytest.raises(InvalidParameterError):
+            call(disc, dm, ids)
+    with pytest.raises(NotConnectedError):
+        call(disc, dm, [0, 1, 2])
 
 
 def test_collinear_triangle_is_free():

@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bfgp.errors import GraphParseError, InvalidParameterError, UnsupportedFamilyError
+from bfgp.errors import (
+    GraphParseError,
+    InvalidParameterError,
+    TooLargeError,
+    UnsupportedFamilyError,
+)
 from bfgp.graph_io import export_dot, export_graph, graph_to_dict, import_graph
 from bfgp.graphs import (
+    MAX_BUTTERFLY_R,
     ButterflyLabel,
     Graph,
     build_butterfly,
@@ -74,6 +80,9 @@ def test_butterfly_invalid_dimension():
             build(0)
         with pytest.raises(InvalidParameterError):
             build(-1)
+        with pytest.raises(TooLargeError):
+            build(MAX_BUTTERFLY_R + 1)
+    assert len(butterfly_edges(MAX_BUTTERFLY_R)) == MAX_BUTTERFLY_R << (MAX_BUTTERFLY_R + 1)
 
 
 def test_cycle_and_path_builders():

@@ -1,0 +1,58 @@
+"""Static checks over the package source, with the standard library only.
+
+Every import in a module must be used there, and every module-level
+private function or class must be referenced somewhere in the package;
+otherwise a removal left something dead behind.  `__init__.py` is
+skipped: its imports are the package's public names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bfgp
+
+SOURCES = sorted(p for p in Path(bfgp.__file__).resolve().parent.glob("*.py")
+                 if p.name != "__init__.py")
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", list(TREES))
+def test_every_import_is_used(name):
+    tree = TREES[name]
+    loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in loaded:
+                    unused.append(bound)
+    assert not unused, f"{name} imports unused names {unused}"
+
+
+@pytest.mark.parametrize("name", list(TREES))
+def test_every_private_definition_is_referenced(name):
+    used = set()
+    for tree in TREES.values():
+        used |= _used_names(tree)
+    private = [node.name for node in TREES[name].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")]
+    dead = [p for p in private if p not in used]
+    assert not dead, f"{name} defines unreferenced {dead}"

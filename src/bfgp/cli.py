@@ -4,12 +4,13 @@ Subcommands: generate | gpset construct/verify/max | cover
 construct/verify/bounds | report.  Every run prints exactly one JSON
 document to stdout (including failure paths) and emits a run manifest
 with input/output digests and timing; the result JSON itself carries no
-timestamps, so identical inputs, seed, and node budget reproduce it byte
-for byte.
+timestamps, so identical inputs and node budget reproduce it byte for
+byte.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 usage or parse
-error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R),
-3 inconclusive (`gpset max` ran out of budget before proving
+error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R and
+a search pool with more than genpos.MAX_SEARCH_TRIPLES collinear
+triples), 3 inconclusive (`gpset max` ran out of budget before proving
 optimality).
 """
 
@@ -84,7 +85,6 @@ class Run:
         sys.stdout.write(_dumps(result))
         manifest = {
             "command": self.argv,
-            "seed": getattr(self.args, "seed", 0),
             "node_budget": getattr(self.args, "node_budget", None),
             "inputs": self.inputs,
             "outputs": self.outputs,
@@ -112,7 +112,6 @@ def _summarize(result: dict) -> dict:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path")
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomized order")
     p.add_argument("--manifest", help="write the run manifest to this path")
     p.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
 
@@ -362,12 +361,16 @@ def cmd_cover_bounds(run: Run) -> int:
     except BfgpError as e:
         result = {"command": "cover-bounds", "error": str(e),
                   "report": cc.report_to_dict(report)}
-        return run.finish(result, EXIT_VERIFY_FAILED)
-    result = {"command": "cover-bounds", "cover_size": len(cover), "bounds": bounds,
-              "report": cc.report_to_dict(report)}
-    for name, value in bounds.items():
-        run.note(f"gp <= {value}  ({name} from a verified cover of {len(cover)})")
-    return run.finish(result, EXIT_OK)
+        code = EXIT_VERIFY_FAILED
+    else:
+        result = {"command": "cover-bounds", "cover_size": len(cover), "bounds": bounds,
+                  "report": cc.report_to_dict(report)}
+        code = EXIT_OK
+        for name, value in bounds.items():
+            run.note(f"gp <= {value}  ({name} from a verified cover of {len(cover)})")
+    if args.out:
+        run.write_json(args.out, result)
+    return run.finish(result, code)
 
 
 def cmd_report(run: Run) -> int:

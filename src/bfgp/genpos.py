@@ -8,7 +8,10 @@ reachable), and every test asks `iter_collinear` or `lies_between`,
 never the distance table.  Finding a maximum set
 is equivalent to a maximum independent set in the 3-uniform hypergraph
 whose hyperedges are the collinear triples, which is what the
-branch-and-bound solver below works on.  Everything is deterministic:
+branch-and-bound solver below works on; it keeps its pending branches
+on its own stack, so its depth is not bounded by Python's recursion
+limit, and it refuses a pool with more than MAX_SEARCH_TRIPLES
+collinear triples.  Everything is deterministic:
 ties break on smallest vertex id and the only randomness (greedy
 'random' order) sits behind an explicit seed.
 """
@@ -18,9 +21,10 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 from .budget import Budget
-from .errors import GraphParseError, InvalidParameterError
+from .errors import GraphParseError, InvalidParameterError, TooLargeError
 from .geodesy import DistanceMatrix, checked_members, iter_collinear, lies_between
 from .graph_io import int_array
 from .graphs import Graph, butterfly_ref
@@ -32,6 +36,10 @@ PROVENANCE_USER = "user"
 
 VERIFIED = "verified-general-position"
 VIOLATION = "violation"
+
+# ceiling on the triple list a search builds: BF(5)'s whole vertex set has
+# 317,888 collinear triples and BF(6)'s has 2,904,896
+MAX_SEARCH_TRIPLES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,12 @@ def construct_butterfly_gp_set(r: int) -> VertexSet:
 
 
 def collinear_triples(dm: DistanceMatrix, pool) -> list[tuple[int, int, int]]:
-    """All collinear triples within pool, in lexicographic order."""
-    return list(iter_collinear(dm, checked_members(dm, pool, "pool members")))
+    """All collinear triples within pool in lexicographic order, at most MAX_SEARCH_TRIPLES."""
+    scan = iter_collinear(dm, checked_members(dm, pool, "pool members"))
+    triples = list(islice(scan, MAX_SEARCH_TRIPLES + 1))
+    if len(triples) > MAX_SEARCH_TRIPLES:
+        raise TooLargeError(f"pool has more than {MAX_SEARCH_TRIPLES} collinear triples")
+    return triples
 
 
 def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
@@ -129,52 +141,37 @@ def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
                      provenance=PROVENANCE_LOWER_BOUND, graph_ref=g.ref())
 
 
-class _GpSearch:
-    """Bitmask branch and bound over one pool.
+def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
+    """Bitmask branch and bound over one pool, on an explicit stack.
 
-    State is (chosen, free) vertex masks plus the list of still-active
+    A node is (chosen, free) vertex masks plus the list of still-active
     triple masks (all members chosen or free).  A triple with two chosen
     members forces exclusion of the third; free vertices in no active
     triple are always safe to take.  The bound is |chosen| + |free| minus
     a greedy packing of disjoint constraint free-parts (pairs before
     triples), since each packed constraint forces at least one exclusion.
     Branching: include-first on the free vertex hitting the most active
-    triples, smallest id on ties.
+    triples, smallest id on ties.  The warm set is the first incumbent,
+    and only a strictly larger set replaces it.
+
+    Returns (best members, nodes explored, stopped); stopped means the
+    node limit cut the search short, so the members may not be optimal.
     """
-
-    def __init__(self, pool: tuple[int, ...], triples, budget: Budget):
-        self.pool = pool
-        self.index = {v: i for i, v in enumerate(pool)}
-        self.tmasks = [
-            (1 << self.index[a]) | (1 << self.index[b]) | (1 << self.index[c])
-            for a, b, c in triples
-        ]
-        self.node_limit = budget.node_limit
-        self.nodes = 0
-        self.stopped = False
-        self.best_size = -1
-        self.best_mask = 0
-
-    def seed_incumbent(self, members) -> None:
-        mask = 0
-        for v in members:
-            mask |= 1 << self.index[v]
-        size = len(members)
-        if size > self.best_size:
-            self.best_size = size
-            self.best_mask = mask
-
-    def run(self) -> None:
-        full = (1 << len(self.pool)) - 1
-        self._search(0, full, self.tmasks)
-
-    def _search(self, chosen: int, free: int, active) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            self.stopped = True
-            return
+    index = {v: i for i, v in enumerate(pool)}
+    best_mask = sum(1 << index[v] for v in warm)
+    tmasks = [(1 << index[a]) | (1 << index[b]) | (1 << index[c]) for a, b, c in triples]
+    # pending branches, last in first out: exclude is pushed before include,
+    # so include is explored first
+    stack = [(0, (1 << len(pool)) - 1, tmasks)]
+    nodes = 0
+    while stack:
+        chosen, free, active = stack.pop()
+        nodes += 1
+        if nodes > node_limit:
+            break
 
         # propagate: drop dead triples, exclude third members of 2-chosen triples
+        infeasible = False
         while True:
             alive = chosen | free
             nact = []
@@ -183,53 +180,47 @@ class _GpSearch:
                 if t & alive == t:
                     fp = t & free
                     if fp == 0:
-                        return  # three chosen members: infeasible branch
+                        infeasible = True  # three chosen members
+                        break
                     if fp & (fp - 1) == 0:
                         forced |= fp
                     else:
                         nact.append(t)
             active = nact
-            if not forced:
+            if infeasible or not forced:
                 break
             free &= ~forced
+        if infeasible:
+            continue
 
-        # vertices under no active constraint are always safe to take
+        # greedy packing bound on forced exclusions, pairs first, then triples;
+        # free vertices outside every active triple are always safe to take
         constrained = 0
-        for t in active:
-            constrained |= t
-        freebies = free & ~constrained
-        if freebies:
-            chosen |= freebies
-            free &= ~freebies
-
-        if not active:
-            size = chosen.bit_count()
-            if size > self.best_size:
-                self.best_size = size
-                self.best_mask = chosen
-            return
-
-        # greedy packing bound on forced exclusions: pairs first, then triples
-        pairs = []
+        used = 0
+        packed = 0
         trips = []
         for t in active:
             fp = t & free
+            constrained |= fp
             if fp.bit_count() == 2:
-                pairs.append(fp)
+                if fp & used == 0:
+                    packed += 1
+                    used |= fp
             else:
                 trips.append(fp)
-        used = 0
-        packed = 0
-        for fp in pairs:
-            if fp & used == 0:
-                packed += 1
-                used |= fp
         for fp in trips:
             if fp & used == 0:
                 packed += 1
                 used |= fp
-        if chosen.bit_count() + free.bit_count() - packed <= self.best_size:
-            return
+        chosen |= free & ~constrained
+        free &= constrained
+
+        if not active:
+            if chosen.bit_count() > best_mask.bit_count():
+                best_mask = chosen
+            continue
+        if chosen.bit_count() + free.bit_count() - packed <= best_mask.bit_count():
+            continue
 
         # branch vertex: most active constraints, smallest id on ties
         counts: dict[int, int] = {}
@@ -240,16 +231,11 @@ class _GpSearch:
                 counts[b] = counts.get(b, 0) + 1
                 fp ^= b
         branch = max(counts.items(), key=lambda kv: (kv[1], -kv[0].bit_length()))[0]
+        stack.append((chosen, free & ~branch, active))
+        stack.append((chosen | branch, free & ~branch, active))
 
-        self._search(chosen | branch, free & ~branch, active)
-        if self.stopped:
-            return
-        self._search(chosen, free & ~branch, active)
-
-    def best_members(self) -> tuple[int, ...]:
-        return tuple(sorted(
-            self.pool[i] for i in range(len(self.pool)) if self.best_mask >> i & 1
-        ))
+    members = tuple(sorted(v for i, v in enumerate(pool) if best_mask >> i & 1))
+    return members, nodes, nodes > node_limit
 
 
 def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
@@ -267,23 +253,21 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
 
     t0 = time.perf_counter()
     triples = collinear_triples(dm, pool_ids)
-    search = _GpSearch(pool_ids, triples, budget)
     warm = greedy_gp_lower_bound(g, dm, order="degree", pool=pool_ids)
-    search.seed_incumbent(warm.members)
-    search.run()
+    members, nodes, stopped = _branch_and_bound(pool_ids, triples, warm.members,
+                                                budget.node_limit)
     elapsed = time.perf_counter() - t0
 
-    members = search.best_members()
-    optimal = not search.stopped
+    optimal = not stopped
     provenance = PROVENANCE_EXACT if optimal else PROVENANCE_LOWER_BOUND
     best = VertexSet(members=members, provenance=provenance, graph_ref=g.ref())
     return SolveResult(
         best_set=best,
         size=len(members),
         optimal=optimal,
-        nodes_explored=search.nodes,
+        nodes_explored=nodes,
         elapsed_s=elapsed,
-        budget_exhausted=search.stopped,
+        budget_exhausted=stopped,
     )
 
 

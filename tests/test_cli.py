@@ -154,6 +154,29 @@ def test_cover_flow(capsys, tmp_path):
     assert doc["bounds"] == {"from_ic": 6}
 
 
+def test_cover_bounds_writes_out(capsys, tmp_path):
+    graph = tmp_path / "bf2.json"
+    cover = tmp_path / "cover2.json"
+    run_cli(capsys, "generate", "butterfly", "--r", "2", "--out", str(graph), "--quiet")
+    run_cli(capsys, "cover", "construct", "--r", "2", "--out", str(cover), "--quiet")
+    out = tmp_path / "bounds.json"
+    code, doc = run_cli(capsys, "cover", "bounds", "--graph", str(graph),
+                        "--cover", str(cover), "--out", str(out), "--quiet")
+    assert code == 0
+    assert json.loads(out.read_text()) == doc
+    manifest = json.loads((tmp_path / "bounds.json.manifest.json").read_text())
+    assert str(out) in manifest["outputs"]
+    # a cover that fails verification writes its error document too
+    tampered = json.loads(cover.read_text())
+    tampered["cycles"] = tampered["cycles"][:1]
+    cover.write_text(json.dumps(tampered))
+    code, doc = run_cli(capsys, "cover", "bounds", "--graph", str(graph),
+                        "--cover", str(cover), "--out", str(out), "--quiet")
+    assert code == 1
+    assert "error" in doc
+    assert json.loads(out.read_text()) == doc
+
+
 def test_cover_tampered_fails(capsys, tmp_path):
     graph = tmp_path / "bf2.json"
     cover = tmp_path / "cover2.json"
@@ -258,6 +281,15 @@ def test_butterfly_dimension_is_capped(capsys, tmp_path, argv):
     out = capsys.readouterr().out
     doc, end = json.JSONDecoder().raw_decode(out)
     assert out[end:].strip() == ""
+    assert code == 2
+    assert doc["kind"] == "TooLargeError"
+
+
+def test_search_triple_ceiling(capsys, tmp_path):
+    # BF(7) has well over genpos.MAX_SEARCH_TRIPLES collinear triples; the scan
+    # stops one past the ceiling, so the refusal is quick and small
+    code, doc = run_cli(capsys, "gpset", "max", "--r", "7", "--node-budget", "10", "--quiet",
+                        "--manifest", str(tmp_path / "manifest.json"))
     assert code == 2
     assert doc["kind"] == "TooLargeError"
 
@@ -392,7 +424,7 @@ def test_manifest_written_to_explicit_path(capsys, tmp_path):
     assert code == 0
     doc = json.loads(manifest.read_text())
     assert doc["result_summary"]["size"] == 5
-    assert doc["seed"] == 0
+    assert "seed" not in doc
     assert "elapsed_s" in doc
 
 

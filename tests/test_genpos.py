@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfgp.budget import Budget
-from bfgp.errors import InvalidParameterError, NotConnectedError
+from bfgp import genpos
+from bfgp.errors import InvalidParameterError, NotConnectedError, TooLargeError
 from bfgp.genpos import (
     PROVENANCE_CONSTRUCTION,
     VERIFIED,
@@ -180,6 +183,62 @@ def test_budget_exhaustion_returns_best_found(bf3):
     res2 = max_general_position(g, dm, budget=Budget(node_limit=1))
     assert res2.best_set.members == res.best_set.members
     assert res2.nodes_explored == res.nodes_explored
+
+
+def _deg2(g):
+    return [v for v in range(g.n) if g.degree(v) == 2]
+
+
+# (graph, pool, node limit) -> (size, optimal, nodes_explored, members); the node
+# counts pin the search tree itself, not only the optimum it reaches
+SEARCH_PINS = {
+    "BF(3)": ((build_butterfly(3), None, None),
+              (10, True, 647, (1, 3, 5, 7, 8, 10, 28, 29, 30, 31))),
+    "BF(3) deg2": ((build_butterfly(3), _deg2, None),
+                   (8, True, 49, (0, 1, 2, 3, 4, 5, 6, 7))),
+    "BF(4) 300 nodes": ((build_butterfly(4), None, 300),
+                        (16, False, 301, tuple(range(16)))),
+    "C_30": ((build_cycle(30), None, None), (3, True, 1505, (0, 3, 17))),
+    "P_30": ((build_path(30), None, None), (2, True, 811, (0, 29))),
+}
+
+
+def _solve_pinned(name):
+    (g, pool, nodes), _ = SEARCH_PINS[name]
+    res = max_general_position(g, all_pairs_distances(g), pool=pool(g) if pool else None,
+                               budget=Budget(nodes) if nodes else None)
+    return res.size, res.optimal, res.nodes_explored, res.best_set.members
+
+
+@pytest.mark.parametrize("name", list(SEARCH_PINS))
+def test_search_tree_is_pinned(name):
+    assert _solve_pinned(name) == SEARCH_PINS[name][1]
+
+
+@pytest.mark.parametrize("name", ["C_30", "P_30"])
+def test_search_depth_is_not_bounded_by_recursion_limit(name):
+    # the search tree is about as deep as the pool is large; 20 frames cover only
+    # the calls around the search, so one frame per tree level would not fit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 20)
+    try:
+        got = _solve_pinned(name)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == SEARCH_PINS[name][1]
+
+
+def test_triple_ceiling_is_exact(bf2, monkeypatch):
+    g, dm = bf2
+    count = len(collinear_triples(dm, range(g.n)))
+    monkeypatch.setattr(genpos, "MAX_SEARCH_TRIPLES", count)
+    assert len(collinear_triples(dm, range(g.n))) == count
+    assert max_general_position(g, dm).size == 5
+    monkeypatch.setattr(genpos, "MAX_SEARCH_TRIPLES", count - 1)
+    with pytest.raises(TooLargeError):
+        collinear_triples(dm, range(g.n))
+    with pytest.raises(TooLargeError):
+        max_general_position(g, dm)
 
 
 def test_solver_matches_brute_force_on_sample():

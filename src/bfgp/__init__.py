@@ -31,16 +31,13 @@ from .geodesy import (
     is_isometric_path,
     lies_between,
 )
-from .graph_io import export_graph, import_graph, load_graph, save_graph
+from .graph_io import export_graph, import_graph
 from .graphs import (
     ButterflyLabel,
     Graph,
-    VertexClassification,
     build_butterfly,
     build_cycle,
     build_path,
-    classify_vertices,
-    id_of,
     label_of,
 )
 

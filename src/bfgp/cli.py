@@ -7,11 +7,12 @@ with input/output digests and timing; the result JSON itself carries no
 timestamps, so identical inputs and node budget reproduce it byte for
 byte.
 
-Exit codes: 0 success/verified, 1 verification failed, 2 usage or parse
-error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R and
-a search pool with more than genpos.MAX_SEARCH_TRIPLES collinear
-triples), 3 inconclusive (`gpset max` ran out of budget before proving
-optimality).
+Exit codes: 0 success/verified, 1 verification failed, 2 usage, parse
+or io error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R,
+a graph other than the canonical butterfly with more than
+geodesy.MAX_TABLE_VERTICES vertices, and a search pool with more than
+genpos.MAX_SEARCH_TRIPLES collinear triples), 3 inconclusive (`gpset
+max` ran out of budget before proving optimality).
 """
 
 from __future__ import annotations
@@ -82,7 +83,12 @@ class Run:
             print(line, file=sys.stderr)
 
     def finish(self, result: dict, exit_code: int) -> int:
-        sys.stdout.write(_dumps(result))
+        """Write the manifest, then print the one result document.
+
+        An unwritable manifest path sends the manifest to stderr and turns
+        the run into an io error (exit 2), unless it already failed with
+        exit 2, whose document then stands.
+        """
         manifest = {
             "command": self.argv,
             "node_budget": getattr(self.args, "node_budget", None),
@@ -97,10 +103,17 @@ class Run:
         if target is None and getattr(self.args, "out", None):
             target = self.args.out + ".manifest.json"
         if target:
-            with open(target, "w") as f:
-                f.write(_dumps(manifest))
-        else:
+            try:
+                with open(target, "w") as f:
+                    f.write(_dumps(manifest))
+            except OSError as e:
+                target = None
+                if exit_code != EXIT_USAGE:
+                    result, exit_code = {"error": str(e), "kind": "io"}, EXIT_USAGE
+                    manifest.update(exit_code=exit_code, result_summary=_summarize(result))
+        if not target:
             print("manifest: " + json.dumps(manifest), file=sys.stderr)
+        sys.stdout.write(_dumps(result))
         return exit_code
 
 
@@ -293,7 +306,7 @@ def cmd_gpset_max(run: Run) -> int:
         "size": res.size,
         "optimal": res.optimal,
         "nodes_explored": res.nodes_explored,
-        "budget_exhausted": res.budget_exhausted,
+        "budget_exhausted": not res.optimal,
         "set": genpos.vertex_set_to_dict(res.best_set),
     }
     witness = genpos.verify_general_position(g, dm, res.best_set)

@@ -124,11 +124,13 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     is_cycle = cover.kind == KIND_CYCLE
     r = g.family_param if is_cycle and g.family == FAMILY_BUTTERFLY else None
     flags = {name: True for name in FLAG_ORDER}
-    failures: list[dict] = []
+    first_failure = None
 
     def fail(check: str, cycle_index: int | None, detail: str) -> None:
+        nonlocal first_failure
         flags[check] = False
-        failures.append({"check": check, "cycle_index": cycle_index, "detail": detail})
+        if first_failure is None:
+            first_failure = {"check": check, "cycle_index": cycle_index, "detail": detail}
 
     if r is not None:
         for i, seq in enumerate(cover.cycles):
@@ -185,7 +187,6 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     if 0 in incidence:
         fail("vertex_cover", None, f"vertex {incidence.index(0)} uncovered")
 
-    first_failure = min(failures, key=lambda f: FLAG_ORDER.index(f["check"]), default=None)
     return CoverReport(flags=flags, first_failure=first_failure, incidence=tuple(incidence))
 
 

@@ -11,15 +11,12 @@ whose hyperedges are the collinear triples, which is what the
 branch-and-bound solver below works on; it keeps its pending branches
 on its own stack, so its depth is not bounded by Python's recursion
 limit, and it refuses a pool with more than MAX_SEARCH_TRIPLES
-collinear triples.  Everything is deterministic:
-ties break on smallest vertex id and the only randomness (greedy
-'random' order) sits behind an explicit seed.
+collinear triples.  Everything is deterministic: ties break on
+smallest vertex id, and nothing reads a clock or a random source.
 """
 
 from __future__ import annotations
 
-import random
-import time
 from dataclasses import dataclass
 from itertools import islice
 
@@ -69,8 +66,6 @@ class SolveResult:
     size: int
     optimal: bool
     nodes_explored: int
-    elapsed_s: float
-    budget_exhausted: bool
 
 
 def verify_general_position(g: Graph, dm: DistanceMatrix, s: VertexSet) -> GpWitness:
@@ -117,20 +112,11 @@ def collinear_triples(dm: DistanceMatrix, pool) -> list[tuple[int, int, int]]:
     return triples
 
 
-def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, order: str = "degree",
-                          seed: int = 0, pool=None) -> VertexSet:
-    """Inclusion-maximal general position set from a single deterministic scan."""
-    vertices = list(checked_members(dm, range(g.n) if pool is None else pool,
-                                    "pool members"))
-    if order == "degree":
-        vertices.sort(key=lambda v: (g.degree(v), v))
-    elif order == "id":
-        vertices.sort()
-    elif order == "random":
-        rng = random.Random(seed)
-        rng.shuffle(vertices)
-    else:
-        raise InvalidParameterError(f"unknown order {order!r}")
+def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, pool=None) -> VertexSet:
+    """Inclusion-maximal general position set from one scan in (degree, id) order."""
+    vertices = sorted(checked_members(dm, range(g.n) if pool is None else pool,
+                                      "pool members"),
+                      key=lambda v: (g.degree(v), v))
     chosen: list[int] = []
     for v in vertices:
         # chosen is in general position, so a collinear triple must hold v;
@@ -170,8 +156,8 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
         if nodes > node_limit:
             break
 
-        # propagate: drop dead triples, exclude third members of 2-chosen triples
-        infeasible = False
+        # propagate: drop dead triples, exclude third members of 2-chosen triples;
+        # after it every active triple has two free members, and a branch chooses one vertex
         while True:
             alive = chosen | free
             nact = []
@@ -179,19 +165,14 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
             for t in active:
                 if t & alive == t:
                     fp = t & free
-                    if fp == 0:
-                        infeasible = True  # three chosen members
-                        break
                     if fp & (fp - 1) == 0:
                         forced |= fp
                     else:
                         nact.append(t)
             active = nact
-            if infeasible or not forced:
+            if not forced:
                 break
             free &= ~forced
-        if infeasible:
-            continue
 
         # greedy packing bound on forced exclusions, pairs first, then triples;
         # free vertices outside every active triple are always safe to take
@@ -251,24 +232,15 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     budget = budget or Budget()
     pool_ids = checked_members(dm, range(g.n) if pool is None else pool, "pool members")
 
-    t0 = time.perf_counter()
     triples = collinear_triples(dm, pool_ids)
-    warm = greedy_gp_lower_bound(g, dm, order="degree", pool=pool_ids)
+    warm = greedy_gp_lower_bound(g, dm, pool=pool_ids)
     members, nodes, stopped = _branch_and_bound(pool_ids, triples, warm.members,
                                                 budget.node_limit)
-    elapsed = time.perf_counter() - t0
-
     optimal = not stopped
     provenance = PROVENANCE_EXACT if optimal else PROVENANCE_LOWER_BOUND
     best = VertexSet(members=members, provenance=provenance, graph_ref=g.ref())
-    return SolveResult(
-        best_set=best,
-        size=len(members),
-        optimal=optimal,
-        nodes_explored=nodes,
-        elapsed_s=elapsed,
-        budget_exhausted=stopped,
-    )
+    return SolveResult(best_set=best, size=len(members), optimal=optimal,
+                       nodes_explored=nodes)
 
 
 def vertex_set_to_dict(s: VertexSet) -> dict:

@@ -119,7 +119,7 @@ def import_graph(data: bytes | str) -> Graph:
 
 
 def _check_family_consistency(g: Graph) -> None:
-    # labels and classification lean on the canonical butterfly encoding,
+    # labels and distance rows lean on the canonical butterfly encoding,
     # so a mislabeled family tag must not survive import
     if g.family == FAMILY_BUTTERFLY:
         if not is_json_int(g.family_param) or g.family_param < 1:
@@ -136,13 +136,3 @@ def _check_family_consistency(g: Graph) -> None:
                                            or g.family_param != g.n):
             raise GraphParseError(
                 f"family parameter {g.family_param} disagrees with {g.n} vertices")
-
-
-def load_graph(path: str) -> Graph:
-    with open(path, "rb") as f:
-        return import_graph(f.read())
-
-
-def save_graph(g: Graph, path: str, fmt: str = "json") -> None:
-    with open(path, "wb") as f:
-        f.write(export_graph(g, fmt))

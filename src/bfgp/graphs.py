@@ -88,9 +88,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -120,28 +117,6 @@ def _content_ref(n: int, edges, family: str, family_param: int | None) -> str:
     h.update(",".join(f"{u}-{v}" for u, v in edges).encode())
     tag = family if family_param is None else f"{family}:{family_param}"
     return f"{tag}#{h.hexdigest()[:12]}"
-
-
-@dataclass(frozen=True)
-class VertexClassification:
-    """Degree classes of a butterfly: X (degree 2) and Y (degree 4).
-
-    X splits into the level-0 part X0 and the level-r part Xr.  Each of
-    those splits further into two halves by a fixed bit test: X0 by bit 1
-    (X0p: a_1 = 0, X0pp: a_1 = 1) and Xr by bit r (Xrp: a_r = 1,
-    Xrpp: a_r = 0).  The halving is one fixed convention for the four
-    boundary subclasses; any balanced, id-consistent split plays the same
-    role downstream.
-    """
-
-    X: tuple[int, ...]
-    Y: tuple[int, ...]
-    X0: tuple[int, ...]
-    Xr: tuple[int, ...]
-    X0p: tuple[int, ...]
-    X0pp: tuple[int, ...]
-    Xrp: tuple[int, ...]
-    Xrpp: tuple[int, ...]
 
 
 def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
@@ -195,49 +170,9 @@ def butterfly_dim(g: Graph) -> int:
     return g.family_param
 
 
-def row_value(row: str) -> int:
-    """Bitstring a_1...a_r -> integer with a_1 most significant."""
-    return int(row, 2) if row else 0
-
-
-def row_string(value: int, r: int) -> str:
-    return format(value, f"0{r}b")
-
-
 def label_of(g: Graph, v: int) -> ButterflyLabel:
     r = butterfly_dim(g)
     if not 0 <= v < g.n:
         raise InvalidParameterError(f"vertex id {v} out of range for n={g.n}")
     nrows = 1 << r
-    return ButterflyLabel(level=v // nrows, row=row_string(v % nrows, r))
-
-
-def id_of(g: Graph, label: ButterflyLabel) -> int:
-    r = butterfly_dim(g)
-    if not 0 <= label.level <= r:
-        raise InvalidParameterError(f"level {label.level} out of range 0..{r}")
-    if len(label.row) != r or any(c not in "01" for c in label.row):
-        raise InvalidParameterError(f"row {label.row!r} is not a bitstring of length {r}")
-    return label.level * (1 << r) + row_value(label.row)
-
-
-def classify_vertices(g: Graph) -> VertexClassification:
-    """Split butterfly vertices into degree classes and boundary subclasses."""
-    r = butterfly_dim(g)
-    if r < 2:
-        raise InvalidParameterError("classification needs r >= 2")
-    nrows = 1 << r
-    msb = 1 << (r - 1)  # bit 1
-    x0 = list(range(nrows))
-    xr = list(range(r * nrows, (r + 1) * nrows))
-    y = list(range(nrows, r * nrows))
-    x0p = [v for v in x0 if not v % nrows & msb]
-    x0pp = [v for v in x0 if v % nrows & msb]
-    xrp = [v for v in xr if v % nrows & 1]      # bit r set
-    xrpp = [v for v in xr if not v % nrows & 1]
-    return VertexClassification(
-        X=tuple(x0 + xr), Y=tuple(y),
-        X0=tuple(x0), Xr=tuple(xr),
-        X0p=tuple(x0p), X0pp=tuple(x0pp),
-        Xrp=tuple(xrp), Xrpp=tuple(xrpp),
-    )
+    return ButterflyLabel(level=v // nrows, row=format(v % nrows, f"0{r}b"))

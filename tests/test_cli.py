@@ -9,8 +9,10 @@ import pytest
 
 import bfgp
 from bfgp import cycle_cover as cc
-from bfgp import genpos
+from bfgp import genpos, geodesy
 from bfgp.cli import main
+from bfgp.graph_io import export_graph
+from bfgp.graphs import build_path
 
 
 def run_cli(capsys, *argv):
@@ -120,8 +122,7 @@ def test_gpset_max_fails_on_rejected_set(capsys, monkeypatch):
         res = solve(g, dm, pool=pool, budget=budget)
         # levels 0, 1, 2 of row 0 lie on one geodesic
         s = genpos.VertexSet(members=(0, 4, 8), graph_ref=res.best_set.graph_ref)
-        return genpos.SolveResult(s, 3, res.optimal, res.nodes_explored,
-                                  res.elapsed_s, res.budget_exhausted)
+        return genpos.SolveResult(s, 3, res.optimal, res.nodes_explored)
     monkeypatch.setattr(genpos, "max_general_position", corrupted)
     code, doc = run_cli(capsys, "gpset", "max", "--r", "2", "--quiet")
     assert code == 1
@@ -292,6 +293,39 @@ def test_search_triple_ceiling(capsys, tmp_path):
                         "--manifest", str(tmp_path / "manifest.json"))
     assert code == 2
     assert doc["kind"] == "TooLargeError"
+
+
+def test_distance_table_ceiling(capsys, tmp_path, monkeypatch):
+    def no_table(g, source):
+        raise AssertionError("a refused graph must not reach BFS")
+    monkeypatch.setattr(geodesy, "bfs_distances", no_table)
+    graph = tmp_path / "path.json"
+    graph.write_bytes(export_graph(build_path(geodesy.MAX_TABLE_VERTICES + 1)))
+    members = tmp_path / "set.json"
+    members.write_text(json.dumps({"ids": [0, 1]}))
+    code, doc = run_cli(capsys, "gpset", "verify", "--graph", str(graph),
+                        "--set", str(members), "--quiet")
+    assert code == 2
+    assert doc["kind"] == "TooLargeError"
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--manifest", ("generate", "cycle", "--n", "4")),
+    ("--out", ("gpset", "construct", "--r", "2")),
+], ids=["manifest", "out"])
+def test_unwritable_path_gives_one_io_document(capsys, tmp_path, flag, argv):
+    target = tmp_path / "missing" / "x.json"
+    code = main([*argv, "--quiet", flag, str(target)])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2
+    assert doc["kind"] == "io"
+    # with --out, the manifest's own failure does not replace the first error
+    assert doc["error"].endswith(repr(str(target)))
+    # the manifest file cannot be written either, so it goes to stderr
+    manifest = json.loads(captured.err.removeprefix("manifest: "))
+    assert manifest["exit_code"] == 2
+    assert manifest["result_summary"] == {"error": doc["error"]}
 
 
 def test_report(capsys):

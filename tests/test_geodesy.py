@@ -9,7 +9,9 @@ from bfgp.errors import (
     InvalidParameterError,
     InvalidPathError,
     NotConnectedError,
+    TooLargeError,
 )
+from bfgp import geodesy
 from bfgp.genpos import (
     VertexSet,
     brute_force_max_gp,
@@ -19,6 +21,7 @@ from bfgp.genpos import (
     verify_general_position,
 )
 from bfgp.geodesy import (
+    MAX_TABLE_VERTICES,
     UNREACHABLE,
     all_pairs_distances,
     bfs_distances,
@@ -66,6 +69,21 @@ def test_distance_fill_follows_the_edges_not_the_tag():
     assert len(dm.rows) == relabeled.n
     for u in range(relabeled.n):
         assert [dm.dist(u, v) for v in range(relabeled.n)] == bfs_distances(relabeled, u)
+
+
+def test_distance_table_is_capped(monkeypatch):
+    # rows are counted, not built, so no test here pays for a table
+    sources = []
+    monkeypatch.setattr(geodesy, "bfs_distances", lambda g, s: sources.append(s))
+    with pytest.raises(TooLargeError):
+        all_pairs_distances(Graph(MAX_TABLE_VERTICES + 1, []))
+    assert sources == []
+    assert all_pairs_distances(build_path(MAX_TABLE_VERTICES)).n == MAX_TABLE_VERTICES
+    assert len(sources) == MAX_TABLE_VERTICES
+    # the canonical butterfly keeps r + 1 rows, so it is not held to the cap
+    sources.clear()
+    assert all_pairs_distances(build_butterfly(10)).n == 11 << 10 > MAX_TABLE_VERTICES
+    assert len(sources) == 11
 
 
 def test_known_distances():

@@ -20,8 +20,6 @@ from bfgp.graphs import (
     build_path,
     butterfly_edges,
     butterfly_ref,
-    classify_vertices,
-    id_of,
     label_of,
 )
 from corpus import bfs_dist, named_corpus, random_connected_graph
@@ -116,18 +114,24 @@ def test_graph_immutable():
         g.n = 7
 
 
+def label_id(r, label):
+    """Inverse of label_of: id = level * 2^r + row, a_1 most significant."""
+    return (label.level << r) + int(label.row, 2)
+
+
 def test_label_golden_values():
     g = build_butterfly(2)
-    assert id_of(g, ButterflyLabel(0, "00")) == 0
-    assert id_of(g, ButterflyLabel(1, "11")) == 7
+    assert label_of(g, 0) == ButterflyLabel(0, "00")
     assert label_of(g, 7) == ButterflyLabel(1, "11")
+    assert label_id(2, ButterflyLabel(1, "11")) == 7
 
 
 @given(st.integers(min_value=1, max_value=6))
 def test_label_bijection(r):
     g = build_butterfly(r)
-    for v in range(g.n):
-        assert id_of(g, label_of(g, v)) == v
+    labels = [label_of(g, v) for v in range(g.n)]
+    assert all(len(lbl.row) == r and 0 <= lbl.level <= r for lbl in labels)
+    assert [label_id(r, lbl) for lbl in labels] == list(range(g.n))
 
 
 def test_label_errors():
@@ -135,62 +139,21 @@ def test_label_errors():
     with pytest.raises(InvalidParameterError):
         label_of(g, 99)
     with pytest.raises(InvalidParameterError):
-        id_of(g, ButterflyLabel(5, "00"))
-    with pytest.raises(InvalidParameterError):
-        id_of(g, ButterflyLabel(0, "0x"))
+        label_of(g, -1)
     with pytest.raises(UnsupportedFamilyError):
         label_of(build_cycle(5), 0)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_classification_counts(r):
+    # the degree-2 class X is exactly levels 0 and r, the degree-4 class Y the rest
     g = build_butterfly(r)
-    c = classify_vertices(g)
-    assert len(c.X) == 2 ** (r + 1)
-    assert len(c.Y) == (r - 1) * 2 ** r
-    # degree census agrees with the classification
-    assert sorted(c.X) == [v for v in range(g.n) if g.degree(v) == 2]
-    assert sorted(c.Y) == [v for v in range(g.n) if g.degree(v) == 4]
-
-
-def test_classification_partitions():
-    g = build_butterfly(3)
-    c = classify_vertices(g)
-    assert set(c.X) | set(c.Y) == set(range(g.n))
-    assert not set(c.X) & set(c.Y)
-    assert set(c.X0) | set(c.Xr) == set(c.X)
-    assert set(c.X0p) | set(c.X0pp) == set(c.X0)
-    assert not set(c.X0p) & set(c.X0pp)
-    assert set(c.Xrp) | set(c.Xrpp) == set(c.Xr)
-    assert not set(c.Xrp) & set(c.Xrpp)
-
-
-def test_classification_halves():
-    c = classify_vertices(build_butterfly(2))
-    assert len(c.X0p) == len(c.X0pp) == 2
-    assert len(c.Xrp) == len(c.Xrpp) == 2
-    c4 = classify_vertices(build_butterfly(4))
-    assert len(c4.Y) == 48
-
-
-def test_classification_bit_convention():
-    g = build_butterfly(3)
-    c = classify_vertices(g)
-    for v in c.X0p:
-        assert label_of(g, v).row[0] == "0"
-    for v in c.X0pp:
-        assert label_of(g, v).row[0] == "1"
-    for v in c.Xrp:
-        assert label_of(g, v).row[-1] == "1"
-    for v in c.Xrpp:
-        assert label_of(g, v).row[-1] == "0"
-
-
-def test_classification_rejects_non_butterfly():
-    with pytest.raises(UnsupportedFamilyError):
-        classify_vertices(build_cycle(6))
-    with pytest.raises(InvalidParameterError):
-        classify_vertices(build_butterfly(1))
+    nrows = 1 << r
+    x = [v for v in range(g.n) if g.degree(v) == 2]
+    y = [v for v in range(g.n) if g.degree(v) == 4]
+    assert x == [*range(nrows), *range(r * nrows, (r + 1) * nrows)]
+    assert y == list(range(nrows, r * nrows))
+    assert len(x) == 2 ** (r + 1) and len(y) == (r - 1) * 2 ** r
 
 
 def test_json_round_trip():

@@ -3,7 +3,8 @@
 Every import in a module must be used there, and every module-level
 private function or class must be referenced somewhere in the package;
 otherwise a removal left something dead behind.  `__init__.py` is
-skipped: its imports are the package's public names.
+skipped: its imports are the package's public names.  Only the command
+line may read a clock or a random source, so results are reproducible.
 """
 
 import ast
@@ -56,3 +57,15 @@ def test_every_private_definition_is_referenced(name):
                and node.name.startswith("_")]
     dead = [p for p in private if p not in used]
     assert not dead, f"{name} defines unreferenced {dead}"
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "cli.py"])
+def test_no_clock_or_randomness_outside_cli(name):
+    imported = set()
+    for node in ast.walk(TREES[name]):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    banned = imported & {"time", "datetime", "random"}
+    assert not banned, f"{name} imports {sorted(banned)}"

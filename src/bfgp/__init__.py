@@ -25,11 +25,11 @@ from .genpos import (
 from .geodesy import (
     DistanceMatrix,
     all_pairs_distances,
+    check_walk,
     is_collinear_triple,
     is_connected,
-    is_isometric_cycle,
-    is_isometric_path,
     lies_between,
+    walk_violation,
 )
 from .graph_io import export_graph, import_graph
 from .graphs import (

@@ -10,9 +10,11 @@ byte.
 Exit codes: 0 success/verified, 1 verification failed, 2 usage, parse
 or io error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R,
 a graph other than the canonical butterfly with more than
-geodesy.MAX_TABLE_VERTICES vertices, and a search pool with more than
-genpos.MAX_SEARCH_TRIPLES collinear triples), 3 inconclusive (`gpset
-max` ran out of budget before proving optimality).
+geodesy.MAX_TABLE_VERTICES vertices, any graph with more than
+graphs.MAX_VERTICES vertices, a search pool with more than
+genpos.MAX_SEARCH_TRIPLES collinear triples, and, as a last resort, a
+MemoryError or RecursionError), 3 inconclusive (`gpset max` ran out of
+budget before proving optimality).
 """
 
 from __future__ import annotations
@@ -461,6 +463,11 @@ def main(argv=None) -> int:
         return run.finish({"error": str(e), "kind": "io"}, EXIT_USAGE)
     except BfgpError as e:
         return run.finish({"error": str(e), "kind": type(e).__name__}, EXIT_USAGE)
+    except (MemoryError, RecursionError) as e:
+        # last resort; finishing after the except clause lets the frames of
+        # the failed command, and what they hold, be freed first
+        last = {"error": str(e) or type(e).__name__, "kind": type(e).__name__}
+    return run.finish(last, EXIT_USAGE)
 
 
 if __name__ == "__main__":

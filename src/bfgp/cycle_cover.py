@@ -8,7 +8,8 @@ forced if a 4r-cycle is to be isometric, because antipodal cycle
 vertices must realize graph distance 2r, and 2r between two level-0
 (level-r) rows means exactly bit r (bit 1) differs.  The cover is
 certified by the verifier, not trusted: every bound drawn from it rests
-on a report that passed `verify_cover`.
+on a report that passed `verify_cover`, which walks each member of a
+cycle or path cover once, as a closed or open walk.
 
 `min_cover_exact` is the independent route for tiny graphs: enumerate
 every isometric cycle (or maximal isometric path) and solve minimum
@@ -28,20 +29,14 @@ from .errors import (
     TooLargeError,
     UnverifiedCoverError,
 )
-from .geodesy import (
-    DistanceMatrix,
-    check_cycle,
-    check_path,
-    is_isometric_cycle,
-    is_isometric_path,
-)
+from .geodesy import DistanceMatrix, check_walk, walk_violation
 from .graph_io import int_array
 from .graphs import FAMILY_BUTTERFLY, Graph, butterfly_dim, butterfly_ref
 
 KIND_CYCLE = "cycle-cover"
 KIND_PATH = "path-cover"
 
-# verifier flags in check order; a report passes iff all are true
+# verifier flags in the order failures are reported; a report passes iff all are true
 FLAG_ORDER = (
     "lengths_ok",
     "count_ok",
@@ -75,35 +70,14 @@ class CoverReport:
         return all(self.flags.values())
 
 
-def _cycle_edges(seq) -> frozenset[tuple[int, int]]:
-    L = len(seq)
-    return frozenset(
-        (seq[i], seq[(i + 1) % L]) if seq[i] < seq[(i + 1) % L]
-        else (seq[(i + 1) % L], seq[i])
-        for i in range(L)
-    )
-
-
-def _path_edges(seq) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        (seq[i], seq[i + 1]) if seq[i] < seq[i + 1] else (seq[i + 1], seq[i])
-        for i in range(len(seq) - 1)
-    )
-
-
-def _validate_structure(g: Graph, cover: CycleCover) -> None:
-    for i, seq in enumerate(cover.cycles):
-        try:
-            if cover.kind == KIND_CYCLE:
-                check_cycle(g, seq)
-            else:
-                check_path(g, seq)
-        except (InvalidCycleError, InvalidPathError) as e:
-            raise InvalidCoverError(str(e), cycle_index=i) from e
+def _walk_edges(seq, closed: bool) -> frozenset[tuple[int, int]]:
+    """The edges a walk traverses, each as (smaller id, larger id)."""
+    ends = seq[1:] + seq[:1] if closed else seq[1:]
+    return frozenset((u, v) if u < v else (v, u) for u, v in zip(seq, ends))
 
 
 def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
-    """The cover verifier, checked in FLAG_ORDER.
+    """The cover verifier: one pass over the members, failures reported in FLAG_ORDER.
 
     Every cover must consist of genuine cycles (or paths; garbage raises
     InvalidCoverError) that are pairwise edge-disjoint, partition the
@@ -118,65 +92,55 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
       vertex in exactly 2.
 
     On other graphs and for path covers those flags are vacuously true.
-    Whenever the cover fails, first_failure names the first failing flag.
+    Each flag keeps its first failure (edges are collected up to the
+    first overlap, isometry tested up to the first violation), and
+    first_failure is the earliest of them in FLAG_ORDER.
     """
-    _validate_structure(g, cover)
-    is_cycle = cover.kind == KIND_CYCLE
-    r = g.family_param if is_cycle and g.family == FAMILY_BUTTERFLY else None
-    flags = {name: True for name in FLAG_ORDER}
-    first_failure = None
+    closed = cover.kind == KIND_CYCLE
+    member = "cycle" if closed else "path"
+    r = g.family_param if closed and g.family == FAMILY_BUTTERFLY else None
+    failures: dict[str, dict] = {}
 
     def fail(check: str, cycle_index: int | None, detail: str) -> None:
-        nonlocal first_failure
-        flags[check] = False
-        if first_failure is None:
-            first_failure = {"check": check, "cycle_index": cycle_index, "detail": detail}
+        failures.setdefault(check, {"check": check, "cycle_index": cycle_index, "detail": detail})
 
     if r is not None:
-        for i, seq in enumerate(cover.cycles):
-            if len(seq) != 4 * r:
-                fail("lengths_ok", i, f"length {len(seq)}, expected {4 * r}")
-                break
-        if len(cover.cycles) != 1 << (r - 1):
-            fail("count_ok", None, f"{len(cover.cycles)} cycles, expected {1 << (r - 1)}")
-
-    edges_of = _cycle_edges if is_cycle else _path_edges
+        nrows = 1 << r
+    incidence = [0] * g.n
     seen_edges: set[tuple[int, int]] = set()
     for i, seq in enumerate(cover.cycles):
-        es = edges_of(seq)
-        overlap = seen_edges & es
-        if overlap:
-            fail("edge_disjoint", i, f"edge {min(overlap)} already covered")
-            flags["edge_partition"] = False
-            break
-        seen_edges |= es
+        try:
+            check_walk(g, seq, closed)
+        except (InvalidCycleError, InvalidPathError) as e:
+            raise InvalidCoverError(str(e), cycle_index=i) from e
+        for v in seq:
+            incidence[v] += 1
+        if "edge_disjoint" not in failures:
+            es = _walk_edges(seq, closed)
+            overlap = seen_edges & es
+            if overlap:
+                fail("edge_disjoint", i, f"edge {min(overlap)} already covered")
+            seen_edges |= es
+        if "all_isometric" not in failures:
+            pair = walk_violation(dm, seq, closed)
+            if pair is not None:
+                fail("all_isometric", i, f"pair {pair} violates {member} distance")
+        if r is not None:
+            if len(seq) != 4 * r:
+                fail("lengths_ok", i, f"length {len(seq)}, expected {4 * r}")
+            lvl0 = sum(1 for v in seq if v < nrows)
+            if lvl0 != 2:
+                fail("level0_pairs_ok", i, f"{lvl0} level-0 vertices, expected 2")
+
+    if r is not None and len(cover.cycles) != 1 << (r - 1):
+        fail("count_ok", None, f"{len(cover.cycles)} cycles, expected {1 << (r - 1)}")
+    if "edge_disjoint" in failures:
+        # an overlap breaks the partition too; edge_disjoint is reported first
+        fail("edge_partition", None, "edges overlap")
     else:
         missing = set(g.edges) - seen_edges
         if missing:
             fail("edge_partition", None, f"edge {min(missing)} uncovered")
-
-    for i, seq in enumerate(cover.cycles):
-        if is_cycle:
-            ok, pair = is_isometric_cycle(g, dm, seq)
-        else:
-            ok = is_isometric_path(g, dm, seq)
-        if not ok:
-            fail("all_isometric", i, f"pair {pair} violates cycle distance" if is_cycle
-                 else "path is not a geodesic")
-            break
-
-    if r is not None:
-        nrows = 1 << r
-        for i, seq in enumerate(cover.cycles):
-            lvl0 = sum(1 for v in seq if v < nrows)
-            if lvl0 != 2:
-                fail("level0_pairs_ok", i, f"{lvl0} level-0 vertices, expected 2")
-                break
-
-    incidence = [0] * g.n
-    for seq in cover.cycles:
-        for v in seq:
-            incidence[v] += 1
     if r is not None:
         for v in range(g.n):
             expected = 1 if g.degree(v) == 2 else 2
@@ -187,6 +151,8 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     if 0 in incidence:
         fail("vertex_cover", None, f"vertex {incidence.index(0)} uncovered")
 
+    flags = {name: name not in failures for name in FLAG_ORDER}
+    first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
     return CoverReport(flags=flags, first_failure=first_failure, incidence=tuple(incidence))
 
 
@@ -313,8 +279,7 @@ def enumerate_isometric_cycles(g: Graph, dm: DistanceMatrix) -> list[tuple[int, 
         u = path[-1]
         for w in adj[u]:
             if w == start and len(path) >= 3 and path[1] < path[-1]:
-                ok, _ = is_isometric_cycle(g, dm, path)
-                if ok:
+                if walk_violation(dm, path, True) is None:
                     cycles.append(tuple(path))
             elif w > start and w not in onpath:
                 path.append(w)

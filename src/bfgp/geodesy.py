@@ -19,6 +19,9 @@ and the predicates below, and it owns the collinearity rule that
 defines general position: `iter_collinear` is the one place that tests
 whether one of three vertices lies on a geodesic of the other two, and
 `checked_members` is the one gate a caller's vertices pass first.
+
+A cycle is a closed walk and a path an open one: `check_walk` checks
+either against the graph and `walk_violation` tests either for isometry.
 """
 
 from __future__ import annotations
@@ -180,63 +183,52 @@ def is_collinear_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
     return any(iter_collinear(dm, checked_members(dm, (x, y, z), "vertices")))
 
 
-def check_cycle(g: Graph, cycle) -> None:
-    """Raise InvalidCycleError unless cycle is a genuine cycle of g."""
-    L = len(cycle)
-    if L < 3:
-        raise InvalidCycleError(f"cycle needs >= 3 vertices, got {L}", position=0)
-    if len(set(cycle)) != L:
+def check_walk(g: Graph, seq, closed: bool) -> None:
+    """Raise unless seq is a genuine cycle (closed) or path (open) of g.
+
+    A cycle needs at least 3 distinct vertices and a path at least 1,
+    consecutive vertices adjacent, and on a cycle also the last and the
+    first.  Raises InvalidCycleError when closed, else InvalidPathError,
+    with `position` at the first bad index.
+    """
+    kind, err, least = ("cycle", InvalidCycleError, 3) if closed else ("path", InvalidPathError, 1)
+    L = len(seq)
+    if L < least:
+        raise err(f"{kind} needs >= {least} vertices, got {L}", position=0)
+    if len(set(seq)) != L:
         seen = set()
-        for i, v in enumerate(cycle):
+        for i, v in enumerate(seq):
             if v in seen:
-                raise InvalidCycleError(f"repeated vertex {v}", position=i)
+                raise err(f"repeated vertex {v}", position=i)
             seen.add(v)
     adj = g.adj
-    for i, v in enumerate(cycle):
+    for i, v in enumerate(seq):
         if not 0 <= v < g.n:
-            raise InvalidCycleError(f"vertex {v} out of range", position=i)
-        w = cycle[(i + 1) % L]
-        if w not in adj[v]:
-            raise InvalidCycleError(f"{v} and {w} are not adjacent", position=i)
+            raise err(f"vertex {v} out of range", position=i)
+        if i + 1 < L or closed:
+            w = seq[(i + 1) % L]
+            if w not in adj[v]:
+                raise err(f"{v} and {w} are not adjacent", position=i)
 
 
-def check_path(g: Graph, path) -> None:
-    """Raise InvalidPathError unless path is a genuine path of g."""
-    L = len(path)
-    if L < 1:
-        raise InvalidPathError("empty path", position=0)
-    if len(set(path)) != L:
-        raise InvalidPathError("repeated vertex in path")
-    adj = g.adj
-    for i, v in enumerate(path):
-        if not 0 <= v < g.n:
-            raise InvalidPathError(f"vertex {v} out of range", position=i)
-        if i + 1 < L and path[i + 1] not in adj[v]:
-            raise InvalidPathError(f"{v} and {path[i + 1]} are not adjacent", position=i)
+def walk_violation(dm: DistanceMatrix, seq, closed: bool) -> tuple[int, int] | None:
+    """The first vertex pair, by (smaller id, larger id), off its walk distance.
 
-
-def is_isometric_cycle(g: Graph, dm: DistanceMatrix, cycle) -> tuple[bool, tuple[int, int] | None]:
-    """Check that cycle distances realize graph distances for every vertex pair.
-
-    Returns (True, None), or (False, pair) where pair is the violating
-    vertex pair that is lexicographically first by (smaller id, larger id).
+    Two vertices k steps apart along the walk are min(k, L - k) apart
+    round a cycle of length L (closed) and k apart on a path (open); the
+    walk is isometric when every pair realizes that graph distance, and
+    then the result is None.  seq must be a walk of the graph dm was
+    built from (see check_walk).
     """
-    check_cycle(g, cycle)
-    L = len(cycle)
+    L = len(seq)
+    # along[k - 1] is the walk distance of two vertices k steps apart
+    along = [min(k, L - k) for k in range(1, L)] if closed else range(1, L)
     worst = None
-    for i, u in enumerate(cycle):
+    for i, u in enumerate(seq):
         row, a = dm.source(u)
-        for j in range(i + 1, L):
-            k = j - i
-            v = cycle[j]
-            if row[v ^ a] != min(k, L - k):
+        for v, d in zip(seq[i + 1:], along):
+            if row[v ^ a] != d:
                 pair = (u, v) if u < v else (v, u)
                 if worst is None or pair < worst:
                     worst = pair
-    return (worst is None, worst)
-
-
-def is_isometric_path(g: Graph, dm: DistanceMatrix, path) -> bool:
-    """True iff the path is a geodesic: its length equals d(first, last)."""
-    check_path(g, path)
-    return dm.dist(path[0], path[-1]) == len(path) - 1
+    return worst

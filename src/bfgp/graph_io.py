@@ -112,7 +112,7 @@ def import_graph(data: bytes | str) -> Graph:
         edges.append((e[0], e[1]))
     try:
         g = Graph(n, edges, family, param)
-    except Exception as e:
+    except InvalidParameterError as e:
         raise GraphParseError(f"inconsistent graph: {e}") from e
     _check_family_consistency(g)
     return g

@@ -32,6 +32,10 @@ FAMILY_CUSTOM = "custom"
 # r such as 40 would exhaust memory before printing anything
 MAX_BUTTERFLY_R = 14
 
+# largest vertex count of any graph, that of BF(MAX_BUTTERFLY_R); without
+# it a cycle, path or graph file of 10^8 vertices exhausts memory
+MAX_VERTICES = (MAX_BUTTERFLY_R + 1) << MAX_BUTTERFLY_R
+
 
 @dataclass(frozen=True)
 class ButterflyLabel:
@@ -48,7 +52,7 @@ class Graph:
     """Immutable simple undirected graph.
 
     Attributes:
-        n: vertex count; ids are exactly 0..n-1.
+        n: vertex count, at most MAX_VERTICES; ids are exactly 0..n-1.
         edges: sorted tuple of (u, v) pairs with u < v.
         adj: per-vertex sorted neighbor tuples.
         family: one of the FAMILY_* tags.
@@ -61,6 +65,8 @@ class Graph:
                  family_param: int | None = None):
         if n < 0:
             raise InvalidParameterError(f"vertex count must be >= 0, got {n}")
+        if n > MAX_VERTICES:
+            raise TooLargeError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
         seen = set()
         for e in edges:
             u, v = e
@@ -153,15 +159,14 @@ def build_butterfly(r: int) -> Graph:
 def build_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError(f"cycle length must be >= 3, got {n}")
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, edges, FAMILY_CYCLE, n)
+    # a generator, so Graph refuses n above the cap before any edge is built
+    return Graph(n, ((i, (i + 1) % n) for i in range(n)), FAMILY_CYCLE, n)
 
 
 def build_path(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {n}")
-    edges = [(i, i + 1) for i in range(n - 1)]
-    return Graph(n, edges, FAMILY_PATH, n)
+    return Graph(n, ((i, i + 1) for i in range(n - 1)), FAMILY_PATH, n)
 
 
 def butterfly_dim(g: Graph) -> int:

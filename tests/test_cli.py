@@ -9,7 +9,7 @@ import pytest
 
 import bfgp
 from bfgp import cycle_cover as cc
-from bfgp import genpos, geodesy
+from bfgp import cli, genpos, geodesy, graphs
 from bfgp.cli import main
 from bfgp.graph_io import export_graph
 from bfgp.graphs import build_path
@@ -307,6 +307,31 @@ def test_distance_table_ceiling(capsys, tmp_path, monkeypatch):
                         "--set", str(members), "--quiet")
     assert code == 2
     assert doc["kind"] == "TooLargeError"
+
+
+def test_vertex_ceiling(capsys, tmp_path):
+    too_many = str(graphs.MAX_VERTICES + 1)
+    graph = tmp_path / "huge.json"
+    graph.write_text(json.dumps({"family": "custom", "num_vertices": graphs.MAX_VERTICES + 1,
+                                 "edges": []}))
+    members = tmp_path / "set.json"
+    members.write_text(json.dumps({"ids": [0, 1]}))
+    for argv in (("generate", "path", "--n", too_many),
+                 ("generate", "cycle", "--n", too_many),
+                 ("gpset", "verify", "--graph", str(graph), "--set", str(members))):
+        code, doc = run_cli(capsys, *argv, "--quiet")
+        assert code == 2, argv
+        assert doc["kind"] == "TooLargeError"
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_last_resort_errors_give_one_document(capsys, monkeypatch, error):
+    def boom(run):
+        raise error("maximum recursion depth exceeded" if error is RecursionError else "")
+    monkeypatch.setitem(cli._DISPATCH, ("generate", None), boom)
+    code, doc = run_cli(capsys, "generate", "path", "--n", "3", "--quiet")
+    assert code == 2
+    assert doc["kind"] == error.__name__ and doc["error"]
 
 
 @pytest.mark.parametrize("flag,argv", [

@@ -1,5 +1,6 @@
 import pytest
 
+from bfgp import cycle_cover
 from bfgp.cycle_cover import (
     KIND_CYCLE,
     KIND_PATH,
@@ -238,6 +239,36 @@ def test_uncovered_edge_is_named():
     assert report.first_failure == {"check": "edge_partition", "cycle_index": None,
                                     "detail": "edge (0, 5) uncovered"}
     assert gp_upper_bounds(cover, report) == {"from_ip": 4}
+
+
+def test_path_cover_messages():
+    # a repeated vertex is named with its position, a non-geodesic path by its first bad pair
+    g = build_cycle(6)
+    dm = all_pairs_distances(g)
+    with pytest.raises(InvalidCoverError) as e:
+        verify_cover(g, dm, CycleCover(kind=KIND_PATH, cycles=((0, 1, 2), (3, 4, 3))))
+    assert e.value.cycle_index == 1 and str(e.value) == "repeated vertex 3"
+    assert e.value.__cause__.position == 2
+    report = verify_cover(g, dm, CycleCover(kind=KIND_PATH, cycles=((0, 1, 2, 3, 4, 5), (5, 0))))
+    assert [name for name, ok in report.flags.items() if not ok] == ["all_isometric"]
+    assert report.first_failure == {"check": "all_isometric", "cycle_index": 0,
+                                    "detail": "pair (0, 4) violates path distance"}
+
+
+@pytest.mark.parametrize("kind", [KIND_CYCLE, KIND_PATH])
+def test_each_member_is_structure_checked_once(bf2, monkeypatch, kind):
+    g, dm = bf2
+    calls = []
+    check_walk = cycle_cover.check_walk
+
+    def counting(g, seq, closed):
+        calls.append((seq, closed))
+        return check_walk(g, seq, closed)
+
+    monkeypatch.setattr(cycle_cover, "check_walk", counting)
+    members = GOLDEN_BF2_COVER if kind == KIND_CYCLE else ((0, 4, 8), (1, 5), (2, 6, 10))
+    verify_cover(g, dm, CycleCover(kind=kind, cycles=members))
+    assert calls == [(seq, kind == KIND_CYCLE) for seq in members]
 
 
 def test_gp_bounds_refuses_unverified(bf2):

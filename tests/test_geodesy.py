@@ -25,11 +25,11 @@ from bfgp.geodesy import (
     UNREACHABLE,
     all_pairs_distances,
     bfs_distances,
+    check_walk,
     is_collinear_triple,
     is_connected,
-    is_isometric_cycle,
-    is_isometric_path,
     lies_between,
+    walk_violation,
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import named_corpus, oracle_collinear, on_some_geodesic, random_connected_graph
@@ -183,80 +183,108 @@ def test_isometric_cycle_identity():
     for n in (4, 5, 8):
         g = build_cycle(n)
         dm = all_pairs_distances(g)
-        ok, pair = is_isometric_cycle(g, dm, list(range(n)))
-        assert ok and pair is None
+        check_walk(g, list(range(n)), True)
+        assert walk_violation(dm, list(range(n)), True) is None
 
 
 def test_isometric_cycle_bf2_diamond(bf2):
     g, dm = bf2
     # two parallel level-0/1 edges: [00,0]-[00,1]-[10,0]-[10,1]
-    ok, _ = is_isometric_cycle(g, dm, [0, 4, 2, 6])
-    assert ok
+    check_walk(g, [0, 4, 2, 6], True)
+    assert walk_violation(dm, [0, 4, 2, 6], True) is None
     assert dm.dist(4, 6) == 2
 
 
 def test_isometric_cycle_chord_violation():
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
     dm = all_pairs_distances(g)
-    ok, pair = is_isometric_cycle(g, dm, [0, 1, 2, 3, 4, 5])
-    assert not ok
-    assert pair == (0, 3)
+    assert walk_violation(dm, [0, 1, 2, 3, 4, 5], True) == (0, 3)
 
 
 def test_first_violating_pair_is_lexicographic():
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
     dm = all_pairs_distances(g)
-    ok, pair = is_isometric_cycle(g, dm, [0, 1, 2, 3, 4, 5])
-    assert not ok
-    assert pair == (0, 3)
+    assert walk_violation(dm, [0, 1, 2, 3, 4, 5], True) == (0, 3)
 
 
 def test_invalid_cycles():
     g = build_cycle(6)
-    dm = all_pairs_distances(g)
     with pytest.raises(InvalidCycleError):
-        is_isometric_cycle(g, dm, [0, 1])
+        check_walk(g, [0, 1], True)
     with pytest.raises(InvalidCycleError):
-        is_isometric_cycle(g, dm, [0, 1, 2, 1])
+        check_walk(g, [0, 1, 2, 1], True)
     with pytest.raises(InvalidCycleError) as e:
-        is_isometric_cycle(g, dm, [0, 1, 3])
+        check_walk(g, [0, 1, 3], True)
     assert e.value.position == 1
 
 
 def test_isometric_path():
     g = build_path(5)
     dm = all_pairs_distances(g)
-    assert is_isometric_path(g, dm, [0, 1])
-    assert is_isometric_path(g, dm, [0, 1, 2, 3, 4])
+    for path in ([0, 1], [0, 1, 2, 3, 4]):
+        check_walk(g, path, False)
+        assert walk_violation(dm, path, False) is None
 
     bf2 = build_butterfly(2)
     dmb = all_pairs_distances(bf2)
-    assert is_isometric_path(bf2, dmb, [0, 4, 8])
+    check_walk(bf2, [0, 4, 8], False)
+    assert walk_violation(dmb, [0, 4, 8], False) is None
 
     c6 = build_cycle(6)
     dm6 = all_pairs_distances(c6)
-    assert not is_isometric_path(c6, dm6, [0, 1, 2, 3, 4])   # d(0,4)=2 < 4
+    # d(0,4)=2 < 4, and no smaller pair is off its distance along the path
+    assert walk_violation(dm6, [0, 1, 2, 3, 4], False) == (0, 4)
 
 
 def test_invalid_paths():
     g = build_path(4)
+    with pytest.raises(InvalidPathError):
+        check_walk(g, [0, 2], False)
+    with pytest.raises(InvalidPathError) as e:
+        check_walk(g, [0, 1, 0], False)
+    assert e.value.position == 2 and str(e.value) == "repeated vertex 0"
+    with pytest.raises(InvalidPathError):
+        check_walk(g, [], False)
+
+
+def test_wrap_around_edge_only_when_closed():
+    p4 = build_path(4)
+    check_walk(p4, [0, 1, 2, 3], False)
+    with pytest.raises(InvalidCycleError) as e:
+        check_walk(p4, [0, 1, 2, 3], True)
+    assert e.value.position == 3 and str(e.value) == "3 and 0 are not adjacent"
+    c4 = build_cycle(4)
+    check_walk(c4, [0, 1, 2, 3], False)
+    check_walk(c4, [0, 1, 2, 3], True)
+
+
+def _simple_paths(g):
+    stack = [[v] for v in range(g.n)]
+    while stack:
+        path = stack.pop()
+        yield path
+        stack.extend(path + [w] for w in g.adj[path[-1]] if w not in path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 7), st.integers(0, 10_000))
+def test_open_walk_violation_matches_endpoint_rule(n, seed):
+    # a path is isometric iff it is a geodesic, i.e. d(first, last) = length
+    g = random_connected_graph(n, 0.4, seed)
     dm = all_pairs_distances(g)
-    with pytest.raises(InvalidPathError):
-        is_isometric_path(g, dm, [0, 2])
-    with pytest.raises(InvalidPathError):
-        is_isometric_path(g, dm, [0, 1, 0])
-    with pytest.raises(InvalidPathError):
-        is_isometric_path(g, dm, [])
+    for path in _simple_paths(g):
+        expected = dm.dist(path[0], path[-1]) == len(path) - 1
+        assert (walk_violation(dm, path, False) is None) == expected, path
 
 
 def test_isometric_cycle_subpaths_are_geodesics(bf2):
     # contiguous arcs of at most half the cycle stay shortest
     g, dm = bf2
     cycle = [0, 4, 8, 5, 1, 7, 10, 6]
-    ok, _ = is_isometric_cycle(g, dm, cycle)
-    assert ok
+    check_walk(g, cycle, True)
+    assert walk_violation(dm, cycle, True) is None
     L = len(cycle)
     for start in range(L):
         for length in range(1, L // 2 + 1):
             sub = [cycle[(start + k) % L] for k in range(length + 1)]
-            assert is_isometric_path(g, dm, sub)
+            assert walk_violation(dm, sub, False) is None

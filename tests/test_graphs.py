@@ -13,6 +13,7 @@ from bfgp.errors import (
 from bfgp.graph_io import export_dot, export_graph, graph_to_dict, import_graph
 from bfgp.graphs import (
     MAX_BUTTERFLY_R,
+    MAX_VERTICES,
     ButterflyLabel,
     Graph,
     build_butterfly,
@@ -187,6 +188,17 @@ def test_dot_export():
     assert "--" in dot
     plain = export_dot(build_cycle(3))
     assert "0 -- 1;" in plain
+
+
+def test_vertex_count_is_capped():
+    # the cap admits the largest butterfly's vertex count and nothing above it
+    assert Graph(MAX_VERTICES, ()).n == (MAX_BUTTERFLY_R + 1) << MAX_BUTTERFLY_R
+    for build in (lambda n: Graph(n, ()), build_cycle, build_path):
+        with pytest.raises(TooLargeError):
+            build(MAX_VERTICES + 1)
+    with pytest.raises(TooLargeError):
+        import_graph(json.dumps({"family": "custom", "num_vertices": MAX_VERTICES + 1,
+                                 "edges": []}))
 
 
 def test_import_rejects_mislabeled_family():

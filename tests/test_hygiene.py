@@ -1,8 +1,9 @@
 """Static checks over the package source, with the standard library only.
 
-Every import in a module must be used there, and every module-level
-private function or class must be referenced somewhere in the package;
-otherwise a removal left something dead behind.  `__init__.py` is
+Every import in a module must be used there, every module-level private
+function or class must be referenced somewhere in the package, and every
+module-level function somewhere in the package, its tests or the
+benchmark; otherwise a removal left something dead behind.  `__init__.py` is
 skipped: its imports are the package's public names.  Only the command
 line may read a clock or a random source, so results are reproducible.
 """
@@ -17,6 +18,7 @@ import bfgp
 SOURCES = sorted(p for p in Path(bfgp.__file__).resolve().parent.glob("*.py")
                  if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -57,6 +59,23 @@ def test_every_private_definition_is_referenced(name):
                and node.name.startswith("_")]
     dead = [p for p in private if p not in used]
     assert not dead, f"{name} defines unreferenced {dead}"
+
+
+@pytest.fixture(scope="module")
+def referenced():
+    """Names used anywhere in the package, its tests or the benchmark."""
+    used = set()
+    for top in ("src", "tests", "benchmark"):
+        for path in (ROOT / top).rglob("*.py"):
+            used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    return used
+
+
+@pytest.mark.parametrize("name", list(TREES))
+def test_every_function_is_referenced(name, referenced):
+    functions = [node.name for node in TREES[name].body if isinstance(node, ast.FunctionDef)]
+    dead = [f for f in functions if f not in referenced]
+    assert not dead, f"{name} defines functions nothing references: {dead}"
 
 
 @pytest.mark.parametrize("name", [n for n in TREES if n != "cli.py"])

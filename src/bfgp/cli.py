@@ -233,7 +233,6 @@ def cmd_generate(run: Run) -> int:
         if args.n is None:
             raise _UsageError("path needs --n")
         g = graphs.build_path(args.n)
-    payload = graph_io.export_graph(g, args.format)
     result = {
         "command": "generate",
         "family": g.family,
@@ -243,10 +242,10 @@ def cmd_generate(run: Run) -> int:
         "graph_ref": g.ref(),
     }
     if args.out:
-        run.write_bytes(args.out, payload)
+        run.write_bytes(args.out, graph_io.export_graph(g, args.format))
         result["path"] = args.out
     elif args.format == "dot":
-        result["dot"] = payload.decode()
+        result["dot"] = graph_io.export_dot(g)
     else:
         result["graph"] = graph_io.graph_to_dict(g)
     run.note(f"{g.family}({g.family_param}): {g.n} vertices, {g.num_edges} edges")

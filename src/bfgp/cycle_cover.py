@@ -188,17 +188,11 @@ def candidate_cycle(r: int, uc: int, vc: int) -> tuple[int, ...]:
     """
     nrows = 1 << r
     msb = 1 << (r - 1)
-    u0, u1 = uc, uc | 1
-    v0, v1 = vc, vc | msb
+    corners = ((uc, vc), (uc | 1, vc), (uc | 1, vc | msb), (uc, vc | msb))
     seq = []
-    for lev in range(r):
-        seq.append(lev * nrows + _monotone_row(u0, v0, lev, r))
-    for lev in range(r, 0, -1):
-        seq.append(lev * nrows + _monotone_row(u1, v0, lev, r))
-    for lev in range(r):
-        seq.append(lev * nrows + _monotone_row(u1, v1, lev, r))
-    for lev in range(r, 0, -1):
-        seq.append(lev * nrows + _monotone_row(u0, v1, lev, r))
+    for k, (x, y) in enumerate(corners):
+        levels = range(r) if k % 2 == 0 else range(r, 0, -1)
+        seq.extend(lev * nrows + _monotone_row(x, y, lev, r) for lev in levels)
     return tuple(seq)
 
 
@@ -315,22 +309,16 @@ def enumerate_maximal_isometric_paths(g: Graph, dm: DistanceMatrix) -> list[tupl
             if dm.reachable(s, t):
                 extend([s], t)
 
-    # keep one orientation, then drop geodesics contained in longer ones
+    # keep one orientation, then drop geodesics contained in longer ones:
+    # p lies inside a longer geodesic exactly when one more step at an end
+    # is still a geodesic, i.e. a neighbour of one end is len(p) from the other
+    def extendable(p: tuple[int, ...]) -> bool:
+        s, t, longer = p[0], p[-1], len(p)  # len(p) is one more than the length of p
+        return (any(dm.dist(w, t) == longer for w in adj[s])
+                or any(dm.dist(s, w) == longer for w in adj[t]))
+
     canon = {min(p, p[::-1]) for p in geodesics}
-    paths = sorted(canon, key=lambda p: (-len(p), p))
-    kept: list[tuple[int, ...]] = []
-
-    def contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-        L, S = len(big), len(small)
-        for i in range(L - S + 1):
-            if big[i:i + S] == small or big[i:i + S] == small[::-1]:
-                return True
-        return False
-
-    for p in paths:
-        if not any(contains(q, p) for q in kept):
-            kept.append(p)
-    return kept
+    return [p for p in sorted(canon, key=lambda p: (-len(p), p)) if not extendable(p)]
 
 
 def min_cover_exact(g: Graph, dm: DistanceMatrix, kind: str = KIND_CYCLE,

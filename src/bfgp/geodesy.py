@@ -11,8 +11,9 @@ d((l, x), v) = d((l, 0), v ^ x).  Since a vertex id is
 level * 2^r + row, v ^ x flips only the row bits of v.  Every distance
 is still a BFS distance and no formula is trusted; at r = 10 the rows
 hold 11 x 11,264 entries where a table would hold 11,264^2.  The fill
-is chosen from the edges, not the family tag: only a graph whose edges
-are exactly those of the canonical BF(r) gets the per-level rows.
+follows `Graph.butterfly_r`, which is read from the edges, not the
+family tag: only a graph whose edges are exactly those of the canonical
+BF(r) gets the per-level rows.
 
 This module is the only reader of the rows, through `DistanceMatrix`
 and the predicates below, and it owns the collinearity rule that
@@ -35,7 +36,7 @@ from .errors import (
     NotConnectedError,
     TooLargeError,
 )
-from .graphs import Graph, butterfly_edges
+from .graphs import Graph
 
 UNREACHABLE = -1
 
@@ -87,18 +88,8 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def _canonical_butterfly_dim(g: Graph) -> int | None:
-    """r if the edges of g are exactly those of the canonical BF(r), else None."""
-    r = 1
-    while (r + 1) << r < g.n:
-        r += 1
-    if (r + 1) << r != g.n or g.num_edges != r << (r + 1):
-        return None
-    return r if g.edges == butterfly_edges(r) else None
-
-
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    r = _canonical_butterfly_dim(g)
+    r = g.butterfly_r
     if r is None:
         if g.n > MAX_TABLE_VERTICES:
             raise TooLargeError(f"{g.n} vertices exceed the distance-table cap of "

@@ -51,15 +51,21 @@ class ButterflyLabel:
 class Graph:
     """Immutable simple undirected graph.
 
+    A family tag is a claim checked here, once: the edges must be exactly
+    those build_butterfly(r), build_cycle(n) or build_path(n) gives.
+
     Attributes:
         n: vertex count, at most MAX_VERTICES; ids are exactly 0..n-1.
         edges: sorted tuple of (u, v) pairs with u < v.
         adj: per-vertex sorted neighbor tuples.
         family: one of the FAMILY_* tags.
-        family_param: r for butterflies, n for cycles/paths, None otherwise.
+        family_param: r for butterflies, n (or None) for cycles/paths,
+            an integer or None for custom graphs.
+        butterfly_r: r if the edges are exactly those of the canonical
+            BF(r), whatever the tag, else None.
     """
 
-    __slots__ = ("n", "edges", "adj", "family", "family_param")
+    __slots__ = ("n", "edges", "adj", "family", "family_param", "butterfly_r")
 
     def __init__(self, n: int, edges, family: str = FAMILY_CUSTOM,
                  family_param: int | None = None):
@@ -67,6 +73,8 @@ class Graph:
             raise InvalidParameterError(f"vertex count must be >= 0, got {n}")
         if n > MAX_VERTICES:
             raise TooLargeError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
+        if isinstance(family_param, bool) or not isinstance(family_param, (int, type(None))):
+            raise InvalidParameterError(f"family parameter {family_param!r} is not an integer")
         seen = set()
         for e in edges:
             u, v = e
@@ -78,15 +86,32 @@ class Graph:
             if key in seen:
                 raise InvalidParameterError(f"duplicate edge {key}")
             seen.add(key)
+        edges = tuple(sorted(seen))
+        r = _butterfly_dim_of(n, edges)
+        if family == FAMILY_BUTTERFLY:
+            # r is derived from n, so a hostile family_param builds nothing
+            if r is None or r != family_param:
+                raise InvalidParameterError(
+                    f"edges do not match the canonical butterfly encoding for r={family_param}")
+        elif family in (FAMILY_CYCLE, FAMILY_PATH):
+            if family_param not in (None, n):
+                raise InvalidParameterError(
+                    f"family parameter {family_param} disagrees with {n} vertices")
+            closed = family == FAMILY_CYCLE
+            if n < (3 if closed else 1) or edges != tuple(_ring_edges(n, closed)):
+                raise InvalidParameterError(f"edges do not match the {family} on {n} vertices")
+        elif family != FAMILY_CUSTOM:
+            raise InvalidParameterError(f"unknown family {family!r}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        object.__setattr__(self, "edges", edges)
         nbrs = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
         object.__setattr__(self, "adj", tuple(tuple(sorted(a)) for a in nbrs))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "family_param", family_param)
+        object.__setattr__(self, "butterfly_r", r)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -144,6 +169,24 @@ def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
+def _butterfly_dim_of(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
+    """r if the sorted edge tuple is exactly that of the canonical BF(r) on n vertices."""
+    r = 1
+    while (r + 1) << r < n:
+        r += 1
+    if (r + 1) << r != n or len(edges) != r << (r + 1):
+        return None
+    return r if edges == butterfly_edges(r) else None
+
+
+def _ring_edges(n: int, closed: bool):
+    """C_n's (closed) or P_n's edges, sorted, u < v; lazy, so Graph checks n first."""
+    for i in range(n - 1):
+        yield (i, i + 1)
+        if closed and i == 0:
+            yield (0, n - 1)
+
+
 def butterfly_ref(r: int) -> str:
     """build_butterfly(r).ref(), computed from the edge list alone."""
     edges = butterfly_edges(r)
@@ -159,18 +202,17 @@ def build_butterfly(r: int) -> Graph:
 def build_cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidParameterError(f"cycle length must be >= 3, got {n}")
-    # a generator, so Graph refuses n above the cap before any edge is built
-    return Graph(n, ((i, (i + 1) % n) for i in range(n)), FAMILY_CYCLE, n)
+    return Graph(n, _ring_edges(n, True), FAMILY_CYCLE, n)
 
 
 def build_path(n: int) -> Graph:
     if n < 1:
         raise InvalidParameterError(f"path order must be >= 1, got {n}")
-    return Graph(n, ((i, i + 1) for i in range(n - 1)), FAMILY_PATH, n)
+    return Graph(n, _ring_edges(n, False), FAMILY_PATH, n)
 
 
 def butterfly_dim(g: Graph) -> int:
-    if g.family != FAMILY_BUTTERFLY or g.family_param is None:
+    if g.family != FAMILY_BUTTERFLY:
         raise UnsupportedFamilyError(f"butterfly graph required, got {g.family}")
     return g.family_param
 

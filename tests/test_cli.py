@@ -456,6 +456,20 @@ def test_booleans_are_not_integers(capsys, tmp_path):
         assert out["kind"] == "GraphParseError"
 
 
+def test_mislabeled_graph_files_are_parse_errors(capsys, tmp_path):
+    bf2 = graphs.build_butterfly(2)
+    rotated = [[(u + 1) % bf2.n, (v + 1) % bf2.n] for u, v in bf2.edges]
+    bad = tmp_path / "bad.json"
+    for doc in ({"family": "cycle", "n": 4, "num_vertices": 4, "edges": [[0, 1], [1, 2], [2, 3]]},
+                {"family": "path", "n": 3, "num_vertices": 3, "edges": [[0, 2]]},
+                {"family": "butterfly", "r": 2, "num_vertices": 12, "edges": rotated}):
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "gpset", "max", "--graph", str(bad), "--quiet")
+        assert code == 2, doc
+        assert out["kind"] == "GraphParseError"
+        assert out["error"].startswith("inconsistent graph: ")
+
+
 def test_usage_error_is_json(capsys):
     code, doc = run_cli(capsys, "nonsense")
     assert code == 2

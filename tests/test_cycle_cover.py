@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bfgp import cycle_cover
 from bfgp.cycle_cover import (
@@ -28,7 +32,8 @@ from bfgp.errors import (
 )
 from bfgp.genpos import max_general_position
 from bfgp.geodesy import all_pairs_distances
-from bfgp.graphs import build_butterfly, build_cycle, build_path
+from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
+from corpus import bfs_dist
 
 # two 8-cycles through level-0 pairs, transcribed from the diamond drawing
 GOLDEN_BF2_COVER = ((0, 4, 8, 5, 1, 7, 10, 6), (2, 6, 11, 7, 3, 5, 9, 4))
@@ -321,6 +326,47 @@ def test_maximal_path_enumeration():
     g = build_path(5)
     dm = all_pairs_distances(g)
     assert enumerate_maximal_isometric_paths(g, dm) == [(0, 1, 2, 3, 4)]
+
+
+def _maximal_geodesics_by_containment(g):
+    """Every geodesic, one orientation each, minus those inside a longer one."""
+    dist = [bfs_dist(g, s) for s in range(g.n)]
+    geodesics = set()
+
+    def walk(path):
+        p = tuple(path)
+        if dist[p[0]][p[-1]] == len(p) - 1:
+            geodesics.add(min(p, p[::-1]))
+        for w in g.adj[path[-1]]:
+            if w not in path:
+                walk(path + [w])
+
+    for s in range(g.n):
+        walk([s])
+
+    def contains(big, small):
+        S = len(small)
+        return any(big[i:i + S] in (small, small[::-1]) for i in range(len(big) - S + 1))
+
+    kept = []
+    for p in sorted(geodesics, key=lambda p: (-len(p), p)):
+        if not any(contains(q, p) for q in kept):
+            kept.append(p)
+    return kept
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_maximal_paths_match_the_containment_filter(g):
+    assert (enumerate_maximal_isometric_paths(g, all_pairs_distances(g))
+            == _maximal_geodesics_by_containment(g))
 
 
 def test_cover_json_round_trip():

@@ -61,10 +61,14 @@ def test_distance_fill_follows_the_edges_not_the_tag():
     bf3 = build_butterfly(3)
     untagged = Graph(bf3.n, bf3.edges)
     assert len(all_pairs_distances(untagged).rows) == 4
-    # swapping ids 0 and 9 keeps the tag but breaks the row-XOR symmetry
+    # swapping ids 0 and 9 breaks the row-XOR symmetry, so the butterfly
+    # tag is refused and the swapped edges, untagged, get a full table
     swap = {0: 9, 9: 0}
     edges = [(swap.get(u, u), swap.get(v, v)) for u, v in bf3.edges]
-    relabeled = Graph(bf3.n, edges, bf3.family, bf3.family_param)
+    with pytest.raises(InvalidParameterError):
+        Graph(bf3.n, edges, bf3.family, bf3.family_param)
+    relabeled = Graph(bf3.n, edges)
+    assert relabeled.butterfly_r is None
     dm = all_pairs_distances(relabeled)
     assert len(dm.rows) == relabeled.n
     for u in range(relabeled.n):

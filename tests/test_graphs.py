@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfgp.errors import (
@@ -12,6 +12,10 @@ from bfgp.errors import (
 )
 from bfgp.graph_io import export_dot, export_graph, graph_to_dict, import_graph
 from bfgp.graphs import (
+    FAMILY_BUTTERFLY,
+    FAMILY_CUSTOM,
+    FAMILY_CYCLE,
+    FAMILY_PATH,
     MAX_BUTTERFLY_R,
     MAX_VERTICES,
     ButterflyLabel,
@@ -215,6 +219,86 @@ def test_import_rejects_mislabeled_family():
     bad_n["n"] = 7
     with pytest.raises(GraphParseError):
         import_graph(json.dumps(bad_n))
+
+
+@st.composite
+def tagged_graphs(draw):
+    """A generator's graph, perhaps with edges dropped, added or ids permuted,
+    under any family tag and a parameter near the generator's."""
+    base = draw(st.one_of(st.integers(1, 3).map(build_butterfly),
+                          st.integers(3, 8).map(build_cycle),
+                          st.integers(1, 8).map(build_path)))
+    n, edges = base.n, list(base.edges)
+    change = draw(st.sampled_from(["none", "drop", "add", "permute"]))
+    if change == "drop" and edges:
+        del edges[draw(st.integers(0, len(edges) - 1))]
+    elif change == "add" and n >= 2:
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if (min(u, v), max(u, v)) not in base.edges:
+            edges.append((u, v))
+    elif change == "permute":
+        perm = draw(st.permutations(range(n)))
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    family = draw(st.sampled_from([base.family, FAMILY_BUTTERFLY, FAMILY_CYCLE,
+                                   FAMILY_PATH, FAMILY_CUSTOM]))
+    param = draw(st.sampled_from([base.family_param, base.family_param, None, n, n + 1, 1, 2, 3]))
+    return n, edges, family, param
+
+
+@settings(max_examples=300, deadline=None)
+@given(tagged_graphs())
+def test_every_graph_that_constructs_round_trips(case):
+    n, edges, family, param = case
+    try:
+        g = Graph(n, edges, family, param)
+    except InvalidParameterError:
+        return
+    # an accepted tag is true of the edges
+    if family == FAMILY_BUTTERFLY:
+        assert g.butterfly_r == param and g.edges == butterfly_edges(param)
+    elif family in (FAMILY_CYCLE, FAMILY_PATH):
+        build = build_cycle if family == FAMILY_CYCLE else build_path
+        assert param in (None, n) and g.edges == build(n).edges
+    assert import_graph(export_graph(g, "json")) == g
+
+
+def _rotated(g):
+    return [((u + 1) % g.n, (v + 1) % g.n) for u, v in g.edges]
+
+
+@pytest.mark.parametrize("n,edges,family,param", [
+    (32, _rotated(build_butterfly(3)), FAMILY_BUTTERFLY, 3),
+    (12, build_butterfly(2).edges, FAMILY_BUTTERFLY, 3),
+    (12, build_butterfly(2).edges, FAMILY_BUTTERFLY, 10**9),
+    (12, build_butterfly(2).edges, FAMILY_BUTTERFLY, None),
+    (5, build_cycle(5).edges, FAMILY_BUTTERFLY, 1),
+    (4, [(0, 1), (1, 2), (2, 3)], FAMILY_CYCLE, 4),
+    (5, _rotated(build_path(5)), FAMILY_PATH, 5),
+    (5, build_cycle(5).edges, FAMILY_CYCLE, 7),
+    (2, [(0, 1)], FAMILY_CYCLE, None),
+    (3, [(0, 2)], FAMILY_PATH, 3),
+    (4, build_cycle(4).edges, FAMILY_PATH, 4),
+    (0, [], FAMILY_PATH, None),
+    (1, [], FAMILY_PATH, True),
+    (12, build_butterfly(2).edges, FAMILY_BUTTERFLY, True),
+    (2, [(0, 1)], FAMILY_CUSTOM, True),
+    (2, [(0, 1)], FAMILY_CUSTOM, "2"),
+    (2, [(0, 1)], "tree", None),
+])
+def test_mismatched_family_tag_is_refused(n, edges, family, param):
+    with pytest.raises(InvalidParameterError):
+        Graph(n, edges, family, param)
+
+
+def test_butterfly_dimension_is_read_from_the_edges():
+    for r in range(1, 5):
+        bf = build_butterfly(r)
+        assert bf.butterfly_r == r
+        assert Graph(bf.n, bf.edges).butterfly_r == r
+        assert Graph(bf.n, bf.edges[1:]).butterfly_r is None
+        assert Graph(bf.n, _rotated(bf)).butterfly_r is None
+    assert build_cycle(4).butterfly_r is None
+    assert Graph(0, []).butterfly_r is None
 
 
 def test_parse_errors():

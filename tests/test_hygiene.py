@@ -5,7 +5,9 @@ function or class must be referenced somewhere in the package, and every
 module-level function somewhere in the package, its tests or the
 benchmark; otherwise a removal left something dead behind.  `__init__.py` is
 skipped: its imports are the package's public names.  Only the command
-line may read a clock or a random source, so results are reproducible.
+line may read a clock or a random source, so results are reproducible,
+and only `graphs.py` may read the canonical butterfly edge list, so one
+module decides whether a graph is BF(r).
 """
 
 import ast
@@ -88,3 +90,10 @@ def test_no_clock_or_randomness_outside_cli(name):
             imported.add(node.module.split(".")[0])
     banned = imported & {"time", "datetime", "random"}
     assert not banned, f"{name} imports {sorted(banned)}"
+
+
+def test_only_graphs_reads_the_butterfly_edge_list():
+    package = Path(bfgp.__file__).resolve().parent
+    readers = sorted(p.name for p in package.glob("*.py")
+                     if "butterfly_edges" in _used_names(ast.parse(p.read_text())))
+    assert readers == ["graphs.py"]

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from . import cycle_cover as cc
 from . import genpos, geodesy, graph_io, graphs
 from .budget import DEFAULT_SOLVER_NODES, Budget
-from .errors import BfgpError, TooLargeError
+from .errors import BfgpError, GraphParseError, TooLargeError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -201,8 +201,13 @@ def _load_graph(run: Run, path: str) -> graphs.Graph:
     return graph_io.import_graph(run.read_bytes(path))
 
 
-def _read_json(run: Run, path: str):
-    return graph_io.parse_json(run.read_bytes(path))
+def _read_claim(run: Run, path: str, g: graphs.Graph, from_dict):
+    """A set, pool or cover file; a graph_ref other than "" (no claim) must be g's string."""
+    obj = from_dict(graph_io.parse_json(run.read_bytes(path)))
+    if obj.graph_ref != "" and obj.graph_ref != g.ref():
+        raise GraphParseError(f"{path} claims graph_ref {obj.graph_ref!r}, "
+                              f"but the graph's is {g.ref()!r}")
+    return obj
 
 
 def _graph_for(run: Run) -> graphs.Graph:
@@ -267,7 +272,7 @@ def cmd_gpset_construct(run: Run) -> int:
 def cmd_gpset_verify(run: Run) -> int:
     args = run.args
     g = _load_graph(run, args.graph)
-    s = genpos.vertex_set_from_dict(_read_json(run, args.set_path))
+    s = _read_claim(run, args.set_path, g, genpos.vertex_set_from_dict)
     dm = geodesy.all_pairs_distances(g)
     witness = genpos.verify_general_position(g, dm, s)
     wdoc = genpos.witness_to_dict(witness)
@@ -288,7 +293,7 @@ def _resolve_pool(run: Run, g: graphs.Graph):
         return [v for v in range(g.n) if g.degree(v) == 2], "deg2"
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        s = genpos.vertex_set_from_dict(_read_json(run, path))
+        s = _read_claim(run, path, g, genpos.vertex_set_from_dict)
         return sorted(s.members), f"file:{path}"
     raise _UsageError(f"unknown pool {spec!r}")
 
@@ -351,7 +356,7 @@ def cmd_cover_construct(run: Run) -> int:
 def cmd_cover_verify(run: Run) -> int:
     args = run.args
     g = _load_graph(run, args.graph)
-    cover = cc.cover_from_dict(_read_json(run, args.cover))
+    cover = _read_claim(run, args.cover, g, cc.cover_from_dict)
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_cover(g, dm, cover)
     rdoc = cc.report_to_dict(report)
@@ -367,7 +372,7 @@ def cmd_cover_verify(run: Run) -> int:
 def cmd_cover_bounds(run: Run) -> int:
     args = run.args
     g = _load_graph(run, args.graph)
-    cover = cc.cover_from_dict(_read_json(run, args.cover))
+    cover = _read_claim(run, args.cover, g, cc.cover_from_dict)
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_cover(g, dm, cover)
     try:

@@ -27,11 +27,12 @@ from .errors import (
     InvalidParameterError,
     InvalidPathError,
     TooLargeError,
+    UnsupportedFamilyError,
     UnverifiedCoverError,
 )
 from .geodesy import DistanceMatrix, check_walk, walk_violation
 from .graph_io import int_array
-from .graphs import FAMILY_BUTTERFLY, Graph, butterfly_dim, butterfly_ref
+from .graphs import Graph, butterfly_ref
 
 KIND_CYCLE = "cycle-cover"
 KIND_PATH = "path-cover"
@@ -82,7 +83,7 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     Every cover must consist of genuine cycles (or paths; garbage raises
     InvalidCoverError) that are pairwise edge-disjoint, partition the
     edges, are isometric, and cover every vertex.  A cycle cover of a
-    butterfly BF(r) must also meet the butterfly contract:
+    canonical BF(r), whatever its tag, must also meet the butterfly contract:
 
     - every length is 4r;
     - there are 2^(r-1) cycles (with the lengths, disjointness alone
@@ -98,14 +99,12 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     """
     closed = cover.kind == KIND_CYCLE
     member = "cycle" if closed else "path"
-    r = g.family_param if closed and g.family == FAMILY_BUTTERFLY else None
+    r = g.butterfly_r if closed else None
     failures: dict[str, dict] = {}
 
     def fail(check: str, cycle_index: int | None, detail: str) -> None:
         failures.setdefault(check, {"check": check, "cycle_index": cycle_index, "detail": detail})
 
-    if r is not None:
-        nrows = 1 << r
     incidence = [0] * g.n
     seen_edges: set[tuple[int, int]] = set()
     for i, seq in enumerate(cover.cycles):
@@ -128,7 +127,7 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
         if r is not None:
             if len(seq) != 4 * r:
                 fail("lengths_ok", i, f"length {len(seq)}, expected {4 * r}")
-            lvl0 = sum(1 for v in seq if v < nrows)
+            lvl0 = sum(1 for v in seq if v >> r == 0)
             if lvl0 != 2:
                 fail("level0_pairs_ok", i, f"{lvl0} level-0 vertices, expected 2")
 
@@ -159,10 +158,12 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
 def verify_bf_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
     """verify_cover, with the butterfly contract required rather than inferred.
 
-    Raises UnsupportedFamilyError unless g is a butterfly, and
-    InvalidParameterError for r < 2 or a path cover.
+    Raises UnsupportedFamilyError unless g is the canonical BF(r), whatever
+    its tag, and InvalidParameterError for r < 2 or a path cover.
     """
-    r = butterfly_dim(g)
+    r = g.butterfly_r
+    if r is None:
+        raise UnsupportedFamilyError(f"butterfly graph required, got {g!r}")
     if r < 2:
         raise InvalidParameterError("cover verification needs r >= 2")
     if cover.kind != KIND_CYCLE:

@@ -251,8 +251,10 @@ def vertex_set_from_dict(doc: dict) -> VertexSet:
     if not isinstance(doc, dict) or "ids" not in doc:
         raise GraphParseError("vertex set JSON needs an 'ids' array")
     ids = int_array(doc["ids"], "'ids'")
-    return VertexSet(members=tuple(sorted(ids)),
-                     provenance=doc.get("provenance", PROVENANCE_USER),
+    provenance = doc.get("provenance", PROVENANCE_USER)
+    if not isinstance(provenance, str):
+        raise GraphParseError("'provenance' must be a string")
+    return VertexSet(members=tuple(sorted(ids)), provenance=provenance,
                      graph_ref=doc.get("graph_ref", ""))
 
 

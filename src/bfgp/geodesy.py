@@ -1,19 +1,17 @@
 """Distances and geodesic predicates.
 
-Distances are exact unweighted hop counts from breadth-first search.  On
-a general graph `all_pairs_distances` keeps one BFS row per vertex, an
-n x n table, and refuses more than MAX_TABLE_VERTICES vertices.  On the
-canonical butterfly BF(r) it keeps one row per level, r + 1 rows in
-all, and reads every other distance through an automorphism: XOR-ing
-every row label with a constant c < 2^r maps straight edges to straight
-edges and cross edges to cross edges of the same level, so
-d((l, x), v) = d((l, 0), v ^ x).  Since a vertex id is
-level * 2^r + row, v ^ x flips only the row bits of v.  Every distance
-is still a BFS distance and no formula is trusted; at r = 10 the rows
-hold 11 x 11,264 entries where a table would hold 11,264^2.  The fill
-follows `Graph.butterfly_r`, which is read from the edges, not the
-family tag: only a graph whose edges are exactly those of the canonical
-BF(r) gets the per-level rows.
+Distances are exact unweighted hop counts from breadth-first search.
+`all_pairs_distances` keeps one BFS row per 2^shift ids, shift being
+`Graph.butterfly_r` on the canonical BF(r) and 0 on any other graph,
+which so gets an n x n table, refused above MAX_TABLE_VERTICES vertices.
+BF(r) gets one row per level, and every other distance is read through
+an automorphism: XOR-ing every row label with a constant c < 2^r maps
+straight edges to straight edges and cross edges to cross edges of the
+same level, so d((l, x), v) = d((l, 0), v ^ x), and v ^ x flips only the
+row bits of v = level * 2^r + row.  `butterfly_r` comes from checking
+that very edge shape, not from the family tag.  Every distance is still
+a BFS distance; at r = 10 the rows hold 11 x 11,264 entries where a
+table would hold 11,264^2.
 
 This module is the only reader of the rows, through `DistanceMatrix`
 and the predicates below, and it owns the collinearity rule that
@@ -49,18 +47,18 @@ MAX_TABLE_VERTICES = 4096
 class DistanceMatrix:
     """Shortest-path lengths; UNREACHABLE marks disconnected pairs.
 
-    d(u, v) = rows[u >> shift][v ^ (u & mask)].  On the canonical BF(r),
-    shift = r, mask = 2^r - 1 and rows[l] is the BFS row from (l, 0); on
-    any other graph shift = mask = 0 and rows[u] is the BFS row from u.
+    d(u, v) = rows[u >> shift][v ^ (u & mask)], mask = 2^shift - 1.  On
+    the canonical BF(r), shift = r and rows[l] is the BFS row from (l, 0);
+    on any other graph shift = mask = 0 and rows[u] is the BFS row from u.
     """
 
     __slots__ = ("n", "rows", "shift", "mask")
 
-    def __init__(self, n: int, rows, shift: int = 0, mask: int = 0):
+    def __init__(self, n: int, rows, shift: int = 0):
         self.n = n
         self.rows = rows  # list of BFS distance lists; treat as read-only
         self.shift = shift
-        self.mask = mask
+        self.mask = (1 << shift) - 1
 
     def source(self, u: int) -> tuple[list[int], int]:
         """(row, a) such that d(u, v) == row[v ^ a] for every vertex v."""
@@ -89,15 +87,11 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    r = g.butterfly_r
-    if r is None:
-        if g.n > MAX_TABLE_VERTICES:
-            raise TooLargeError(f"{g.n} vertices exceed the distance-table cap of "
-                                f"{MAX_TABLE_VERTICES} for a graph other than the canonical BF(r)")
-        return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(g.n)])
-    nrows = 1 << r
-    rows = [bfs_distances(g, lev * nrows) for lev in range(r + 1)]
-    return DistanceMatrix(g.n, rows, r, nrows - 1)
+    shift = g.butterfly_r or 0
+    if not shift and g.n > MAX_TABLE_VERTICES:
+        raise TooLargeError(f"{g.n} vertices exceed the distance-table cap of "
+                            f"{MAX_TABLE_VERTICES} for a graph other than the canonical BF(r)")
+    return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(0, g.n, 1 << shift)], shift)
 
 
 def is_connected(g: Graph) -> bool:

@@ -1,10 +1,10 @@
 """Graph serialization.
 
 JSON is the round-trip format: an object with `family`, an optional
-`r`/`n` parameter, `num_vertices`, `edges` as [u, v] pairs with u < v,
-and for butterflies a `labels` array of {id, level, row} records.  DOT
-export is one-way and render-ready; butterfly vertices are named
-L<level>_<row>.
+`r`/`n` parameter, `num_vertices` and `edges` as [u, v] pairs with
+u < v; an unknown key, such as an older file's `labels`, is ignored.
+DOT export is one-way and render-ready; on the canonical BF(r),
+whatever its tag, vertices are named L<level>_<row>.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ def graph_to_dict(g: Graph) -> dict:
         doc["n"] = g.family_param
     doc["num_vertices"] = g.n
     doc["edges"] = [[u, v] for u, v in g.edges]
-    if g.family == FAMILY_BUTTERFLY:
-        doc["labels"] = [
-            {"id": v, "level": lbl.level, "row": lbl.row}
-            for v in range(g.n)
-            for lbl in (label_of(g, v),)
-        ]
     return doc
 
 
@@ -41,7 +35,7 @@ def export_graph(g: Graph, fmt: str = "json") -> bytes:
 
 
 def export_dot(g: Graph) -> str:
-    if g.family == FAMILY_BUTTERFLY:
+    if g.butterfly_r is not None:
         names = {v: f"L{lbl.level}_{lbl.row}" for v in range(g.n)
                  for lbl in (label_of(g, v),)}
     else:

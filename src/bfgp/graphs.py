@@ -62,7 +62,8 @@ class Graph:
         family_param: r for butterflies, n (or None) for cycles/paths,
             an integer or None for custom graphs.
         butterfly_r: r if the edges are exactly those of the canonical
-            BF(r), whatever the tag, else None.
+            BF(r), whatever the tag, else None; modules read this, never
+            the tag, which is only written out (JSON, ref, repr).
     """
 
     __slots__ = ("n", "edges", "adj", "family", "family_param", "butterfly_r")
@@ -89,7 +90,6 @@ class Graph:
         edges = tuple(sorted(seen))
         r = _butterfly_dim_of(n, edges)
         if family == FAMILY_BUTTERFLY:
-            # r is derived from n, so a hostile family_param builds nothing
             if r is None or r != family_param:
                 raise InvalidParameterError(
                     f"edges do not match the canonical butterfly encoding for r={family_param}")
@@ -158,25 +158,32 @@ def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
         raise TooLargeError(f"butterfly dimension {r} exceeds the cap r <= {MAX_BUTTERFLY_R}")
     nrows = 1 << r
     edges = []
-    for lev in range(r):
-        bit = 1 << (r - 1 - lev)  # bit lev+1, with bit 1 the most significant
-        base = lev * nrows
-        for row in range(nrows):
-            u = base + row
-            edges.append((u, u + nrows))
-            edges.append((u, base + nrows + (row ^ bit)))
-    edges.sort()
+    for u in range(r * nrows):
+        v = u + nrows  # straight edge; the cross edge flips bit l+1 of level l = u >> r
+        w = v ^ (1 << (r - 1 - (u >> r)))
+        edges += ((u, v), (u, w)) if v < w else ((u, w), (u, v))
     return tuple(edges)
 
 
 def _butterfly_dim_of(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
-    """r if the sorted edge tuple is exactly that of the canonical BF(r) on n vertices."""
+    """r if the distinct edges, each (u, v) with u < v, are exactly BF(r)'s on n vertices.
+
+    No reference list: each edge must join level l = u >> r to level l + 1
+    in the same row or in rows differing in bit l+1 alone.  BF(r)'s
+    r * 2^(r+1) edges are all such pairs, so that many make up BF(r).
+    """
     r = 1
     while (r + 1) << r < n:
         r += 1
     if (r + 1) << r != n or len(edges) != r << (r + 1):
         return None
-    return r if edges == butterfly_edges(r) else None
+    low = (1 << r) - 1
+    for u, v in edges:
+        lev = u >> r
+        flip = (u ^ v) & low
+        if v >> r != lev + 1 or flip and flip != 1 << (r - 1 - lev):
+            return None
+    return r
 
 
 def _ring_edges(n: int, closed: bool):
@@ -211,14 +218,10 @@ def build_path(n: int) -> Graph:
     return Graph(n, _ring_edges(n, False), FAMILY_PATH, n)
 
 
-def butterfly_dim(g: Graph) -> int:
-    if g.family != FAMILY_BUTTERFLY:
-        raise UnsupportedFamilyError(f"butterfly graph required, got {g.family}")
-    return g.family_param
-
-
 def label_of(g: Graph, v: int) -> ButterflyLabel:
-    r = butterfly_dim(g)
+    r = g.butterfly_r
+    if r is None:
+        raise UnsupportedFamilyError(f"butterfly graph required, got {g!r}")
     if not 0 <= v < g.n:
         raise InvalidParameterError(f"vertex id {v} out of range for n={g.n}")
     nrows = 1 << r

@@ -456,6 +456,41 @@ def test_booleans_are_not_integers(capsys, tmp_path):
         assert out["kind"] == "GraphParseError"
 
 
+def test_graph_ref_must_match_the_graph(capsys, tmp_path):
+    # BF(3) set, pool and cover files refused against a BF(4) graph
+    bf3, bf4 = tmp_path / "bf3.json", tmp_path / "bf4.json"
+    gpset, cover = tmp_path / "set3.json", tmp_path / "cover3.json"
+    run_cli(capsys, "generate", "butterfly", "--r", "3", "--out", str(bf3), "--quiet")
+    run_cli(capsys, "generate", "butterfly", "--r", "4", "--out", str(bf4), "--quiet")
+    run_cli(capsys, "gpset", "construct", "--r", "3", "--out", str(gpset), "--quiet")
+    run_cli(capsys, "cover", "construct", "--r", "3", "--out", str(cover), "--quiet")
+    refs = (graphs.butterfly_ref(3), graphs.butterfly_ref(4))
+    for argv in (("gpset", "verify", "--graph", str(bf4), "--set", str(gpset)),
+                 ("gpset", "max", "--graph", str(bf4), "--pool", f"file:{gpset}"),
+                 ("cover", "verify", "--graph", str(bf4), "--cover", str(cover)),
+                 ("cover", "bounds", "--graph", str(bf4), "--cover", str(cover))):
+        code, doc = run_cli(capsys, *argv, "--quiet")
+        assert code == 2, argv
+        assert doc["kind"] == "GraphParseError"
+        assert all(ref in doc["error"] for ref in refs), doc["error"]
+    # a claim that is not a string is refused; an empty or absent one claims nothing
+    bad = tmp_path / "bad.json"
+    ids = json.loads(gpset.read_text())["ids"]
+    for doc, code in (({"ids": ids, "graph_ref": [1, 2]}, 2),
+                      ({"ids": ids, "graph_ref": None}, 2),
+                      ({"ids": ids, "provenance": 5}, 2),
+                      ({"ids": ids, "graph_ref": ""}, 0),
+                      ({"ids": ids}, 0)):
+        bad.write_text(json.dumps(doc))
+        assert run_cli(capsys, "gpset", "verify", "--graph", str(bf3), "--set", str(bad),
+                       "--quiet")[0] == code, doc
+    cover_doc = json.loads(cover.read_text())
+    for ref, code in (([1, 2], 2), ("", 0)):
+        bad.write_text(json.dumps({**cover_doc, "graph_ref": ref}))
+        assert run_cli(capsys, "cover", "verify", "--graph", str(bf3), "--cover", str(bad),
+                       "--quiet")[0] == code, ref
+
+
 def test_mislabeled_graph_files_are_parse_errors(capsys, tmp_path):
     bf2 = graphs.build_butterfly(2)
     rotated = [[(u + 1) % bf2.n, (v + 1) % bf2.n] for u, v in bf2.edges]

@@ -32,7 +32,14 @@ from bfgp.errors import (
 )
 from bfgp.genpos import max_general_position
 from bfgp.geodesy import all_pairs_distances
-from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
+from bfgp.graphs import (
+    ButterflyLabel,
+    Graph,
+    build_butterfly,
+    build_cycle,
+    build_path,
+    label_of,
+)
 from corpus import bfs_dist
 
 # two 8-cycles through level-0 pairs, transcribed from the diamond drawing
@@ -145,6 +152,25 @@ def test_verify_bf_cover_rejects_non_butterfly():
     dm = all_pairs_distances(g)
     with pytest.raises(UnsupportedFamilyError):
         verify_bf_cover(g, dm, CycleCover(kind=KIND_CYCLE, cycles=(tuple(range(8)),)))
+
+
+def test_untagged_butterfly_gets_the_butterfly_contract(bf3):
+    # the contract follows the edges, not the family tag
+    g, dm = bf3
+    untagged = Graph(g.n, g.edges)
+    assert untagged.family == "custom" and untagged.butterfly_r == 3
+    udm = all_pairs_distances(untagged)
+    for u in range(g.n):
+        assert [udm.dist(u, v) for v in range(g.n)] == [dm.dist(u, v) for v in range(g.n)]
+    cover = construct_bf_cycle_cover(3)
+    short = CycleCover(kind=KIND_CYCLE, cycles=cover.cycles[1:])
+    for c in (cover, short):
+        assert verify_cover(untagged, udm, c) == verify_cover(g, dm, c)
+    assert verify_bf_cover(untagged, udm, cover).passes
+    report = verify_bf_cover(untagged, udm, short)
+    assert not report.flags["count_ok"]
+    assert report.first_failure["check"] == "count_ok"
+    assert label_of(untagged, 9) == label_of(g, 9) == ButterflyLabel(1, "001")
 
 
 def test_mutated_covers_never_pass(bf2):

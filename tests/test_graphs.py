@@ -10,6 +10,7 @@ from bfgp.errors import (
     TooLargeError,
     UnsupportedFamilyError,
 )
+from bfgp import graphs
 from bfgp.graph_io import export_dot, export_graph, graph_to_dict, import_graph
 from bfgp.graphs import (
     FAMILY_BUTTERFLY,
@@ -172,12 +173,17 @@ def test_json_round_trip_is_canonical():
     assert export_graph(import_graph(data), "json") == data
 
 
-def test_butterfly_json_has_labels():
-    doc = graph_to_dict(build_butterfly(2))
+def test_butterfly_json_has_no_labels():
+    g = build_butterfly(2)
+    doc = graph_to_dict(g)
+    assert set(doc) == {"family", "r", "num_vertices", "edges"}
     assert doc["num_vertices"] == 12
-    assert len(doc["labels"]) == 12
-    assert doc["labels"][0] == {"id": 0, "level": 0, "row": "00"}
     assert all(u < v for u, v in doc["edges"])
+    # files written with a labels array still import, whatever the labels say
+    right = [{"id": v, "level": v >> 2, "row": format(v & 3, "02b")} for v in range(g.n)]
+    wrong = [{"id": 0, "level": "x", "row": 7}, "junk"]
+    for labels in (right, wrong):
+        assert import_graph(json.dumps({**doc, "labels": labels})) == g
 
 
 def test_single_vertex_round_trip():
@@ -192,6 +198,9 @@ def test_dot_export():
     assert "--" in dot
     plain = export_dot(build_cycle(3))
     assert "0 -- 1;" in plain
+    # the names follow the edges, not the tag
+    untagged = export_dot(Graph(12, build_butterfly(2).edges))
+    assert untagged.startswith("graph custom {") and "L0_00 -- L1_00;" in untagged
 
 
 def test_vertex_count_is_capped():
@@ -299,6 +308,72 @@ def test_butterfly_dimension_is_read_from_the_edges():
         assert Graph(bf.n, _rotated(bf)).butterfly_r is None
     assert build_cycle(4).butterfly_r is None
     assert Graph(0, []).butterfly_r is None
+
+
+def _reference_dim(n, edges):
+    """r if the edge set equals BF(r)'s, built here from the encoding, else None."""
+    r = 1
+    while (r + 1) << r < n:
+        r += 1
+    if (r + 1) << r != n:
+        return None
+    nrows = 1 << r
+    canonical = set()
+    for lev in range(r):
+        for row in range(nrows):
+            u = lev * nrows + row
+            for row2 in (row, row ^ (1 << (r - 1 - lev))):
+                canonical.add((u, (lev + 1) * nrows + row2))
+    return r if {(min(e), max(e)) for e in edges} == canonical else None
+
+
+@st.composite
+def mutated_butterflies(draw):
+    """BF(1..6)'s edges with one edge moved, dropped or added, a cross edge
+    sent to a wrong bit, or all ids permuted."""
+    r = draw(st.integers(1, 6))
+    n, edges = (r + 1) << r, list(butterfly_edges(r))
+    change = draw(st.sampled_from(["none", "move", "wrong-bit", "permute", "drop", "add"]))
+    i = draw(st.integers(0, len(edges) - 1))
+    pair = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if change == "move":
+        edges[i] = tuple(pair)
+    elif change == "drop":
+        del edges[i]
+    elif change == "add":
+        edges.append(tuple(pair))
+    elif change == "wrong-bit" and r >= 2:
+        cross = [k for k, (u, v) in enumerate(edges) if v - u != 1 << r]
+        u, v = edges[cross[i % len(cross)]]
+        lev = u >> r
+        bit = draw(st.sampled_from([b for b in range(r) if b != r - 1 - lev]))
+        edges[cross[i % len(cross)]] = (u, ((lev + 1) << r) + ((u ^ (1 << bit)) & ((1 << r) - 1)))
+    elif change == "permute":
+        perm = draw(st.permutations(range(n)))
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return n, edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_butterflies())
+def test_butterfly_recognition_matches_the_reference_edges(case):
+    n, edges = case
+    try:
+        g = Graph(n, edges)
+    except InvalidParameterError:  # a moved or added edge repeated one, or a self-loop
+        return
+    assert g.butterfly_r == _reference_dim(n, edges)
+
+
+def test_butterfly_recognition_builds_no_edge_list(monkeypatch):
+    cases = [(build_butterfly(r).n, butterfly_edges(r)) for r in range(1, 7)]
+
+    def refuse(r):
+        raise AssertionError("recognition built a reference edge list")
+    monkeypatch.setattr(graphs, "butterfly_edges", refuse)
+    for r, (n, edges) in enumerate(cases, start=1):
+        assert Graph(n, edges).butterfly_r == r
+        assert Graph(n, edges, FAMILY_BUTTERFLY, r).butterfly_r == r
 
 
 def test_parse_errors():

@@ -7,7 +7,8 @@ benchmark; otherwise a removal left something dead behind.  `__init__.py` is
 skipped: its imports are the package's public names.  Only the command
 line may read a clock or a random source, so results are reproducible,
 and only `graphs.py` may read the canonical butterfly edge list, so one
-module decides whether a graph is BF(r).
+module decides whether a graph is BF(r); the modules that compute read
+that answer, `Graph.butterfly_r`, and never the family tag.
 """
 
 import ast
@@ -97,3 +98,10 @@ def test_only_graphs_reads_the_butterfly_edge_list():
     readers = sorted(p.name for p in package.glob("*.py")
                      if "butterfly_edges" in _used_names(ast.parse(p.read_text())))
     assert readers == ["graphs.py"]
+
+
+@pytest.mark.parametrize("name", ["geodesy.py", "genpos.py", "cycle_cover.py"])
+def test_computing_modules_ignore_the_family_tag(name):
+    read = sorted(n for n in _used_names(TREES[name])
+                  if n in ("family", "family_param") or n.startswith("FAMILY_"))
+    assert not read, f"{name} reads the family tag through {read}"

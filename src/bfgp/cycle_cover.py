@@ -31,7 +31,7 @@ from .errors import (
     UnverifiedCoverError,
 )
 from .geodesy import DistanceMatrix, check_walk, walk_violation
-from .graph_io import int_array
+from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
 
 KIND_CYCLE = "cycle-cover"
@@ -250,7 +250,7 @@ def cover_from_dict(doc: dict) -> CycleCover:
     if not isinstance(cycles, list):
         raise GraphParseError("'cycles' must be an array of id arrays")
     parsed = tuple(tuple(int_array(seq, f"cycle #{i}")) for i, seq in enumerate(cycles))
-    return CycleCover(kind=kind, cycles=parsed, graph_ref=doc.get("graph_ref", ""))
+    return CycleCover(kind=kind, cycles=parsed, graph_ref=str_field(doc, "graph_ref", ""))
 
 
 def report_to_dict(report: CoverReport) -> dict:

@@ -4,8 +4,11 @@ A vertex set is in general position when no member lies on a geodesic
 between two others.  That rule, the distances it reads and the checks
 its vertices need belong to `geodesy`: every set or pool a caller
 passes in goes through `checked_members` (in range, distinct, mutually
-reachable), and every test asks `iter_collinear` or `lies_between`,
-never the distance table.  Finding a maximum set
+reachable), and every test asks `first_collinear`, `iter_collinear` or
+`lies_between`, never the distance table.  A verification names the
+first collinear triple of the sorted members in combinations order;
+geodesy may use the set's row-XOR symmetry on BF(r) to accept it, but
+a violation is always named by the full scan.  Finding a maximum set
 is equivalent to a maximum independent set in the 3-uniform hypergraph
 whose hyperedges are the collinear triples, which is what the
 branch-and-bound solver below works on; it keeps its pending branches
@@ -22,8 +25,14 @@ from itertools import islice
 
 from .budget import Budget
 from .errors import GraphParseError, InvalidParameterError, TooLargeError
-from .geodesy import DistanceMatrix, checked_members, iter_collinear, lies_between
-from .graph_io import int_array
+from .geodesy import (
+    DistanceMatrix,
+    checked_members,
+    first_collinear,
+    iter_collinear,
+    lies_between,
+)
+from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
 
 PROVENANCE_CONSTRUCTION = "construction"
@@ -69,9 +78,8 @@ class SolveResult:
 
 
 def verify_general_position(g: Graph, dm: DistanceMatrix, s: VertexSet) -> GpWitness:
-    """Check all triples of s; report the lexicographically first violation."""
-    members = checked_members(dm, s.members, "set members")
-    triple = next(iter_collinear(dm, members), None)
+    """Check s; report its lexicographically first violation, if any."""
+    triple = first_collinear(dm, checked_members(dm, s.members, "set members"))
     if triple is None:
         return GpWitness(status=VERIFIED)
     x, y, z = triple
@@ -251,11 +259,9 @@ def vertex_set_from_dict(doc: dict) -> VertexSet:
     if not isinstance(doc, dict) or "ids" not in doc:
         raise GraphParseError("vertex set JSON needs an 'ids' array")
     ids = int_array(doc["ids"], "'ids'")
-    provenance = doc.get("provenance", PROVENANCE_USER)
-    if not isinstance(provenance, str):
-        raise GraphParseError("'provenance' must be a string")
-    return VertexSet(members=tuple(sorted(ids)), provenance=provenance,
-                     graph_ref=doc.get("graph_ref", ""))
+    return VertexSet(members=tuple(sorted(ids)),
+                     provenance=str_field(doc, "provenance", PROVENANCE_USER),
+                     graph_ref=str_field(doc, "graph_ref", ""))
 
 
 def witness_to_dict(w: GpWitness) -> dict:

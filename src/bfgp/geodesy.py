@@ -14,10 +14,25 @@ a BFS distance; at r = 10 the rows hold 11 x 11,264 entries where a
 table would hold 11,264^2.
 
 This module is the only reader of the rows, through `DistanceMatrix`
-and the predicates below, and it owns the collinearity rule that
-defines general position: `iter_collinear` is the one place that tests
-whether one of three vertices lies on a geodesic of the other two, and
-`checked_members` is the one gate a caller's vertices pass first.
+and the predicates below.  It owns the collinearity rule that defines
+general position, and `checked_members`, the one gate a caller's
+vertices pass first.  The rule, one vertex of three on a geodesic of
+the other two, is tested in bulk by `_collinear_fields`: a member's
+distances to all members are the fields of one Python int, 8 bits wide
+on BF(r) and 16 on a table graph, so that a sum of two distances stays
+below each field's guard bit, and one member pair is tested against
+every later member in a dozen big-int operations.  `iter_collinear`
+yields the triples so found in combinations order.
+
+`first_collinear` decides general position with the set's symmetry.
+On BF(r), `row_xor_stabilizer` finds the group H of row-XOR constants
+c with S ^ c = S, checked against S itself.  Each element of H is an
+automorphism fixing S, so S has a collinear triple iff some collinear
+triple holds one representative per H-orbit, and only those triples
+are scanned, one member row at a time: on the closed-form set, 5
+representatives against all member pairs.  The witness never depends
+on H: when that scan finds a violation, or H is trivial, the full
+`iter_collinear` scan names the first triple in combinations order.
 
 A cycle is a closed walk and a path an open one: `check_walk` checks
 either against the graph and `walk_violation` tests either for isometry.
@@ -25,6 +40,7 @@ either against the graph and `walk_violation` tests either for isometry.
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 
 from .errors import (
@@ -50,15 +66,20 @@ class DistanceMatrix:
     d(u, v) = rows[u >> shift][v ^ (u & mask)], mask = 2^shift - 1.  On
     the canonical BF(r), shift = r and rows[l] is the BFS row from (l, 0);
     on any other graph shift = mask = 0 and rows[u] is the BFS row from u.
+    No distance exceeds `bound`: n - 1 bounds every BFS distance, and
+    BF(r) has diameter 2r.  The collinearity kernel sizes its fields by it.
     """
 
-    __slots__ = ("n", "rows", "shift", "mask")
+    __slots__ = ("n", "rows", "shift", "mask", "bound")
 
     def __init__(self, n: int, rows, shift: int = 0):
         self.n = n
         self.rows = rows  # list of BFS distance lists; treat as read-only
         self.shift = shift
         self.mask = (1 << shift) - 1
+        self.bound = 2 * shift if shift else max(n - 1, 0)
+        if 2 * self.bound >= 1 << 15:  # a 16-bit field holds two distances
+            raise TooLargeError(f"distances up to {self.bound} do not fit the collinearity kernel")
 
     def source(self, u: int) -> tuple[list[int], int]:
         """(row, a) such that d(u, v) == row[v ^ a] for every vertex v."""
@@ -137,30 +158,129 @@ def iter_collinear(dm: DistanceMatrix, members):
     A triple is collinear when one of its vertices lies on a geodesic of
     the other two.  Members must have passed `checked_members`, since an
     out-of-range, repeated or unreachable vertex would corrupt the sums.
+    For each pair (x, y) one `_collinear_fields` call tests every later
+    member z at once, and its set bits come out in ascending order of z.
     """
     ms = list(members)
-    # dists[k][l] = d(ms[k], ms[l]); a member's list is read from its
-    # source row when the scan first reaches it, so an early violation
-    # reads only the rows it needs
-    dists: list[list[int]] = []
+    if len(ms) < 3:
+        return  # before packing: two unreachable members read UNREACHABLE
+    pack, w, ones, low, high = _field_layout(dm, ms)
+    field = (1 << w) - 1
+    # rows[k] = pack(ms[k]), packed when the scan first reaches ms[k], so
+    # an early violation packs only the rows it needs
+    rows: list[int] = []
     for i, x in enumerate(ms):
-        if i == len(dists):
-            dists.append(_distances_to(dm, x, ms))
-        dx = dists[i]
+        if i == len(rows):
+            rows.append(pack(x))
+        rest = rows[i] >> w * (i + 1)  # d(x, ms[k]) for k > i, then k > j
         for j in range(i + 1, len(ms)):
-            if j == len(dists):
-                dists.append(_distances_to(dm, ms[j], ms))
-            dy = dists[j]
-            dxy = dx[j]
-            k = j + 1
-            for z, dxz, dyz in zip(ms[k:], dx[k:], dy[k:]):
-                if dxy + dyz == dxz or dxy + dxz == dyz or dxz + dyz == dxy:
-                    yield (x, ms[j], z)
+            if j == len(rows):
+                rows.append(pack(ms[j]))
+            dxy = rest & field
+            rest >>= w
+            hits = _collinear_fields(rest, rows[j] >> w * (j + 1), dxy * ones, low, high)
+            while hits:
+                bit = hits & -hits
+                yield (x, ms[j], ms[j + bit.bit_length() // w])
+                hits ^= bit
 
 
-def _distances_to(dm: DistanceMatrix, u: int, vs: list[int]) -> list[int]:
-    row, a = dm.source(u)
-    return [row[v ^ a] for v in vs]
+def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
+    """The first collinear triple of members in combinations order, or None.
+
+    Let H be `row_xor_stabilizer(dm, members)`.  Each h in H is an
+    automorphism with h(S) = S, so it carries a collinear triple of S to
+    one that holds the representative of any of its members' H-orbits.
+    When H is not trivial, the triples holding a representative are
+    scanned first, and if none is collinear, S is in general position.
+    Otherwise, or when one is, the full `iter_collinear` scan names the
+    first triple, so the answer never depends on H.
+    """
+    ms = list(members)
+    group = row_xor_stabilizer(dm, ms)
+    if len(group) > 1:
+        reps, seen = [], set()
+        for v in ms:
+            if v not in seen:
+                reps.append(v)
+                seen.update(v ^ c for c in group)
+        if not _some_collinear_holds(dm, ms, reps):
+            return None
+    return next(iter_collinear(dm, ms), None)
+
+
+def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
+    """The c < 2^r with {v ^ c : v in members} == members on BF(r), ascending; else (0,).
+
+    XOR-ing a vertex id with c < 2^r flips its row bits alone, an
+    automorphism of the canonical BF(r) (see the module notes).  c must
+    carry a member m0 to a member on m0's level, so the candidates are
+    m0 ^ m over the least populated level.  Each candidate outside the
+    group found so far is checked against the set itself, with early
+    exit, and the group is closed under XOR.
+    """
+    ids = set(members)
+    if not dm.shift or not ids:
+        return (0,)
+    levels: dict[int, list[int]] = {}
+    for v in sorted(ids):
+        levels.setdefault(v >> dm.shift, []).append(v)
+    level = min(levels.values(), key=len)
+    group = {0}
+    for m in level:
+        c = level[0] ^ m
+        if c not in group and all(v ^ c in ids for v in ids):
+            group |= {h ^ c for h in group}
+    return tuple(sorted(group))
+
+
+def _some_collinear_holds(dm: DistanceMatrix, ms: list[int], reps: list[int]) -> bool:
+    """True iff a collinear triple of ms holds a member of reps, streaming one row at a time."""
+    pack, w, ones, low, high = _field_layout(dm, ms)
+    field = (1 << w) - 1
+    index = {v: k for k, v in enumerate(ms)}
+    # a representative's own field reads 1, not 0: odd, it is no 2 d(p, a),
+    # and nonzero, so d(p, a) plus it is no d(a, p); p never pairs with itself
+    packed = [(index[p], pack(p) | 1 << w * index[p]) for p in reps]
+    for q, a in enumerate(ms):
+        s = w * (q + 1)
+        later = pack(a) >> s  # d(a, ms[k]) for k > q
+        for p, row in packed:
+            if p != q and _collinear_fields(row >> s, later, (row >> w * q & field) * ones,
+                                            low, high):
+                return True
+    return False
+
+
+def _field_layout(dm: DistanceMatrix, ms: list[int]):
+    """(pack, w, ones, low, high): distances to ms as the w-bit fields of one int.
+
+    pack(u) holds d(u, ms[k]) in bits w*k to w*k + w - 1; ones, low and
+    high hold 1, 2^(w-1) - 1 and 2^(w-1) in every field.  Fields are 8
+    bits when twice `dm.bound` is below 2^7, else 16, so a sum of two
+    distances stays below a field's top bit, its guard, and no fieldwise
+    sum carries into the next field.
+    """
+    fmt = struct.Struct(f"<{len(ms)}{'B' if 2 * dm.bound < 1 << 7 else 'H'}")
+    w = 8 * fmt.size // len(ms)
+
+    def pack(u: int) -> int:
+        row, a = dm.source(u)
+        return int.from_bytes(fmt.pack(*[row[v ^ a] for v in ms]), "little")
+
+    ones = int.from_bytes(fmt.pack(*[1] * len(ms)), "little")
+    return pack, w, ones, ones * ((1 << (w - 1)) - 1), ones << (w - 1)
+
+
+def _collinear_fields(x: int, y: int, xy: int, low: int, high: int) -> int:
+    """Guard bits of the fields k where x_k, y_k and xy_k satisfy the collinearity sum.
+
+    x_k = d(x, z), y_k = d(y, z) and xy_k = d(x, y) >= 1; the triple
+    (x, y, z) is collinear iff one distance is the sum of the other two.
+    A field of t is zero iff adding low leaves its guard bit clear.
+    Beyond the shorter operands xy_k alone is nonzero, so no bit is set.
+    """
+    return high & ~((((y + xy) ^ x) + low) & (((x + xy) ^ y) + low) & (((x + y) ^ xy) + low))
 
 
 def is_collinear_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:

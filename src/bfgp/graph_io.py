@@ -74,6 +74,14 @@ def int_array(value, what: str) -> list[int]:
     return value
 
 
+def str_field(doc: dict, key: str, default: str) -> str:
+    """doc[key], or default when absent, if it is a string, else raise GraphParseError."""
+    value = doc.get(key, default)
+    if not isinstance(value, str):
+        raise GraphParseError(f"'{key}' must be a string")
+    return value
+
+
 def import_graph(data: bytes | str) -> Graph:
     """Parse the JSON graph format back into a Graph, whose checks include the family tag."""
     doc = parse_json(data)

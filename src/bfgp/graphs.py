@@ -76,18 +76,23 @@ class Graph:
             raise TooLargeError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
         if isinstance(family_param, bool) or not isinstance(family_param, (int, type(None))):
             raise InvalidParameterError(f"family parameter {family_param!r} is not an integer")
-        seen = set()
-        for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge {e} out of range for n={n}")
-            if u == v:
-                raise InvalidParameterError(f"self-loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InvalidParameterError(f"duplicate edge {key}")
-            seen.add(key)
-        edges = tuple(sorted(seen))
+        edges = tuple(edges)
+        # strictly increasing pairs (u, v), 0 <= u < v < n, are already the
+        # sorted, distinct, loop-free edges the check below would make
+        if not (all(type(e) is tuple and len(e) == 2 and 0 <= e[0] < e[1] < n for e in edges)
+                and all(map(tuple.__lt__, edges, edges[1:]))):
+            seen = set()
+            for e in edges:
+                u, v = e
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidParameterError(f"edge {e} out of range for n={n}")
+                if u == v:
+                    raise InvalidParameterError(f"self-loop at vertex {u}")
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    raise InvalidParameterError(f"duplicate edge {key}")
+                seen.add(key)
+            edges = tuple(sorted(seen))
         r = _butterfly_dim_of(n, edges)
         if family == FAMILY_BUTTERFLY:
             if r is None or r != family_param:

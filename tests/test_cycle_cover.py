@@ -407,6 +407,13 @@ def test_cover_json_round_trip():
         cover_from_dict({"kind": "weird", "cycles": []})
 
 
+def test_cover_graph_ref_must_be_a_string():
+    for ref in ([1, 2], None, 5):
+        with pytest.raises(GraphParseError, match="'graph_ref' must be a string"):
+            cover_from_dict({"cycles": [], "graph_ref": ref})
+    assert cover_from_dict({"cycles": []}).graph_ref == ""
+
+
 def test_report_dict_shape(bf2):
     g, dm = bf2
     report = verify_bf_cover(g, dm, construct_bf_cycle_cover(2))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bfgp.budget import Budget
 from bfgp import genpos
-from bfgp.errors import InvalidParameterError, NotConnectedError, TooLargeError
+from bfgp.errors import GraphParseError, InvalidParameterError, NotConnectedError, TooLargeError
 from bfgp.genpos import (
     PROVENANCE_CONSTRUCTION,
     VERIFIED,
@@ -24,7 +24,12 @@ from bfgp.genpos import (
     vertex_set_to_dict,
     witness_to_dict,
 )
-from bfgp.geodesy import all_pairs_distances, is_collinear_triple
+from bfgp.geodesy import (
+    all_pairs_distances,
+    is_collinear_triple,
+    iter_collinear,
+    row_xor_stabilizer,
+)
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import named_corpus, oracle_collinear, random_connected_graph
 
@@ -101,6 +106,61 @@ def test_constructed_set_verifies(r):
 def test_constructed_set_needs_r2():
     with pytest.raises(InvalidParameterError):
         construct_butterfly_gp_set(1)
+
+
+BUTTERFLIES = {r: (g, all_pairs_distances(g)) for r in range(2, 8) for g in (build_butterfly(r),)}
+
+
+@st.composite
+def mutated_closed_form_sets(draw):
+    """(r, set, whole): BF(r)'s closed-form set, or one orbit of its group, after a few edits.
+
+    The group is the set's row-XOR stabilizer.  When whole, every edit
+    adds or drops a whole orbit of the current set's group, which so
+    stays non-trivial; otherwise an edit adds, swaps or XOR-moves one
+    member.
+    """
+    whole = draw(st.booleans(), label="whole orbits")
+    # H is trivial on BF(2)'s closed-form set and 2^(r-2) strong above it
+    r = draw(st.integers(3 if whole else 2, 7), label="r")
+    g, dm = BUTTERFLIES[r]
+    members = set(construct_butterfly_gp_set(r).members)
+    vertex = st.integers(0, g.n - 1)
+    if draw(st.booleans(), label="one orbit"):
+        v = draw(vertex)
+        members = {v ^ c for c in row_xor_stabilizer(dm, members)}
+    for _ in range(draw(st.integers(1, 3), label="edits")):
+        if whole:
+            v = draw(vertex)
+            orbit = {v ^ c for c in row_xor_stabilizer(dm, members)}
+            members = members - orbit if draw(st.booleans()) else members | orbit
+            continue
+        edit = draw(st.sampled_from(["add", "swap", "xor"]))
+        old = draw(st.sampled_from(sorted(members)))
+        if edit == "add":
+            members.add(draw(vertex))
+        elif edit == "swap":
+            members = members - {old} | {draw(vertex)}
+        else:
+            members = members - {old} | {old ^ draw(st.integers(1, (1 << r) - 1))}
+    return r, tuple(sorted(members)), whole
+
+
+@settings(deadline=None, max_examples=120)
+@given(mutated_closed_form_sets())
+def test_reduced_and_full_scans_agree(case):
+    r, members, whole = case
+    g, dm = BUTTERFLIES[r]
+    if whole and len(members) >= 3:
+        assert len(row_xor_stabilizer(dm, members)) > 1
+    w = verify_general_position(g, dm, VertexSet(members))
+    first = next(iter_collinear(dm, members), None)
+    assert w.ok == (first is None)
+    assert w.triple == first
+    if first is not None:
+        x, y, z = first
+        others = {x: (y, z), y: (x, z), z: (x, y)}[w.middle]
+        assert dm.dist(*others) == dm.dist(others[0], w.middle) + dm.dist(w.middle, others[1])
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -325,6 +385,13 @@ def test_vertex_set_json_round_trip():
     back = vertex_set_from_dict(doc)
     assert back.members == s.members
     assert back.provenance == s.provenance
+
+
+def test_vertex_set_graph_ref_must_be_a_string():
+    for ref in ([1, 2], None, 5):
+        with pytest.raises(GraphParseError, match="'graph_ref' must be a string"):
+            vertex_set_from_dict({"ids": [0], "graph_ref": ref})
+    assert vertex_set_from_dict({"ids": [0]}).graph_ref == ""
 
 
 def test_witness_json_shape(bf2):

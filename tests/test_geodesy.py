@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -16,6 +17,7 @@ from bfgp.genpos import (
     VertexSet,
     brute_force_max_gp,
     collinear_triples,
+    construct_butterfly_gp_set,
     greedy_gp_lower_bound,
     max_general_position,
     verify_general_position,
@@ -23,16 +25,26 @@ from bfgp.genpos import (
 from bfgp.geodesy import (
     MAX_TABLE_VERTICES,
     UNREACHABLE,
+    DistanceMatrix,
     all_pairs_distances,
     bfs_distances,
     check_walk,
+    first_collinear,
     is_collinear_triple,
     is_connected,
+    iter_collinear,
     lies_between,
+    row_xor_stabilizer,
     walk_violation,
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
-from corpus import named_corpus, oracle_collinear, on_some_geodesic, random_connected_graph
+from corpus import (
+    bfs_dist,
+    named_corpus,
+    oracle_collinear,
+    on_some_geodesic,
+    random_connected_graph,
+)
 
 
 def test_metric_axioms_on_corpus():
@@ -53,6 +65,7 @@ def test_butterfly_distances_match_fresh_bfs(r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)
     assert len(dm.rows) == r + 1
+    assert max(map(max, dm.rows)) == dm.bound == 2 * r  # the diameter sizes the kernel's fields
     for u in range(g.n):
         assert [dm.dist(u, v) for v in range(g.n)] == bfs_distances(g, u), (r, u)
 
@@ -88,6 +101,77 @@ def test_distance_table_is_capped(monkeypatch):
     sources.clear()
     assert all_pairs_distances(build_butterfly(10)).n == 11 << 10 > MAX_TABLE_VERTICES
     assert len(sources) == 11
+
+
+def test_kernel_fields_must_hold_two_distances():
+    assert DistanceMatrix(MAX_TABLE_VERTICES, []).bound == MAX_TABLE_VERTICES - 1
+    with pytest.raises(TooLargeError):
+        DistanceMatrix(1 << 15, [])
+
+
+def _plain_collinear(g, ms):
+    """Every collinear triple of ms in combinations order, one triple at a time from fresh BFS."""
+    d = {v: bfs_dist(g, v) for v in ms}
+    return [(x, y, z) for x, y, z in combinations(ms, 3)
+            if d[x][y] + d[y][z] == d[x][z] or d[x][y] + d[x][z] == d[y][z]
+            or d[x][z] + d[y][z] == d[x][y]]
+
+
+def _kernel_cases():
+    rng = random.Random(7)
+    for r in range(2, 7):
+        g = build_butterfly(r)
+        yield f"BF{r}-sample", g, sorted(rng.sample(range(g.n), min(g.n, 64)))
+    g = build_butterfly(4)
+    yield "BF4-all", g, list(range(g.n))
+    gp = list(construct_butterfly_gp_set(5).members)
+    yield "BF5-set-plus-one", build_butterfly(5), sorted(gp + [2 << 5])
+    # distances up to 199 and 75 take 16-bit fields
+    for g in (build_path(200), build_cycle(150)):
+        yield f"n={g.n}", g, sorted(rng.sample(range(g.n), 60))
+        yield f"n={g.n}-shuffled", g, rng.sample(range(g.n), 40)
+
+
+@pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda case: case[0])
+def test_kernel_matches_plain_triple_loop(case):
+    name, g, ms = case
+    dm = all_pairs_distances(g)
+    expected = _plain_collinear(g, ms)
+    assert list(iter_collinear(dm, ms)) == expected, name
+    assert first_collinear(dm, ms) == next(iter(expected), None), name
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_closed_form_stabilizer(r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    members = construct_butterfly_gp_set(r).members
+    # every c with bits a_1 and a_r clear, 2^(r-2) of them
+    msb = 1 << (r - 1)
+    assert row_xor_stabilizer(dm, members) == tuple(c for c in range(1 << r) if not c & (msb | 1))
+    assert row_xor_stabilizer(dm, members + ((1 << r) + 1,)) == (0,)
+    assert row_xor_stabilizer(dm, ()) == (0,)
+
+
+def test_relabelled_butterfly_takes_the_full_scan(monkeypatch):
+    bf4 = build_butterfly(4)
+    perm = list(range(bf4.n))
+    random.Random(4).shuffle(perm)
+    relabelled = Graph(bf4.n, [(perm[u], perm[v]) for u, v in bf4.edges])
+    assert relabelled.butterfly_r is None
+    members = sorted(perm[v] for v in construct_butterfly_gp_set(4).members)
+    dm = all_pairs_distances(relabelled)
+    assert row_xor_stabilizer(dm, members) == (0,)
+    scans = []
+    real = geodesy.iter_collinear
+    monkeypatch.setattr(geodesy, "iter_collinear", lambda dm, ms: scans.append(ms) or real(dm, ms))
+    assert verify_general_position(relabelled, dm, VertexSet(tuple(members))).ok
+    assert scans == [members]
+    # the canonical copy is proved by its 5 orbit representatives alone
+    scans.clear()
+    assert verify_general_position(bf4, all_pairs_distances(bf4),
+                                   construct_butterfly_gp_set(4)).ok
+    assert scans == []
 
 
 def test_known_distances():

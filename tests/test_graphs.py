@@ -114,6 +114,20 @@ def test_graph_validation():
         Graph(3, [(0, 5)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_edge_order_does_not_matter(seed):
+    g = random_connected_graph(9, 0.4, seed)
+    # the sorted tuple is taken as it is; reversed pairs or lists are normalised
+    assert Graph(g.n, g.edges).edges == g.edges
+    assert Graph(g.n, [[v, u] for u, v in reversed(g.edges)]).edges == g.edges
+    # sorted input that repeats an edge, or leaves the range, meets the same checks
+    for bad, message in ((g.edges + g.edges[-1:], "duplicate edge"),
+                         (g.edges + ((g.n - 1, g.n),), "out of range")):
+        with pytest.raises(InvalidParameterError, match=message):
+            Graph(g.n, bad)
+
+
 def test_graph_immutable():
     g = build_cycle(4)
     with pytest.raises(AttributeError):

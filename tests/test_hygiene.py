@@ -8,7 +8,9 @@ skipped: its imports are the package's public names.  Only the command
 line may read a clock or a random source, so results are reproducible,
 and only `graphs.py` may read the canonical butterfly edge list, so one
 module decides whether a graph is BF(r); the modules that compute read
-that answer, `Graph.butterfly_r`, and never the family tag.
+that answer, `Graph.butterfly_r`, and never the family tag.  Only
+`geodesy.py` reads a distance matrix's rows and row-XOR encoding, so
+the symmetry it draws from them stays behind its functions.
 """
 
 import ast
@@ -105,3 +107,10 @@ def test_computing_modules_ignore_the_family_tag(name):
     read = sorted(n for n in _used_names(TREES[name])
                   if n in ("family", "family_param") or n.startswith("FAMILY_"))
     assert not read, f"{name} reads the family tag through {read}"
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "geodesy.py"])
+def test_only_geodesy_reads_the_distance_rows(name):
+    read = sorted({node.attr for node in ast.walk(TREES[name]) if isinstance(node, ast.Attribute)
+                   and node.attr in ("rows", "shift", "mask", "source")})
+    assert not read, f"{name} reads the distance matrix through {read}"

@@ -202,9 +202,9 @@ def _load_graph(run: Run, path: str) -> graphs.Graph:
 
 
 def _read_claim(run: Run, path: str, g: graphs.Graph, from_dict):
-    """A set, pool or cover file; a graph_ref other than "" (no claim) must be g's string."""
+    """A set, pool or cover file; a graph_ref other than "" (no claim) must hash g's edges."""
     obj = from_dict(graph_io.parse_json(run.read_bytes(path)))
-    if obj.graph_ref != "" and obj.graph_ref != g.ref():
+    if obj.graph_ref != "" and obj.graph_ref.rpartition("#")[2] != g.ref().rpartition("#")[2]:
         raise GraphParseError(f"{path} claims graph_ref {obj.graph_ref!r}, "
                               f"but the graph's is {g.ref()!r}")
     return obj

@@ -2,20 +2,20 @@
 
 A vertex set is in general position when no member lies on a geodesic
 between two others.  That rule, the distances it reads and the checks
-its vertices need belong to `geodesy`: every set or pool a caller
-passes in goes through `checked_members` (in range, distinct, mutually
-reachable), and every test asks `first_collinear`, `iter_collinear` or
-`lies_between`, never the distance table.  A verification names the
-first collinear triple of the sorted members in combinations order;
-geodesy may use the set's row-XOR symmetry on BF(r) to accept it, but
-a violation is always named by the full scan.  Finding a maximum set
-is equivalent to a maximum independent set in the 3-uniform hypergraph
-whose hyperedges are the collinear triples, which is what the
-branch-and-bound solver below works on; it keeps its pending branches
-on its own stack, so its depth is not bounded by Python's recursion
-limit, and it refuses a pool with more than MAX_SEARCH_TRIPLES
-collinear triples.  Everything is deterministic: ties break on
-smallest vertex id, and nothing reads a clock or a random source.
+its vertices need belong to `geodesy`: every set or pool a caller passes
+in goes through `checked_members` (in range, distinct, mutually
+reachable), and every test asks `first_collinear`, `collinear_through`,
+`iter_collinear` or `lies_between`, never the distance table.  A
+verification names the first collinear triple of the sorted members in
+combinations order; geodesy may use the set's row-XOR symmetry on BF(r)
+to accept it, but a violation is always named by the full scan.  Finding
+a maximum set is equivalent to a maximum independent set in the
+3-uniform hypergraph whose hyperedges are the collinear triples, which
+is what the branch-and-bound solver below works on; it keeps its pending
+branches on its own stack, so its depth is not bounded by Python's
+recursion limit, and it refuses a pool with more than MAX_SEARCH_TRIPLES
+collinear triples.  Everything is deterministic: ties break on smallest
+vertex id, and nothing reads a clock or a random source.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import GraphParseError, InvalidParameterError, TooLargeError
 from .geodesy import (
     DistanceMatrix,
     checked_members,
+    collinear_through,
     first_collinear,
     iter_collinear,
     lies_between,
@@ -127,9 +128,8 @@ def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, pool=None) -> VertexSet:
                       key=lambda v: (g.degree(v), v))
     chosen: list[int] = []
     for v in vertices:
-        # chosen is in general position, so a collinear triple must hold v;
-        # with v first, its triples come first and a rejection exits early
-        if next(iter_collinear(dm, [v, *chosen]), None) is None:
+        # chosen is in general position, so a collinear triple must hold v
+        if not collinear_through(dm, [*chosen, v], (v,)):
             chosen.append(v)
     return VertexSet(members=tuple(sorted(chosen)),
                      provenance=PROVENANCE_LOWER_BOUND, graph_ref=g.ref())

@@ -35,7 +35,9 @@ on H: when that scan finds a violation, or H is trivial, the full
 `iter_collinear` scan names the first triple in combinations order.
 
 A cycle is a closed walk and a path an open one: `check_walk` checks
-either against the graph and `walk_violation` tests either for isometry.
+either against the graph, and `walk_violation` tests either for isometry
+by one distance per vertex, to the vertex half a cycle ahead or from a
+path's first: a pair closer than its walk distance would make that short.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
             if v not in seen:
                 reps.append(v)
                 seen.update(v ^ c for c in group)
-        if not _some_collinear_holds(dm, ms, reps):
+        if not collinear_through(dm, ms, reps):
             return None
     return next(iter_collinear(dm, ms), None)
 
@@ -234,17 +236,19 @@ def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
     return tuple(sorted(group))
 
 
-def _some_collinear_holds(dm: DistanceMatrix, ms: list[int], reps: list[int]) -> bool:
-    """True iff a collinear triple of ms holds a member of reps, streaming one row at a time."""
-    pack, w, ones, low, high = _field_layout(dm, ms)
+def collinear_through(dm: DistanceMatrix, members: list[int], heads) -> bool:
+    """True iff a collinear triple of members (checked, see iter_collinear) holds one of heads."""
+    if len(members) < 3:
+        return False  # before packing, as in iter_collinear
+    pack, w, ones, low, high = _field_layout(dm, members)
     field = (1 << w) - 1
-    index = {v: k for k, v in enumerate(ms)}
-    # a representative's own field reads 1, not 0: odd, it is no 2 d(p, a),
+    index = {v: k for k, v in enumerate(members)}
+    # a head's own field reads 1, not 0: odd, it is no 2 d(p, a),
     # and nonzero, so d(p, a) plus it is no d(a, p); p never pairs with itself
-    packed = [(index[p], pack(p) | 1 << w * index[p]) for p in reps]
-    for q, a in enumerate(ms):
+    packed = [(index[p], pack(p) | 1 << w * index[p]) for p in heads]
+    for q, a in enumerate(members):
         s = w * (q + 1)
-        later = pack(a) >> s  # d(a, ms[k]) for k > q
+        later = pack(a) >> s  # d(a, members[k]) for k > q
         for p, row in packed:
             if p != q and _collinear_fields(row >> s, later, (row >> w * q & field) * ones,
                                             low, high):
@@ -317,23 +321,19 @@ def check_walk(g: Graph, seq, closed: bool) -> None:
 
 
 def walk_violation(dm: DistanceMatrix, seq, closed: bool) -> tuple[int, int] | None:
-    """The first vertex pair, by (smaller id, larger id), off its walk distance.
+    """The first pair along the walk, as (smaller id, larger id), off its walk distance.
 
-    Two vertices k steps apart along the walk are min(k, L - k) apart
-    round a cycle of length L (closed) and k apart on a path (open); the
-    walk is isometric when every pair realizes that graph distance, and
-    then the result is None.  seq must be a walk of the graph dm was
-    built from (see check_walk).
+    Vertices k steps apart are k apart on a path (open) and min(k, L - k)
+    round a cycle of length L (closed); the walk is isometric, and the
+    result None, when every pair is.  It is iff d(seq[0], seq[k]) == k on
+    a path and d(seq[i], seq[i + h]) == h round a cycle, h = L // 2 and
+    indices mod L: seq[i], seq[j] closer than j - i (<= h round a cycle)
+    bring seq[0] closer than j to seq[j], and seq[i] closer than h to
+    seq[i + h].  seq must be a walk of the graph dm was built from.
     """
     L = len(seq)
-    # along[k - 1] is the walk distance of two vertices k steps apart
-    along = [min(k, L - k) for k in range(1, L)] if closed else range(1, L)
-    worst = None
-    for i, u in enumerate(seq):
-        row, a = dm.source(u)
-        for v, d in zip(seq[i + 1:], along):
-            if row[v ^ a] != d:
-                pair = (u, v) if u < v else (v, u)
-                if worst is None or pair < worst:
-                    worst = pair
-    return worst
+    for k, v in enumerate(seq):  # v against the vertex half a cycle ahead, or seq[0] against v
+        u, w, d = (v, seq[(k + L // 2) % L], L // 2) if closed else (seq[0], v, k)
+        if dm.dist(u, w) != d:
+            return (u, w) if u < w else (w, u)
+    return None

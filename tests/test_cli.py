@@ -473,6 +473,14 @@ def test_graph_ref_must_match_the_graph(capsys, tmp_path):
         assert code == 2, argv
         assert doc["kind"] == "GraphParseError"
         assert all(ref in doc["error"] for ref in refs), doc["error"]
+    # a claim names content, not the tag: BF(3)'s edges tagged custom accept both files
+    custom = tmp_path / "custom3.json"
+    custom.write_text(json.dumps({"family": "custom", "num_vertices": graphs.build_butterfly(3).n,
+                                  "edges": json.loads(bf3.read_text())["edges"]}))
+    for argv in (("gpset", "verify", "--graph", str(custom), "--set", str(gpset)),
+                 ("cover", "verify", "--graph", str(custom), "--cover", str(cover))):
+        code, doc = run_cli(capsys, *argv, "--quiet")
+        assert code == 0, (argv, doc)
     # a claim that is not a string is refused; an empty or absent one claims nothing
     bad = tmp_path / "bad.json"
     ids = json.loads(gpset.read_text())["ids"]

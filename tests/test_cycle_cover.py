@@ -31,7 +31,7 @@ from bfgp.errors import (
     UnverifiedCoverError,
 )
 from bfgp.genpos import max_general_position
-from bfgp.geodesy import all_pairs_distances
+from bfgp.geodesy import all_pairs_distances, walk_violation
 from bfgp.graphs import (
     ButterflyLabel,
     Graph,
@@ -68,6 +68,15 @@ def test_constructed_covers_verify(r):
     assert all(len(c) == 4 * r for c in cover.cycles)
     report = verify_bf_cover(g, dm, cover)
     assert report.passes, report.first_failure
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_closed_form_cycles_are_isometric_from_every_start(r):
+    dm = all_pairs_distances(build_butterfly(r))
+    for cycle in construct_bf_cycle_cover(r).cycles:
+        for seq in (cycle, cycle[::-1]):
+            for k in range(len(seq)):
+                assert walk_violation(dm, seq[k:] + seq[:k], True) is None, (r, seq, k)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])

@@ -368,6 +368,24 @@ def test_greedy_matches_pairwise_scan(seed):
     assert greedy_gp_lower_bound(g, dm).members == tuple(sorted(chosen))
 
 
+def _greedy_by_full_scan(g, dm, pool):
+    # the rule the greedy replaced: scan every triple of [v, *chosen]
+    chosen = []
+    for v in sorted(pool, key=lambda v: (g.degree(v), v)):
+        if next(iter_collinear(dm, [v, *chosen]), None) is None:
+            chosen.append(v)
+    return tuple(sorted(chosen))
+
+
+@pytest.mark.parametrize("name,g", [(f"BF({r})", build_butterfly(r)) for r in range(2, 6)]
+                         + named_corpus())
+def test_greedy_matches_the_full_scan_rule(name, g):
+    dm = all_pairs_distances(g)
+    for pool in (range(g.n), _deg2(g)):
+        expected = _greedy_by_full_scan(g, dm, pool)
+        assert greedy_gp_lower_bound(g, dm, pool=list(pool)).members == expected, name
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 10_000))
 def test_greedy_is_verified_and_below_optimum(seed):

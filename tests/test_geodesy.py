@@ -29,6 +29,7 @@ from bfgp.geodesy import (
     all_pairs_distances,
     bfs_distances,
     check_walk,
+    collinear_through,
     first_collinear,
     is_collinear_triple,
     is_connected,
@@ -295,6 +296,32 @@ def test_first_violating_pair_is_lexicographic():
     assert walk_violation(dm, [0, 1, 2, 3, 4, 5], True) == (0, 3)
 
 
+def all_pairs_walk_violations(dm, seq, closed):
+    """Every pair, as (smaller id, larger id), off its walk distance, by the
+    definition: all L(L - 1)/2 pairs of the walk, k steps apart along it
+    being k apart on a path and min(k, L - k) apart round a cycle."""
+    L = len(seq)
+    off = set()
+    for i, j in combinations(range(L), 2):
+        along = min(j - i, L - j + i) if closed else j - i
+        if dm.dist(seq[i], seq[j]) != along:
+            off.add((min(seq[i], seq[j]), max(seq[i], seq[j])))
+    return off
+
+
+def test_violating_pair_is_first_along_the_walk():
+    # C_8 with chord 1-5 walked from 2: 2 and 6, half the cycle apart, are 3
+    # apart through the chord, and are named before the smaller off pair (0, 4)
+    g = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(1, 5)])
+    dm = all_pairs_distances(g)
+    seq = [2, 3, 4, 5, 6, 7, 0, 1]
+    check_walk(g, seq, True)
+    assert walk_violation(dm, seq, True) == (2, 6)
+    assert min(all_pairs_walk_violations(dm, seq, True)) == (0, 4)
+    # on a path the first vertex is read against each later one: 2 and 5
+    assert walk_violation(dm, [2, 3, 4, 5], False) == (2, 5)
+
+
 def test_invalid_cycles():
     g = build_cycle(6)
     with pytest.raises(InvalidCycleError):
@@ -365,6 +392,22 @@ def test_open_walk_violation_matches_endpoint_rule(n, seed):
         assert (walk_violation(dm, path, False) is None) == expected, path
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.integers(0, 10_000))
+def test_walk_violation_matches_all_pairs_oracle(n, seed):
+    # every simple path of the graph, and every simple cycle, in each rotation
+    # and direction: the verdict is the definition's, and a named pair is off
+    g = random_connected_graph(n, 0.45, seed)
+    dm = all_pairs_distances(g)
+    for path in _simple_paths(g):
+        closes = len(path) >= 3 and path[0] in g.adj[path[-1]]
+        for closed in (False, True) if closes else (False,):
+            off = all_pairs_walk_violations(dm, path, closed)
+            pair = walk_violation(dm, path, closed)
+            assert (pair is None) == (not off), (path, closed)
+            assert pair is None or pair in off, (path, closed, pair)
+
+
 def test_isometric_cycle_subpaths_are_geodesics(bf2):
     # contiguous arcs of at most half the cycle stay shortest
     g, dm = bf2
@@ -376,3 +419,22 @@ def test_isometric_cycle_subpaths_are_geodesics(bf2):
         for length in range(1, L // 2 + 1):
             sub = [cycle[(start + k) % L] for k in range(length + 1)]
             assert walk_violation(dm, sub, False) is None
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.data())
+def test_collinear_through_matches_the_full_scan(seed, data):
+    g = random_connected_graph(8, 0.4, seed)
+    dm = all_pairs_distances(g)
+    ms = data.draw(st.lists(st.integers(0, 7), unique=True))
+    heads = data.draw(st.lists(st.sampled_from(ms), unique=True)) if ms else []
+    expected = any(set(t) & set(heads) for t in iter_collinear(dm, ms))
+    assert collinear_through(dm, ms, heads) == expected, (ms, heads)
+
+
+def test_collinear_through_needs_three_members():
+    # two unreachable members would read UNREACHABLE if they were packed
+    disc = Graph(4, [(0, 1), (2, 3)])
+    dm = all_pairs_distances(disc)
+    assert collinear_through(dm, [0, 2], (0,)) is False
+    assert collinear_through(dm, [], ()) is False

@@ -21,8 +21,10 @@ the other two, is tested in bulk by `_collinear_fields`: a member's
 distances to all members are the fields of one Python int, 8 bits wide
 on BF(r) and 16 on a table graph, so that a sum of two distances stays
 below each field's guard bit, and one member pair is tested against
-every later member in a dozen big-int operations.  `iter_collinear`
-yields the triples so found in combinations order.
+every later member in a dozen big-int operations.  One scan, `_scan`,
+runs it, yielding in combinations order the triples whose first member
+is among the `lead` members listed first: `iter_collinear` leads with
+every member, `collinear_through` with its heads, distinct members.
 
 `first_collinear` decides general position with the set's symmetry.
 On BF(r), `row_xor_stabilizer` finds the group H of row-XOR constants
@@ -160,31 +162,10 @@ def iter_collinear(dm: DistanceMatrix, members):
     A triple is collinear when one of its vertices lies on a geodesic of
     the other two.  Members must have passed `checked_members`, since an
     out-of-range, repeated or unreachable vertex would corrupt the sums.
-    For each pair (x, y) one `_collinear_fields` call tests every later
-    member z at once, and its set bits come out in ascending order of z.
+    This is `_scan` led by every member.
     """
     ms = list(members)
-    if len(ms) < 3:
-        return  # before packing: two unreachable members read UNREACHABLE
-    pack, w, ones, low, high = _field_layout(dm, ms)
-    field = (1 << w) - 1
-    # rows[k] = pack(ms[k]), packed when the scan first reaches ms[k], so
-    # an early violation packs only the rows it needs
-    rows: list[int] = []
-    for i, x in enumerate(ms):
-        if i == len(rows):
-            rows.append(pack(x))
-        rest = rows[i] >> w * (i + 1)  # d(x, ms[k]) for k > i, then k > j
-        for j in range(i + 1, len(ms)):
-            if j == len(rows):
-                rows.append(pack(ms[j]))
-            dxy = rest & field
-            rest >>= w
-            hits = _collinear_fields(rest, rows[j] >> w * (j + 1), dxy * ones, low, high)
-            while hits:
-                bit = hits & -hits
-                yield (x, ms[j], ms[j + bit.bit_length() // w])
-                hits ^= bit
+    return _scan(dm, ms, len(ms))
 
 
 def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
@@ -237,43 +218,56 @@ def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
 
 
 def collinear_through(dm: DistanceMatrix, members: list[int], heads) -> bool:
-    """True iff a collinear triple of members (checked, see iter_collinear) holds one of heads."""
-    if len(members) < 3:
-        return False  # before packing, as in iter_collinear
-    pack, w, ones, low, high = _field_layout(dm, members)
-    field = (1 << w) - 1
-    index = {v: k for k, v in enumerate(members)}
-    # a head's own field reads 1, not 0: odd, it is no 2 d(p, a),
-    # and nonzero, so d(p, a) plus it is no d(a, p); p never pairs with itself
-    packed = [(index[p], pack(p) | 1 << w * index[p]) for p in heads]
-    for q, a in enumerate(members):
-        s = w * (q + 1)
-        later = pack(a) >> s  # d(a, members[k]) for k > q
-        for p, row in packed:
-            if p != q and _collinear_fields(row >> s, later, (row >> w * q & field) * ones,
-                                            low, high):
-                return True
-    return False
+    """True iff a collinear triple of members (checked, see iter_collinear) holds one of heads.
 
-
-def _field_layout(dm: DistanceMatrix, ms: list[int]):
-    """(pack, w, ones, low, high): distances to ms as the w-bit fields of one int.
-
-    pack(u) holds d(u, ms[k]) in bits w*k to w*k + w - 1; ones, low and
-    high hold 1, 2^(w-1) - 1 and 2^(w-1) in every field.  Fields are 8
-    bits when twice `dm.bound` is below 2^7, else 16, so a sum of two
-    distances stays below a field's top bit, its guard, and no fieldwise
-    sum carries into the next field.
+    Heads must be members.  They lead the scan, each once, and the other
+    members follow, so every triple holding a head starts with one: a
+    head listed twice would meet itself at distance 0, so repeats go.
     """
+    lead = dict.fromkeys(heads)
+    return any(_scan(dm, [*lead, *(v for v in members if v not in lead)], len(lead)))
+
+
+def _scan(dm: DistanceMatrix, ms: list[int], lead: int):
+    """Yield the collinear triples of ms whose first member is one of ms[:lead], in combinations order.
+
+    ms must be distinct members (checked, see iter_collinear).  A row
+    packs d(u, ms[k]) as the w-bit field k of one int: 8 bits when twice
+    `dm.bound` is below 2^7, else 16, so a sum of two distances stays
+    below a field's top bit, its guard, and no fieldwise sum carries into
+    the next field.  For each pair (ms[i], ms[j]), i < lead, one
+    `_collinear_fields` call tests every later member at once, and its
+    set bits come out in ascending order of k.
+    """
+    if len(ms) < 3:
+        return  # before packing: two unreachable members read UNREACHABLE
     fmt = struct.Struct(f"<{len(ms)}{'B' if 2 * dm.bound < 1 << 7 else 'H'}")
     w = 8 * fmt.size // len(ms)
+    field = (1 << w) - 1
+    ones = int.from_bytes(fmt.pack(*[1] * len(ms)), "little")
+    low, high = ones * (field >> 1), ones << (w - 1)
 
     def pack(u: int) -> int:
         row, a = dm.source(u)
         return int.from_bytes(fmt.pack(*[row[v ^ a] for v in ms]), "little")
 
-    ones = int.from_bytes(fmt.pack(*[1] * len(ms)), "little")
-    return pack, w, ones, ones * ((1 << (w - 1)) - 1), ones << (w - 1)
+    # rows[k] = pack(ms[k]), packed when the scan first reaches ms[k], so
+    # an early violation packs only the rows it needs
+    rows: list[int] = []
+    for i in range(lead):
+        if i == len(rows):
+            rows.append(pack(ms[i]))
+        rest = rows[i] >> w * (i + 1)  # d(ms[i], ms[k]) for k > i, then k > j
+        for j in range(i + 1, len(ms)):
+            if j == len(rows):
+                rows.append(pack(ms[j]))
+            dxy = rest & field
+            rest >>= w
+            hits = _collinear_fields(rest, rows[j] >> w * (j + 1), dxy * ones, low, high)
+            while hits:
+                bit = hits & -hits
+                yield (ms[i], ms[j], ms[j + bit.bit_length() // w])
+                hits ^= bit
 
 
 def _collinear_fields(x: int, y: int, xy: int, low: int, high: int) -> int:

@@ -140,6 +140,13 @@ def test_kernel_matches_plain_triple_loop(case):
     expected = _plain_collinear(g, ms)
     assert list(iter_collinear(dm, ms)) == expected, name
     assert first_collinear(dm, ms) == next(iter(expected), None), name
+    # heads among all members, then among a few, where many heads are in no triple
+    rng = random.Random(name)
+    for size in [len(ms)] * 10 + [rng.randint(3, 8) for _ in range(10)]:
+        sub = [ms[k] for k in sorted(rng.sample(range(len(ms)), size))]
+        heads = [rng.choice(sub) for _ in range(rng.randint(1, 3))]  # repeats allowed
+        through = any(set(t) <= set(sub) and set(t) & set(heads) for t in expected)
+        assert collinear_through(dm, sub, heads) == through, (name, sub, heads)
 
 
 @pytest.mark.parametrize("r", range(2, 9))
@@ -290,10 +297,12 @@ def test_isometric_cycle_chord_violation():
     assert walk_violation(dm, [0, 1, 2, 3, 4, 5], True) == (0, 3)
 
 
-def test_first_violating_pair_is_lexicographic():
+def test_first_violating_pair_follows_the_walk():
     g = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4)])
     dm = all_pairs_distances(g)
     assert walk_violation(dm, [0, 1, 2, 3, 4, 5], True) == (0, 3)
+    # walked from 1, the chord (1, 4) is read first, though (0, 3) is the smaller off pair
+    assert walk_violation(dm, [1, 2, 3, 4, 5, 0], True) == (1, 4)
 
 
 def all_pairs_walk_violations(dm, seq, closed):
@@ -427,7 +436,7 @@ def test_collinear_through_matches_the_full_scan(seed, data):
     g = random_connected_graph(8, 0.4, seed)
     dm = all_pairs_distances(g)
     ms = data.draw(st.lists(st.integers(0, 7), unique=True))
-    heads = data.draw(st.lists(st.sampled_from(ms), unique=True)) if ms else []
+    heads = data.draw(st.lists(st.sampled_from(ms))) if ms else []
     expected = any(set(t) & set(heads) for t in iter_collinear(dm, ms))
     assert collinear_through(dm, ms, heads) == expected, (ms, heads)
 
@@ -438,3 +447,11 @@ def test_collinear_through_needs_three_members():
     dm = all_pairs_distances(disc)
     assert collinear_through(dm, [0, 2], (0,)) is False
     assert collinear_through(dm, [], ()) is False
+
+
+def test_collinear_through_counts_a_repeated_head_once():
+    # scanned twice, a head would be two members at distance 0, and collinear
+    dm = all_pairs_distances(build_butterfly(3))
+    s = list(construct_butterfly_gp_set(3).members)
+    assert collinear_through(dm, s, (s[0], s[0])) is False
+    assert collinear_through(dm, s, s + s) is False

@@ -10,7 +10,9 @@ and only `graphs.py` may read the canonical butterfly edge list, so one
 module decides whether a graph is BF(r); the modules that compute read
 that answer, `Graph.butterfly_r`, and never the family tag.  Only
 `geodesy.py` reads a distance matrix's rows and row-XOR encoding, so
-the symmetry it draws from them stays behind its functions.
+the symmetry it draws from them stays behind its functions, and one
+function there runs the packed collinearity kernel, so every collinearity
+answer comes from one scan.
 """
 
 import ast
@@ -114,3 +116,9 @@ def test_only_geodesy_reads_the_distance_rows(name):
     read = sorted({node.attr for node in ast.walk(TREES[name]) if isinstance(node, ast.Attribute)
                    and node.attr in ("rows", "shift", "mask", "source")})
     assert not read, f"{name} reads the distance matrix through {read}"
+
+
+def test_one_scan_runs_the_collinearity_kernel():
+    callers = [node.name for node in TREES["geodesy.py"].body if isinstance(node, ast.FunctionDef)
+               and "_collinear_fields" in _used_names(node)]
+    assert len(callers) == 1, callers

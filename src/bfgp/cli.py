@@ -125,6 +125,14 @@ def _summarize(result: dict) -> dict:
     return {k: result[k] for k in keep if k in result}
 
 
+# generate's families: the builder and the one flag that sizes it
+_GENERATE = {
+    "butterfly": (graphs.build_butterfly, "r"),
+    "cycle": (graphs.build_cycle, "n"),
+    "path": (graphs.build_path, "n"),
+}
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output file path")
     p.add_argument("--manifest", help="write the run manifest to this path")
@@ -133,7 +141,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 def _add_budget(p: argparse.ArgumentParser) -> None:
     """The budget flag, for the subcommands that run a search."""
-    p.add_argument("--node-budget", type=int, default=None,
+    p.add_argument("--node-budget", type=int, default=DEFAULT_SOLVER_NODES,
                    help="deterministic search node limit")
 
 
@@ -143,9 +151,10 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a graph file")
-    p.add_argument("family", choices=["butterfly", "cycle", "path"])
-    p.add_argument("--r", type=int, help="butterfly dimension")
-    p.add_argument("--n", type=int, help="cycle/path order")
+    p.add_argument("family", choices=list(_GENERATE))
+    param = p.add_mutually_exclusive_group()
+    param.add_argument("--r", type=int, help="butterfly dimension")
+    param.add_argument("--n", type=int, help="cycle/path order")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     _add_common(p)
 
@@ -162,8 +171,9 @@ def build_parser() -> _Parser:
     _add_common(q)
 
     q = gsub.add_parser("max", help="exact maximum general position set")
-    q.add_argument("--graph")
-    q.add_argument("--r", type=int, help="solve on BF(r) without a graph file")
+    source = q.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph")
+    source.add_argument("--r", type=int, help="solve on BF(r) without a graph file")
     q.add_argument("--pool", default="all",
                    help="'all', 'deg2', or 'file:PATH' with a vertex-set JSON")
     _add_common(q)
@@ -210,34 +220,12 @@ def _read_claim(run: Run, path: str, g: graphs.Graph, from_dict):
     return obj
 
 
-def _graph_for(run: Run) -> graphs.Graph:
-    args = run.args
-    if getattr(args, "graph", None):
-        return _load_graph(run, args.graph)
-    if getattr(args, "r", None) is not None:
-        return graphs.build_butterfly(args.r)
-    raise _UsageError("either --graph or --r is required")
-
-
-def _solver_budget(args) -> Budget:
-    nodes = args.node_budget if args.node_budget is not None else DEFAULT_SOLVER_NODES
-    return Budget(node_limit=nodes)
-
-
 def cmd_generate(run: Run) -> int:
     args = run.args
-    if args.family == "butterfly":
-        if args.r is None:
-            raise _UsageError("butterfly needs --r")
-        g = graphs.build_butterfly(args.r)
-    elif args.family == "cycle":
-        if args.n is None:
-            raise _UsageError("cycle needs --n")
-        g = graphs.build_cycle(args.n)
-    else:
-        if args.n is None:
-            raise _UsageError("path needs --n")
-        g = graphs.build_path(args.n)
+    build, flag = _GENERATE[args.family]
+    if getattr(args, flag) is None:
+        raise _UsageError(f"{args.family} needs --{flag}")
+    g = build(getattr(args, flag))
     result = {
         "command": "generate",
         "family": g.family,
@@ -300,11 +288,11 @@ def _resolve_pool(run: Run, g: graphs.Graph):
 
 def cmd_gpset_max(run: Run) -> int:
     args = run.args
-    g = _graph_for(run)
+    g = _load_graph(run, args.graph) if args.r is None else graphs.build_butterfly(args.r)
     pool, pool_desc = _resolve_pool(run, g)
     dm = geodesy.all_pairs_distances(g)
     res = genpos.max_general_position(g, dm, pool=pool,
-                                      budget=_solver_budget(args))
+                                      budget=Budget(node_limit=args.node_budget))
     doc = {
         "command": "gpset-max",
         "graph_ref": g.ref(),
@@ -423,7 +411,7 @@ def cmd_report(run: Run) -> int:
             row["gp_upper_bound"] = cc.gp_upper_bounds(cover, report)["from_ic"]
         if r <= args.exact_max_r:
             res = genpos.max_general_position(
-                g, dm, budget=_solver_budget(args))
+                g, dm, budget=Budget(node_limit=args.node_budget))
             row["gp_exact"] = res.size
             row["exact_optimal"] = res.optimal
         rows.append(row)

@@ -10,6 +10,7 @@ import pytest
 import bfgp
 from bfgp import cycle_cover as cc
 from bfgp import cli, genpos, geodesy, graphs
+from bfgp.budget import DEFAULT_SOLVER_NODES
 from bfgp.cli import main
 from bfgp.graph_io import export_graph
 from bfgp.graphs import build_path
@@ -46,7 +47,15 @@ def test_generate_rejects_bad_params(capsys):
     assert code == 2
     assert "error" in doc
     code, doc = run_cli(capsys, "generate", "butterfly", "--quiet")
-    assert code == 2
+    assert code == 2 and doc["error"] == "butterfly needs --r"
+    code, doc = run_cli(capsys, "generate", "path", "--quiet")
+    assert code == 2 and doc["error"] == "path needs --n"
+    # each family takes its own flag only; the other one is not dropped silently
+    for argv in (("butterfly", "--r", "3", "--n", "7"), ("cycle", "--n", "5", "--r", "3"),
+                 ("path", "--n", "4", "--r", "9")):
+        code, doc = run_cli(capsys, "generate", *argv, "--quiet")
+        assert code == 2 and doc["kind"] == "usage"
+        assert "not allowed with" in doc["error"]
 
 
 def test_generate_dot(capsys):
@@ -540,6 +549,7 @@ def test_manifest_written_to_explicit_path(capsys, tmp_path):
     assert code == 0
     doc = json.loads(manifest.read_text())
     assert doc["result_summary"]["size"] == 5
+    assert doc["node_budget"] == DEFAULT_SOLVER_NODES
     assert "seed" not in doc
     assert "elapsed_s" in doc
 
@@ -550,7 +560,13 @@ def test_missing_required_args(capsys):
     assert doc["kind"] == "usage"
 
 
-def test_gpset_max_needs_graph_or_r(capsys):
+def test_gpset_max_needs_graph_or_r(capsys, tmp_path):
     code, doc = run_cli(capsys, "gpset", "max", "--quiet")
     assert code == 2
     assert doc["kind"] == "usage"
+    graph = tmp_path / "bf3.json"
+    graph.write_bytes(export_graph(graphs.build_butterfly(3)))
+    code, doc = run_cli(capsys, "gpset", "max", "--r", "5", "--graph", str(graph), "--quiet")
+    assert code == 2
+    assert doc["kind"] == "usage"
+    assert "not allowed with" in doc["error"]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -112,15 +113,36 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(InvalidParameterError):
         Graph(3, [(0, 5)])
+    # pairs are checked in input order, range first, then self-loop
+    with pytest.raises(InvalidParameterError, match=r"edge \(4, 0\) out of range"):
+        Graph(3, [(1, 2), (4, 0), (1, 1), (0, 5)])
+    with pytest.raises(InvalidParameterError, match="self-loop at vertex 1"):
+        Graph(3, [(1, 2), (1, 1), (0, 5), (2, 2)])
+    with pytest.raises(InvalidParameterError, match="out of range"):
+        Graph(3, [(5, 5)])
+    # a duplicate names the smallest repeated edge, whatever the input order
+    with pytest.raises(InvalidParameterError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(4, [(2, 3), (0, 1), (3, 2), (1, 0)])
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000))
 def test_edge_order_does_not_matter(seed):
     g = random_connected_graph(9, 0.4, seed)
-    # the sorted tuple is taken as it is; reversed pairs or lists are normalised
-    assert Graph(g.n, g.edges).edges == g.edges
-    assert Graph(g.n, [[v, u] for u, v in reversed(g.edges)]).edges == g.edges
+    adj = tuple(tuple(sorted(w for e in g.edges if v in e for w in e if w != v))
+                for v in range(g.n))
+    shuffled = list(g.edges)
+    random.Random(seed).shuffle(shuffled)
+    # sorted tuples, reversed list pairs, a shuffled generator of half-reversed
+    # pairs and shuffled list pairs give the same edges and adjacency
+    for edges in (g.edges, [[v, u] for u, v in reversed(g.edges)],
+                  ((v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(shuffled)),
+                  [list(e) for e in shuffled]):
+        h = Graph(g.n, edges)
+        assert h.edges == g.edges
+        assert h.adj == adj
+    # an oriented tuple is kept, not copied
+    assert all(a is b for a, b in zip(Graph(g.n, g.edges).edges, g.edges))
     # sorted input that repeats an edge, or leaves the range, meets the same checks
     for bad, message in ((g.edges + g.edges[-1:], "duplicate edge"),
                          (g.edges + ((g.n - 1, g.n),), "out of range")):

@@ -11,11 +11,16 @@ combinations order; geodesy may use the set's row-XOR symmetry on BF(r)
 to accept it, but a violation is always named by the full scan.  Finding
 a maximum set is equivalent to a maximum independent set in the
 3-uniform hypergraph whose hyperedges are the collinear triples, which
-is what the branch-and-bound solver below works on; it keeps its pending
-branches on its own stack, so its depth is not bounded by Python's
-recursion limit, and it refuses a pool with more than MAX_SEARCH_TRIPLES
-collinear triples.  Everything is deterministic: ties break on smallest
-vertex id, and nothing reads a clock or a random source.
+is what the branch-and-bound solver below works on.  It numbers the
+triples once and keeps its triple state as integer bitsets over those
+numbers (the triples still alive, the triples through a chosen vertex,
+and per vertex the triples through it), so a node costs a few
+word-parallel operations per pool vertex, not scans of a triple list.
+It keeps its pending branches on its own stack, so its depth is not
+bounded by Python's recursion limit, and it refuses a pool with more
+than MAX_SEARCH_TRIPLES collinear triples.  Everything is deterministic:
+ties break on smallest vertex id, and nothing reads a clock or a random
+source.
 """
 
 from __future__ import annotations
@@ -138,90 +143,129 @@ def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, pool=None) -> VertexSet:
 def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
-    A node is (chosen, free) vertex masks plus the list of still-active
-    triple masks (all members chosen or free).  A triple with two chosen
-    members forces exclusion of the third; free vertices in no active
-    triple are always safe to take.  The bound is |chosen| + |free| minus
-    a greedy packing of disjoint constraint free-parts (pairs before
-    triples), since each packed constraint forces at least one exclusion.
-    Branching: include-first on the free vertex hitting the most active
-    triples, smallest id on ties.  The warm set is the first incumbent,
-    and only a strictly larger set replaces it.
+    Vertices are bits of pool index.  Triples are bits of a second kind
+    of mask: triple t of the T `triples` is bit T - 1 - t, so the first
+    triple in list order is the highest bit and `bit_length` finds it.
+    inc[i] holds the triples through pool vertex i, and pair[i][j] the
+    third members c of every collinear (i, j, c).  A stack entry is
+    (chosen, free, active, touch, last): vertex masks, the triples whose
+    members are all chosen or free, the triples through a chosen vertex,
+    and the vertex the include branch just took (-1 after an exclude).
+    A triple with two chosen members forces exclusion of the third, and
+    only a pair with `last` can be new; free vertices in no active triple
+    are always safe to take.  The bound is |chosen| + |free| minus a
+    greedy packing of disjoint constraint free-parts (the pairs, active &
+    touch, before the triples, each in list order), since each packed
+    constraint forces at least one exclusion.  Branching: include-first
+    on the free vertex in the most active triples, smallest id on ties.
+    The warm set is the first incumbent, and only a strictly larger set
+    replaces it.
 
     Returns (best members, nodes explored, stopped); stopped means the
     node limit cut the search short, so the members may not be optimal.
     """
+    k = len(pool)
     index = {v: i for i, v in enumerate(pool)}
     best_mask = sum(1 << index[v] for v in warm)
-    tmasks = [(1 << index[a]) | (1 << index[b]) | (1 << index[c]) for a, b, c in triples]
+    best = best_mask.bit_count()
+    top = len(triples) - 1
+    # one pass over the triples: bytes per vertex, not ints that grow bit by bit
+    rows = [bytearray((top >> 3) + 1) for _ in range(k)]
+    pair = [[0] * k for _ in range(k)]
+    for t, (a, b, c) in enumerate(triples):
+        i, j, h = index[a], index[b], index[c]
+        pos = top - t
+        byte, mask = pos >> 3, 1 << (pos & 7)
+        rows[i][byte] |= mask
+        rows[j][byte] |= mask
+        rows[h][byte] |= mask
+        pair[i][j] |= 1 << h
+        pair[i][h] |= 1 << j
+        pair[j][h] |= 1 << i
+    for i in range(k):
+        for j in range(i):
+            pair[i][j] = pair[j][i] = pair[i][j] | pair[j][i]
+    inc = [0] * k
+    for i in range(k):  # free each row as soon as it is converted
+        inc[i], rows[i] = int.from_bytes(rows[i], "little"), None
     # pending branches, last in first out: exclude is pushed before include,
     # so include is explored first
-    stack = [(0, (1 << len(pool)) - 1, tmasks)]
+    stack = [(0, (1 << k) - 1, (1 << (top + 1)) - 1, 0, -1)]
     nodes = 0
     while stack:
-        chosen, free, active = stack.pop()
+        chosen, free, active, touch, last = stack.pop()
         nodes += 1
         if nodes > node_limit:
             break
 
-        # propagate: drop dead triples, exclude third members of 2-chosen triples;
-        # after it every active triple has two free members, and a branch chooses one vertex
-        while True:
-            alive = chosen | free
-            nact = []
+        # propagate: exclude the third member of each triple through last and
+        # another chosen vertex; then every active triple has two free members
+        if last >= 0:
+            row = pair[last]
             forced = 0
-            for t in active:
-                if t & alive == t:
-                    fp = t & free
-                    if fp & (fp - 1) == 0:
-                        forced |= fp
-                    else:
-                        nact.append(t)
-            active = nact
-            if not forced:
-                break
-            free &= ~forced
-
-        # greedy packing bound on forced exclusions, pairs first, then triples;
-        # free vertices outside every active triple are always safe to take
-        constrained = 0
-        used = 0
-        packed = 0
-        trips = []
-        for t in active:
-            fp = t & free
-            constrained |= fp
-            if fp.bit_count() == 2:
-                if fp & used == 0:
-                    packed += 1
-                    used |= fp
-            else:
-                trips.append(fp)
-        for fp in trips:
-            if fp & used == 0:
-                packed += 1
-                used |= fp
-        chosen |= free & ~constrained
-        free &= constrained
+            rest = chosen
+            while rest:
+                low = rest & -rest
+                forced |= row[low.bit_length() - 1]
+                rest ^= low
+            forced &= free
+            free ^= forced
+            while forced:
+                low = forced & -forced
+                active ^= active & inc[low.bit_length() - 1]
+                forced ^= low
 
         if not active:
-            if chosen.bit_count() > best_mask.bit_count():
+            # every free vertex is safe to take
+            chosen |= free
+            if chosen.bit_count() > best:
                 best_mask = chosen
-            continue
-        if chosen.bit_count() + free.bit_count() - packed <= best_mask.bit_count():
+                best = chosen.bit_count()
             continue
 
-        # branch vertex: most active constraints, smallest id on ties
-        counts: dict[int, int] = {}
-        for t in active:
-            fp = t & free
+        # greedy packing bound on forced exclusions, pairs first, then triples;
+        # a packed constraint blocks every triple through its free members, so
+        # the first unblocked one is always the highest bit left; packing stops
+        # once the bound prunes
+        size = chosen.bit_count() + free.bit_count()
+        packed = 0
+        avail = active
+        group = active & touch
+        while size - packed > best:
+            if not group:
+                if not avail:
+                    break
+                group, avail = avail, 0  # every pair is blocked: on to the triples
+            a, b, c = triples[top + 1 - group.bit_length()]
+            fp = (1 << index[a] | 1 << index[b] | 1 << index[c]) & free
+            packed += 1
             while fp:
-                b = fp & -fp
-                counts[b] = counts.get(b, 0) + 1
-                fp ^= b
-        branch = max(counts.items(), key=lambda kv: (kv[1], -kv[0].bit_length()))[0]
-        stack.append((chosen, free & ~branch, active))
-        stack.append((chosen | branch, free & ~branch, active))
+                low = fp & -fp
+                blocked = inc[low.bit_length() - 1]
+                group ^= group & blocked
+                avail ^= avail & blocked
+                fp ^= low
+        if size - packed <= best:
+            continue
+
+        # branch vertex: most active triples, smallest id on ties; free vertices
+        # outside every active triple are always safe to take
+        constrained = 0
+        branch = most = 0
+        rest = free
+        while rest:
+            low = rest & -rest
+            hits = (active & inc[low.bit_length() - 1]).bit_count()
+            if hits:
+                constrained |= low
+                if hits > most:
+                    branch, most = low, hits
+            rest ^= low
+        chosen |= free ^ constrained
+        free = constrained ^ branch
+        i = branch.bit_length() - 1
+        stack.append((chosen, free, active ^ (active & inc[i]), touch, -1))
+        stack.append((chosen | branch, free, active, touch | inc[i], i))
 
     members = tuple(sorted(v for i, v in enumerate(pool) if best_mask >> i & 1))
     return members, nodes, nodes > node_limit

@@ -79,8 +79,12 @@ class Graph:
             raise InvalidParameterError(f"family parameter {family_param!r} is not an integer")
         pairs = []
         for e in edges:
-            u, v = e
-            if not (0 <= u < n and 0 <= v < n):
+            try:
+                u, v = e
+                in_range = 0 <= u < n and 0 <= v < n
+            except (TypeError, ValueError):
+                raise InvalidParameterError(f"edge {e!r} is not a pair of vertex ids") from None
+            if not in_range:
                 raise InvalidParameterError(f"edge {e} out of range for n={n}")
             if u < v:
                 # an oriented tuple is kept, not copied, to spare BF(14)'s

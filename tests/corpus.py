@@ -147,3 +147,97 @@ def on_some_geodesic(g: Graph, x: int, y: int, z: int) -> bool:
 def oracle_collinear(g: Graph, x: int, y: int, z: int) -> bool:
     return (on_some_geodesic(g, x, y, z) or on_some_geodesic(g, y, x, z)
             or on_some_geodesic(g, x, z, y))
+
+
+# The search kernel as it was before it kept its triple state in bitsets,
+# kept verbatim: the bitset kernel must walk the very same tree.
+def list_scan_branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
+    """Bitmask branch and bound over one pool, on an explicit stack.
+
+    A node is (chosen, free) vertex masks plus the list of still-active
+    triple masks (all members chosen or free).  A triple with two chosen
+    members forces exclusion of the third; free vertices in no active
+    triple are always safe to take.  The bound is |chosen| + |free| minus
+    a greedy packing of disjoint constraint free-parts (pairs before
+    triples), since each packed constraint forces at least one exclusion.
+    Branching: include-first on the free vertex hitting the most active
+    triples, smallest id on ties.  The warm set is the first incumbent,
+    and only a strictly larger set replaces it.
+
+    Returns (best members, nodes explored, stopped); stopped means the
+    node limit cut the search short, so the members may not be optimal.
+    """
+    index = {v: i for i, v in enumerate(pool)}
+    best_mask = sum(1 << index[v] for v in warm)
+    tmasks = [(1 << index[a]) | (1 << index[b]) | (1 << index[c]) for a, b, c in triples]
+    # pending branches, last in first out: exclude is pushed before include,
+    # so include is explored first
+    stack = [(0, (1 << len(pool)) - 1, tmasks)]
+    nodes = 0
+    while stack:
+        chosen, free, active = stack.pop()
+        nodes += 1
+        if nodes > node_limit:
+            break
+
+        # propagate: drop dead triples, exclude third members of 2-chosen triples;
+        # after it every active triple has two free members, and a branch chooses one vertex
+        while True:
+            alive = chosen | free
+            nact = []
+            forced = 0
+            for t in active:
+                if t & alive == t:
+                    fp = t & free
+                    if fp & (fp - 1) == 0:
+                        forced |= fp
+                    else:
+                        nact.append(t)
+            active = nact
+            if not forced:
+                break
+            free &= ~forced
+
+        # greedy packing bound on forced exclusions, pairs first, then triples;
+        # free vertices outside every active triple are always safe to take
+        constrained = 0
+        used = 0
+        packed = 0
+        trips = []
+        for t in active:
+            fp = t & free
+            constrained |= fp
+            if fp.bit_count() == 2:
+                if fp & used == 0:
+                    packed += 1
+                    used |= fp
+            else:
+                trips.append(fp)
+        for fp in trips:
+            if fp & used == 0:
+                packed += 1
+                used |= fp
+        chosen |= free & ~constrained
+        free &= constrained
+
+        if not active:
+            if chosen.bit_count() > best_mask.bit_count():
+                best_mask = chosen
+            continue
+        if chosen.bit_count() + free.bit_count() - packed <= best_mask.bit_count():
+            continue
+
+        # branch vertex: most active constraints, smallest id on ties
+        counts: dict[int, int] = {}
+        for t in active:
+            fp = t & free
+            while fp:
+                b = fp & -fp
+                counts[b] = counts.get(b, 0) + 1
+                fp ^= b
+        branch = max(counts.items(), key=lambda kv: (kv[1], -kv[0].bit_length()))[0]
+        stack.append((chosen, free & ~branch, active))
+        stack.append((chosen | branch, free & ~branch, active))
+
+    members = tuple(sorted(v for i, v in enumerate(pool) if best_mask >> i & 1))
+    return members, nodes, nodes > node_limit

@@ -1,4 +1,5 @@
 import inspect
+import random
 import sys
 from itertools import combinations
 
@@ -31,7 +32,12 @@ from bfgp.geodesy import (
     row_xor_stabilizer,
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
-from corpus import named_corpus, oracle_collinear, random_connected_graph
+from corpus import (
+    list_scan_branch_and_bound,
+    named_corpus,
+    oracle_collinear,
+    random_connected_graph,
+)
 
 
 def test_small_sets_are_vacuously_verified():
@@ -256,6 +262,12 @@ SEARCH_PINS = {
                    (8, True, 49, (0, 1, 2, 3, 4, 5, 6, 7))),
     "BF(4) 300 nodes": ((build_butterfly(4), None, 300),
                         (16, False, 301, tuple(range(16)))),
+    # the two searches the exact-small benchmark times
+    "BF(4) deg2": ((build_butterfly(4), _deg2, None),
+                   (16, True, 1169, tuple(range(16)))),
+    "BF(4) 1500 nodes": ((build_butterfly(4), None, 1500),
+                         (19, False, 1501, (2, 4, 6, 10, 12, 14, 16, 17, 19, 21, 23,
+                                            72, 73, 74, 75, 76, 77, 78, 79))),
     "C_30": ((build_cycle(30), None, None), (3, True, 1505, (0, 3, 17))),
     "P_30": ((build_path(30), None, None), (2, True, 811, (0, 29))),
 }
@@ -284,6 +296,40 @@ def test_search_depth_is_not_bounded_by_recursion_limit(name):
     finally:
         sys.setrecursionlimit(limit)
     assert got == SEARCH_PINS[name][1]
+
+
+def _both_kernels(g, pool, node_limit):
+    dm = all_pairs_distances(g)
+    pool_ids = tuple(sorted(pool))
+    args = (pool_ids, collinear_triples(dm, pool_ids),
+            greedy_gp_lower_bound(g, dm, pool=pool_ids).members, node_limit)
+    return genpos._branch_and_bound(*args), list_scan_branch_and_bound(*args)
+
+
+NODE_LIMITS = [1, 5, 50, Budget().node_limit]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(3, 14), st.floats(0.15, 0.7), st.integers(0, 10_000),
+       st.sampled_from(NODE_LIMITS), st.data())
+def test_bitset_kernel_walks_the_list_scan_tree(n, p, seed, node_limit, data):
+    g = random_connected_graph(n, p, seed)
+    pool = data.draw(st.sets(st.integers(0, n - 1)), label="pool")
+    bitset, list_scan = _both_kernels(g, pool, node_limit)
+    # (members, nodes, stopped): the same incumbent after the same nodes
+    assert bitset == list_scan
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bitset_kernel_walks_the_list_scan_tree_on_relabelled_bf3(seed):
+    bf3 = build_butterfly(3)
+    perm = list(range(bf3.n))
+    random.Random(seed).shuffle(perm)
+    g = Graph(bf3.n, [(perm[u], perm[v]) for u, v in bf3.edges])
+    for pool, node_limit in ((range(g.n), NODE_LIMITS[-1]), (range(g.n), 50),
+                             ([perm[v] for v in _deg2(bf3)], NODE_LIMITS[-1])):
+        bitset, list_scan = _both_kernels(g, pool, node_limit)
+        assert bitset == list_scan, (seed, node_limit)
 
 
 def test_triple_ceiling_is_exact(bf2, monkeypatch):

@@ -5,9 +5,7 @@ from .cycle_cover import (
     CoverReport,
     CycleCover,
     construct_bf_cycle_cover,
-    enumerate_isometric_cycles,
     gp_upper_bounds,
-    min_cover_exact,
     verify_bf_cover,
     verify_cover,
 )
@@ -26,8 +24,6 @@ from .geodesy import (
     DistanceMatrix,
     all_pairs_distances,
     check_walk,
-    is_collinear_triple,
-    is_connected,
     lies_between,
     walk_violation,
 )

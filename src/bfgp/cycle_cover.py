@@ -10,10 +10,6 @@ vertices must realize graph distance 2r, and 2r between two level-0
 certified by the verifier, not trusted: every bound drawn from it rests
 on a report that passed `verify_cover`, which walks each member of a
 cycle or path cover once, as a closed or open walk.
-
-`min_cover_exact` is the independent route for tiny graphs: enumerate
-every isometric cycle (or maximal isometric path) and solve minimum
-vertex set-cover by branch and bound.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from .errors import (
     InvalidCycleError,
     InvalidParameterError,
     InvalidPathError,
-    TooLargeError,
     UnsupportedFamilyError,
     UnverifiedCoverError,
 )
@@ -260,109 +255,3 @@ def report_to_dict(report: CoverReport) -> dict:
         "incidence": list(report.incidence),
     }
 
-
-MAX_EXACT_COVER_VERTICES = 16
-
-
-def enumerate_isometric_cycles(g: Graph, dm: DistanceMatrix) -> list[tuple[int, ...]]:
-    """Every simple isometric cycle, one canonical orientation each."""
-    cycles: list[tuple[int, ...]] = []
-    adj = g.adj
-
-    def dfs(start: int, path: list[int], onpath: set[int]) -> None:
-        u = path[-1]
-        for w in adj[u]:
-            if w == start and len(path) >= 3 and path[1] < path[-1]:
-                if walk_violation(dm, path, True) is None:
-                    cycles.append(tuple(path))
-            elif w > start and w not in onpath:
-                path.append(w)
-                onpath.add(w)
-                dfs(start, path, onpath)
-                path.pop()
-                onpath.remove(w)
-
-    for s in range(g.n):
-        dfs(s, [s], {s})
-    return cycles
-
-
-def enumerate_maximal_isometric_paths(g: Graph, dm: DistanceMatrix) -> list[tuple[int, ...]]:
-    """All geodesics not properly contained in a longer geodesic."""
-    adj = g.adj
-    geodesics: list[tuple[int, ...]] = []
-
-    def extend(path: list[int], target: int) -> None:
-        u = path[-1]
-        if u == target:
-            geodesics.append(tuple(path))
-            return
-        du = dm.dist(u, target)
-        for w in adj[u]:
-            if dm.dist(w, target) == du - 1:
-                path.append(w)
-                extend(path, target)
-                path.pop()
-
-    for s in range(g.n):
-        for t in range(s, g.n):
-            if dm.reachable(s, t):
-                extend([s], t)
-
-    # keep one orientation, then drop geodesics contained in longer ones:
-    # p lies inside a longer geodesic exactly when one more step at an end
-    # is still a geodesic, i.e. a neighbour of one end is len(p) from the other
-    def extendable(p: tuple[int, ...]) -> bool:
-        s, t, longer = p[0], p[-1], len(p)  # len(p) is one more than the length of p
-        return (any(dm.dist(w, t) == longer for w in adj[s])
-                or any(dm.dist(s, w) == longer for w in adj[t]))
-
-    canon = {min(p, p[::-1]) for p in geodesics}
-    return [p for p in sorted(canon, key=lambda p: (-len(p), p)) if not extendable(p)]
-
-
-def min_cover_exact(g: Graph, dm: DistanceMatrix, kind: str = KIND_CYCLE,
-                    size_cap: int = 8) -> int | None:
-    """Exact minimum isometric cycle (or path) vertex-cover number.
-
-    Enumeration plus branch and bound; guarded to tiny graphs.  Returns
-    None when no cover of size <= size_cap exists among the candidates.
-    """
-    if g.n > MAX_EXACT_COVER_VERTICES:
-        raise TooLargeError(
-            f"exact cover enumeration guarded to n <= {MAX_EXACT_COVER_VERTICES}, got {g.n}")
-    if kind == KIND_CYCLE:
-        members = enumerate_isometric_cycles(g, dm)
-    elif kind == KIND_PATH:
-        members = enumerate_maximal_isometric_paths(g, dm)
-    else:
-        raise InvalidParameterError(f"unknown cover kind {kind!r}")
-    sets = [frozenset(m) for m in members]
-    if not sets:
-        return None
-    universe = set(range(g.n))
-    covering: dict[int, list[int]] = {v: [] for v in universe}
-    for i, s in enumerate(sets):
-        for v in s:
-            covering[v].append(i)
-    if any(not covering[v] for v in universe):
-        return None
-
-    best: int | None = None
-
-    def bnb(count: int, covered: set) -> None:
-        nonlocal best
-        if best is not None and count >= best:
-            return
-        if covered == universe:
-            best = count
-            return
-        if count >= size_cap:
-            return
-        # branch on the uncovered vertex with the fewest candidate sets
-        v = min(universe - covered, key=lambda u: (len(covering[u]), u))
-        for i in covering[v]:
-            bnb(count + 1, covered | sets[i])
-
-    bnb(0, set())
-    return best

@@ -119,12 +119,6 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(0, g.n, 1 << shift)], shift)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return UNREACHABLE not in bfs_distances(g, 0)
-
-
 def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
     """ids sorted, once in range, pairwise distinct and mutually reachable.
 
@@ -279,11 +273,6 @@ def _collinear_fields(x: int, y: int, xy: int, low: int, high: int) -> int:
     Beyond the shorter operands xy_k alone is nonzero, so no bit is set.
     """
     return high & ~((((y + xy) ^ x) + low) & (((x + xy) ^ y) + low) & (((x + y) ^ xy) + low))
-
-
-def is_collinear_triple(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
-    """True iff one of the three vertices lies on a geodesic of the other two."""
-    return any(iter_collinear(dm, checked_members(dm, (x, y, z), "vertices")))
 
 
 def check_walk(g: Graph, seq, closed: bool) -> None:

@@ -45,9 +45,6 @@ class ButterflyLabel:
     level: int
     row: str
 
-    def __str__(self) -> str:
-        return f"[{self.row},{self.level}]"
-
 
 class Graph:
     """Immutable simple undirected graph.
@@ -81,6 +78,8 @@ class Graph:
         for e in edges:
             try:
                 u, v = e
+                if type(u) is not int or type(v) is not int:  # bools and floats pass 0 <= u < n
+                    raise TypeError
                 in_range = 0 <= u < n and 0 <= v < n
             except (TypeError, ValueError):
                 raise InvalidParameterError(f"edge {e!r} is not a pair of vertex ids") from None

@@ -79,7 +79,7 @@ def random_connected_graph(n: int, p: float, seed: int) -> Graph:
     while True:
         edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
         g = Graph(n, edges)
-        if _connected(g):
+        if connected(g):
             return g
 
 
@@ -92,7 +92,7 @@ def random_corpus(count: int, seed: int = 20240, max_n: int = 9) -> list[tuple[s
     return out
 
 
-def _connected(g: Graph) -> bool:
+def connected(g: Graph) -> bool:
     if g.n == 0:
         return True
     seen = {0}
@@ -147,6 +147,75 @@ def on_some_geodesic(g: Graph, x: int, y: int, z: int) -> bool:
 def oracle_collinear(g: Graph, x: int, y: int, z: int) -> bool:
     return (on_some_geodesic(g, x, y, z) or on_some_geodesic(g, y, x, z)
             or on_some_geodesic(g, x, z, y))
+
+
+def isometric_cycles(g: Graph) -> list[tuple[int, ...]]:
+    """Every simple isometric cycle, one orientation each, by DFS over simple cycles.
+
+    A cycle is listed from its smallest vertex, towards the smaller of
+    that vertex's two cycle neighbours, and kept when every pair of its
+    vertices is as far apart in g as around the cycle.
+    """
+    dist = [bfs_dist(g, s) for s in range(g.n)]
+    cycles = []
+
+    def isometric(c):
+        L = len(c)
+        return all(dist[c[i]][c[j]] == min(j - i, L - j + i)
+                   for i, j in combinations(range(L), 2))
+
+    def dfs(path):
+        for w in g.adj[path[-1]]:
+            if w == path[0] and len(path) >= 3 and path[1] < path[-1]:
+                if isometric(path):
+                    cycles.append(tuple(path))
+            elif w > path[0] and w not in path:
+                dfs(path + [w])
+
+    for s in range(g.n):
+        dfs([s])
+    return cycles
+
+
+def maximal_geodesics_by_containment(g: Graph) -> list[tuple[int, ...]]:
+    """Every geodesic, one orientation each, minus those inside a longer one."""
+    dist = [bfs_dist(g, s) for s in range(g.n)]
+    geodesics = set()
+
+    def walk(path):
+        p = tuple(path)
+        if dist[p[0]][p[-1]] == len(p) - 1:
+            geodesics.add(min(p, p[::-1]))
+        for w in g.adj[path[-1]]:
+            if w not in path:
+                walk(path + [w])
+
+    for s in range(g.n):
+        walk([s])
+
+    def contains(big, small):
+        S = len(small)
+        return any(big[i:i + S] in (small, small[::-1]) for i in range(len(big) - S + 1))
+
+    kept = []
+    for p in sorted(geodesics, key=lambda p: (-len(p), p)):
+        if not any(contains(q, p) for q in kept):
+            kept.append(p)
+    return kept
+
+
+def min_cover(n: int, members) -> int | None:
+    """The fewest members whose union is every vertex 0..n-1, or None if all of them fall short.
+
+    Plain enumeration: the k-subsets of members, k = 1, 2, ..., in
+    itertools.combinations order, until one covers.
+    """
+    sets = [frozenset(m) for m in members]
+    universe = frozenset(range(n))
+    for k in range(1, len(sets) + 1):
+        if any(frozenset().union(*c) == universe for c in combinations(sets, k)):
+            return k
+    return None
 
 
 # The search kernel as it was before it kept its triple state in bitsets,

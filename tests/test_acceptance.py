@@ -18,7 +18,6 @@ from bfgp.cycle_cover import (
     CycleCover,
     construct_bf_cycle_cover,
     gp_upper_bounds,
-    min_cover_exact,
     verify_bf_cover,
 )
 from bfgp.errors import InvalidCoverError
@@ -28,9 +27,16 @@ from bfgp.genpos import (
     max_general_position,
     verify_general_position,
 )
-from bfgp.geodesy import all_pairs_distances, is_connected, lies_between
+from bfgp.geodesy import all_pairs_distances, lies_between
 from bfgp.graphs import build_butterfly, build_cycle, build_path
-from corpus import named_corpus, on_some_geodesic, random_corpus
+from corpus import (
+    connected,
+    isometric_cycles,
+    min_cover,
+    named_corpus,
+    on_some_geodesic,
+    random_corpus,
+)
 
 
 def verdict(n: int, ok: bool, detail: str) -> None:
@@ -108,7 +114,7 @@ def test_criterion_6_cycle_calibration():
         dm = all_pairs_distances(g)
         res = max_general_position(g, dm)
         assert res.optimal and res.size == 3, (n, res.size)
-        assert min_cover_exact(g, dm, kind=KIND_CYCLE) == 1, n
+        assert min_cover(g.n, isometric_cycles(g)) == 1, n
     verdict(6, True, "gp(C_n) = 3 and ic(C_n) = 1 for n = 5..12")
 
 
@@ -116,7 +122,7 @@ def test_criterion_7a_solver_equals_brute_force():
     corpus = named_corpus(max_n=9) + random_corpus(100, seed=20240, max_n=9)
     checked = 0
     for name, g in corpus:
-        if not is_connected(g):
+        if not connected(g):
             continue
         dm = all_pairs_distances(g)
         expect, _ = brute_force_max_gp(g, dm)
@@ -132,7 +138,7 @@ def test_criterion_7b_lies_between_equals_enumeration():
     corpus = named_corpus(max_n=10) + [("BF2", build_butterfly(2))]
     checked = 0
     for name, g in corpus:
-        if not is_connected(g):
+        if not connected(g):
             continue
         dm = all_pairs_distances(g)
         for x, y, z in combinations(range(g.n), 3):

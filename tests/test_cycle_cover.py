@@ -1,8 +1,4 @@
-from itertools import combinations
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bfgp import cycle_cover
 from bfgp.cycle_cover import (
@@ -14,10 +10,7 @@ from bfgp.cycle_cover import (
     construct_bf_cycle_cover,
     cover_from_dict,
     cover_to_dict,
-    enumerate_isometric_cycles,
-    enumerate_maximal_isometric_paths,
     gp_upper_bounds,
-    min_cover_exact,
     report_to_dict,
     verify_bf_cover,
     verify_cover,
@@ -26,7 +19,6 @@ from bfgp.errors import (
     GraphParseError,
     InvalidCoverError,
     InvalidParameterError,
-    TooLargeError,
     UnsupportedFamilyError,
     UnverifiedCoverError,
 )
@@ -40,7 +32,7 @@ from bfgp.graphs import (
     build_path,
     label_of,
 )
-from corpus import bfs_dist
+from corpus import isometric_cycles, maximal_geodesics_by_containment, min_cover
 
 # two 8-cycles through level-0 pairs, transcribed from the diamond drawing
 GOLDEN_BF2_COVER = ((0, 4, 8, 5, 1, 7, 10, 6), (2, 6, 11, 7, 3, 5, 9, 4))
@@ -324,84 +316,36 @@ def test_min_cover_exact_cycles():
     for n in (5, 6, 9):
         g = build_cycle(n)
         dm = all_pairs_distances(g)
-        assert min_cover_exact(g, dm, kind=KIND_CYCLE) == 1
+        cover = CycleCover(kind=KIND_CYCLE, cycles=(tuple(range(n)),))
+        assert verify_cover(g, dm, cover).passes
+        assert min_cover(g.n, isometric_cycles(g)) == len(cover) == 1
 
 
 def test_min_cover_exact_paths():
-    g = build_path(5)
-    dm = all_pairs_distances(g)
-    assert min_cover_exact(g, dm, kind=KIND_PATH) == 1
-    assert min_cover_exact(build_path(1), all_pairs_distances(build_path(1)),
-                           kind=KIND_PATH) == 1
+    for n in (1, 5):
+        g = build_path(n)
+        cover = CycleCover(kind=KIND_PATH, cycles=(tuple(range(n)),))
+        assert verify_cover(g, all_pairs_distances(g), cover).passes
+        assert min_cover(g.n, maximal_geodesics_by_containment(g)) == len(cover) == 1
 
 
-def test_min_cover_exact_bf2(bf2):
+def test_closed_form_cover_is_minimum_on_bf2(bf2):
     g, dm = bf2
-    assert min_cover_exact(g, dm, kind=KIND_CYCLE) == 2
-
-
-def test_min_cover_guard_and_caps(bf2):
-    g3 = build_butterfly(3)
-    with pytest.raises(TooLargeError):
-        min_cover_exact(g3, all_pairs_distances(g3))
-    g, dm = bf2
-    assert min_cover_exact(g, dm, size_cap=1) is None
-    with pytest.raises(InvalidParameterError):
-        min_cover_exact(g, dm, kind="nope")
+    cover = construct_bf_cycle_cover(2)
+    assert verify_bf_cover(g, dm, cover).passes
+    assert min_cover(g.n, isometric_cycles(g)) == len(cover) == 2
 
 
 def test_isometric_cycle_enumeration_bf2(bf2):
     g, dm = bf2
-    cycles = enumerate_isometric_cycles(g, dm)
+    cycles = isometric_cycles(g)
     assert len(cycles) == 20
     assert {len(c) for c in cycles} == {4, 8}
+    assert all(walk_violation(dm, c, True) is None for c in cycles)
 
 
 def test_maximal_path_enumeration():
-    g = build_path(5)
-    dm = all_pairs_distances(g)
-    assert enumerate_maximal_isometric_paths(g, dm) == [(0, 1, 2, 3, 4)]
-
-
-def _maximal_geodesics_by_containment(g):
-    """Every geodesic, one orientation each, minus those inside a longer one."""
-    dist = [bfs_dist(g, s) for s in range(g.n)]
-    geodesics = set()
-
-    def walk(path):
-        p = tuple(path)
-        if dist[p[0]][p[-1]] == len(p) - 1:
-            geodesics.add(min(p, p[::-1]))
-        for w in g.adj[path[-1]]:
-            if w not in path:
-                walk(path + [w])
-
-    for s in range(g.n):
-        walk([s])
-
-    def contains(big, small):
-        S = len(small)
-        return any(big[i:i + S] in (small, small[::-1]) for i in range(len(big) - S + 1))
-
-    kept = []
-    for p in sorted(geodesics, key=lambda p: (-len(p), p)):
-        if not any(contains(q, p) for q in kept):
-            kept.append(p)
-    return kept
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 8))
-    pairs = list(combinations(range(n), 2))
-    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
-
-
-@settings(max_examples=150, deadline=None)
-@given(small_graphs())
-def test_maximal_paths_match_the_containment_filter(g):
-    assert (enumerate_maximal_isometric_paths(g, all_pairs_distances(g))
-            == _maximal_geodesics_by_containment(g))
+    assert maximal_geodesics_by_containment(build_path(5)) == [(0, 1, 2, 3, 4)]
 
 
 def test_cover_json_round_trip():

@@ -27,12 +27,12 @@ from bfgp.genpos import (
 )
 from bfgp.geodesy import (
     all_pairs_distances,
-    is_collinear_triple,
     iter_collinear,
     row_xor_stabilizer,
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
+    connected,
     list_scan_branch_and_bound,
     named_corpus,
     oracle_collinear,
@@ -349,8 +349,7 @@ def test_solver_matches_brute_force_on_sample():
     sample = [g for _, g in named_corpus(max_n=8)][:12]
     for g in sample:
         dm = all_pairs_distances(g)
-        from bfgp.geodesy import is_connected
-        if not is_connected(g):
+        if not connected(g):
             continue
         expect, _ = brute_force_max_gp(g, dm)
         res = max_general_position(g, dm)
@@ -409,7 +408,7 @@ def test_greedy_matches_pairwise_scan(seed):
     dm = all_pairs_distances(g)
     chosen = []
     for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
-        if not any(is_collinear_triple(dm, a, b, v) for a, b in combinations(chosen, 2)):
+        if not any(oracle_collinear(g, a, b, v) for a, b in combinations(chosen, 2)):
             chosen.append(v)
     assert greedy_gp_lower_bound(g, dm).members == tuple(sorted(chosen))
 

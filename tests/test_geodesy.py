@@ -31,8 +31,6 @@ from bfgp.geodesy import (
     check_walk,
     collinear_through,
     first_collinear,
-    is_collinear_triple,
-    is_connected,
     iter_collinear,
     lies_between,
     row_xor_stabilizer,
@@ -41,6 +39,7 @@ from bfgp.geodesy import (
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
     bfs_dist,
+    connected,
     named_corpus,
     oracle_collinear,
     on_some_geodesic,
@@ -195,8 +194,8 @@ def test_unreachable_sentinel():
     dm = all_pairs_distances(g)
     assert dm.dist(0, 2) == UNREACHABLE
     assert not dm.reachable(1, 3)
-    assert not is_connected(g)
-    assert is_connected(build_path(4))
+    assert not connected(g)
+    assert connected(build_path(4))
 
 
 def test_lies_between_basics():
@@ -232,7 +231,6 @@ GATED = {
     "brute_force_max_gp": lambda g, dm, ids: brute_force_max_gp(g, dm, pool=ids),
     "collinear_triples": lambda g, dm, ids: collinear_triples(dm, ids),
     "lies_between": lambda g, dm, ids: lies_between(dm, *ids),
-    "is_collinear_triple": lambda g, dm, ids: is_collinear_triple(dm, *ids),
 }
 
 
@@ -251,18 +249,18 @@ def test_vertex_lists_pass_the_gate(name):
 def test_collinear_triangle_is_free():
     k3 = build_cycle(3)
     dm = all_pairs_distances(k3)
-    assert not is_collinear_triple(dm, 0, 1, 2)
+    assert not any(iter_collinear(dm, (0, 1, 2)))
 
 
 def test_lies_between_agrees_with_path_enumeration():
     corpus = named_corpus(max_n=10) + [("BF2", build_butterfly(2))]
     for name, g in corpus:
         dm = all_pairs_distances(g)
-        if not is_connected(g):
+        if not connected(g):
             continue
         for x, y, z in combinations(range(g.n), 3):
             assert lies_between(dm, x, y, z) == on_some_geodesic(g, x, y, z), (name, x, y, z)
-            assert is_collinear_triple(dm, x, y, z) == oracle_collinear(g, x, y, z), name
+            assert any(iter_collinear(dm, (x, y, z))) == oracle_collinear(g, x, y, z), name
 
 
 @settings(deadline=None, max_examples=40)
@@ -271,8 +269,8 @@ def test_collinear_is_order_invariant(seed, data):
     g = random_connected_graph(6, 0.45, seed)
     dm = all_pairs_distances(g)
     x, y, z = data.draw(st.permutations(range(3)).map(tuple))
-    base = is_collinear_triple(dm, 0, 1, 2)
-    assert is_collinear_triple(dm, x, y, z) == base
+    base = any(iter_collinear(dm, (0, 1, 2)))
+    assert any(iter_collinear(dm, (x, y, z))) == base
 
 
 def test_isometric_cycle_identity():

@@ -123,8 +123,11 @@ def test_graph_validation():
     # a duplicate names the smallest repeated edge, whatever the input order
     with pytest.raises(InvalidParameterError, match=r"^duplicate edge \(0, 1\)$"):
         Graph(4, [(2, 3), (0, 1), (3, 2), (1, 0)])
-    # a pair that does not unpack to two comparable ids is named too
-    for edge, shown in (((0, 1, 2), r"\(0, 1, 2\)"), ((0, "a"), r"\(0, 'a'\)"), (5, "5")):
+    # a pair that does not unpack to two int ids is named too; a float or a
+    # bool id would pass the range check and fail (or be kept) past it
+    for edge, shown in (((0, 1, 2), r"\(0, 1, 2\)"), ((0, "a"), r"\(0, 'a'\)"), (5, "5"),
+                        ((0, 1.5), r"\(0, 1\.5\)"), ((0, 1.0), r"\(0, 1\.0\)"),
+                        ((True, 2), r"\(True, 2\)")):
         with pytest.raises(InvalidParameterError,
                            match=rf"^edge {shown} is not a pair of vertex ids$"):
             Graph(3, [(0, 1), edge])

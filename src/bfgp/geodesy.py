@@ -9,9 +9,15 @@ an automorphism: XOR-ing every row label with a constant c < 2^r maps
 straight edges to straight edges and cross edges to cross edges of the
 same level, so d((l, x), v) = d((l, 0), v ^ x), and v ^ x flips only the
 row bits of v = level * 2^r + row.  `butterfly_r` comes from checking
-that very edge shape, not from the family tag.  Every distance is still
-a BFS distance; at r = 10 the rows hold 11 x 11,264 entries where a
-table would hold 11,264^2.
+that very edge shape, not from the family tag.  Breadth-first search
+fills the rows of levels 0..r/2 alone: level reflection, (l, x) ->
+(r - l, x bit-reversed), is an automorphism too, since the step from
+level l to l + 1 flips bit a_(l+1) and the reflected step, from level
+r - l - 1 to r - l, flips bit a_(r-l), the one reversal puts in a_(l+1)'s
+place.  So each row l > r/2 is row r - l read through the reflection,
+one list gather.  Every distance is still a BFS distance; at r = 10 the
+rows hold 11 x 11,264 entries, 6 of them searched, where a table would
+hold 11,264^2.
 
 This module is the only reader of the rows, through `DistanceMatrix`
 and the predicates below.  It owns the collinearity rule that defines
@@ -23,18 +29,23 @@ on BF(r) and 16 on a table graph, so that a sum of two distances stays
 below each field's guard bit, and one member pair is tested against
 every later member in a dozen big-int operations.  One scan, `_scan`,
 runs it, yielding in combinations order the triples whose first member
-is among the `lead` members listed first: `iter_collinear` leads with
-every member, `collinear_through` with its heads, distinct members.
+sits at one of the given lead positions: `iter_collinear` leads with
+every member, `collinear_through` with its heads, listed first, and
+`first_collinear` with the first member of each orbit.
 
 `first_collinear` decides general position with the set's symmetry.
 On BF(r), `row_xor_stabilizer` finds the group H of row-XOR constants
 c with S ^ c = S, checked against S itself.  Each element of H is an
-automorphism fixing S, so S has a collinear triple iff some collinear
-triple holds one representative per H-orbit, and only those triples
-are scanned, one member row at a time: on the closed-form set, 5
-representatives against all member pairs.  The witness never depends
-on H: when that scan finds a violation, or H is trivial, the full
-`iter_collinear` scan names the first triple in combinations order.
+automorphism fixing S.  The scan takes the members orbit by orbit,
+o ^ H for each orbit's least member o, and leads with each o alone: a
+collinear triple whose first member in that order is o ^ h goes, under
+h, to one whose first member is o.  On the closed-form set that is 5
+leads at every r.  In that order the scan also gathers only the rows of
+the o: as d(o ^ h, v) = d(o, v ^ h), the row of o ^ h is the row of o
+with its fields permuted by XOR with h, a few block swaps of one int.
+The witness never depends on H: when that scan finds a violation, or H
+is trivial, the full `iter_collinear` scan names the first triple in
+combinations order.
 
 A cycle is a closed walk and a path an open one: `check_walk` checks
 either against the graph, and `walk_violation` tests either for isometry
@@ -68,8 +79,10 @@ class DistanceMatrix:
     """Shortest-path lengths; UNREACHABLE marks disconnected pairs.
 
     d(u, v) = rows[u >> shift][v ^ (u & mask)], mask = 2^shift - 1.  On
-    the canonical BF(r), shift = r and rows[l] is the BFS row from (l, 0);
-    on any other graph shift = mask = 0 and rows[u] is the BFS row from u.
+    the canonical BF(r), shift = r and rows[l] holds d((l, 0), v): the BFS
+    row from (l, 0) for l <= r/2, and for l > r/2 row r - l reflected,
+    entry (m, x) taken from (r - m, x bit-reversed).  On any other graph
+    shift = mask = 0 and rows[u] is the BFS row from u.
     No distance exceeds `bound`: n - 1 bounds every BFS distance, and
     BF(r) has diameter 2r.  The collinearity kernel sizes its fields by it.
     """
@@ -112,11 +125,24 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    shift = g.butterfly_r or 0
-    if not shift and g.n > MAX_TABLE_VERTICES:
+    r = g.butterfly_r or 0
+    if not r and g.n > MAX_TABLE_VERTICES:
         raise TooLargeError(f"{g.n} vertices exceed the distance-table cap of "
                             f"{MAX_TABLE_VERTICES} for a graph other than the canonical BF(r)")
-    return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(0, g.n, 1 << shift)], shift)
+    if not r:
+        return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(g.n)])
+    rows = [bfs_distances(g, l << r) for l in range(r // 2 + 1)]
+    # level reflection (l, x) -> (r - l, x bit-reversed): row l > r/2 read
+    # at level m, row x, is row r - l read at level r - m, row rev[x]
+    rev = [0] * (1 << r)
+    for x in range(1, 1 << r):
+        rev[x] = rev[x >> 1] >> 1 | (x & 1) << (r - 1)
+    for l in range(r // 2 + 1, r + 1):
+        src, row = rows[r - l], [UNREACHABLE] * g.n
+        for m in range(r + 1):
+            row[m << r:(m + 1) << r] = map(src[(r - m) << r:(r - m + 1) << r].__getitem__, rev)
+        rows.append(row)
+    return DistanceMatrix(g.n, rows, r)
 
 
 def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
@@ -159,29 +185,31 @@ def iter_collinear(dm: DistanceMatrix, members):
     This is `_scan` led by every member.
     """
     ms = list(members)
-    return _scan(dm, ms, len(ms))
+    return _scan(dm, ms, range(len(ms)))
 
 
 def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
     """The first collinear triple of members in combinations order, or None.
 
     Let H be `row_xor_stabilizer(dm, members)`.  Each h in H is an
-    automorphism with h(S) = S, so it carries a collinear triple of S to
-    one that holds the representative of any of its members' H-orbits.
-    When H is not trivial, the triples holding a representative are
-    scanned first, and if none is collinear, S is in general position.
-    Otherwise, or when one is, the full `iter_collinear` scan names the
-    first triple, so the answer never depends on H.
+    automorphism with h(S) = S.  When H is not trivial, the members are
+    scanned in coset order, each orbit o ^ H after the last, and only the
+    triples led by an orbit's first member o: a collinear triple whose
+    first member is o ^ h goes, under h, to one led by o, its other two
+    members staying in later positions.  If none is collinear, S is in
+    general position.  Otherwise, or when H is trivial, the full
+    `iter_collinear` scan names the first triple, so the answer never
+    depends on H.
     """
     ms = list(members)
     group = row_xor_stabilizer(dm, ms)
     if len(group) > 1:
-        reps, seen = [], set()
-        for v in ms:
-            if v not in seen:
-                reps.append(v)
-                seen.update(v ^ c for c in group)
-        if not collinear_through(dm, ms, reps):
+        # an orbit's least member has no pivot bit set, the highest bit of a
+        # basis vector group[2^b] (see _scan), and is the only one of them
+        pivots = sum(1 << group[1 << b].bit_length() - 1
+                     for b in range(len(group).bit_length() - 1))
+        order = [v ^ c for v in ms if not v & pivots for c in group]
+        if not any(_scan(dm, order, range(0, len(order), len(group)), len(group))):
             return None
     return next(iter_collinear(dm, ms), None)
 
@@ -190,11 +218,14 @@ def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
     """The c < 2^r with {v ^ c : v in members} == members on BF(r), ascending; else (0,).
 
     XOR-ing a vertex id with c < 2^r flips its row bits alone, an
-    automorphism of the canonical BF(r) (see the module notes).  c must
-    carry a member m0 to a member on m0's level, so the candidates are
-    m0 ^ m over the least populated level.  Each candidate outside the
-    group found so far is checked against the set itself, with early
-    exit, and the group is closed under XOR.
+    automorphism of the canonical BF(r) (see the module notes).  A c != 0
+    moves every vertex to another on its level, in pairs, so the group's
+    order divides each level's member count, and a level with an odd
+    count ends the search at once.  c must carry a member m0 to a member
+    on m0's level, so the candidates are m0 ^ m over the least populated
+    level.  Each candidate outside the group found so far is checked
+    against the set itself, with early exit, and the group is closed
+    under XOR.
     """
     ids = set(members)
     if not dm.shift or not ids:
@@ -202,6 +233,8 @@ def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
     levels: dict[int, list[int]] = {}
     for v in sorted(ids):
         levels.setdefault(v >> dm.shift, []).append(v)
+    if any(len(level) & 1 for level in levels.values()):
+        return (0,)
     level = min(levels.values(), key=len)
     group = {0}
     for m in level:
@@ -219,45 +252,77 @@ def collinear_through(dm: DistanceMatrix, members: list[int], heads) -> bool:
     head listed twice would meet itself at distance 0, so repeats go.
     """
     lead = dict.fromkeys(heads)
-    return any(_scan(dm, [*lead, *(v for v in members if v not in lead)], len(lead)))
+    return any(_scan(dm, [*lead, *(v for v in members if v not in lead)], range(len(lead))))
 
 
-def _scan(dm: DistanceMatrix, ms: list[int], lead: int):
-    """Yield the collinear triples of ms whose first member is one of ms[:lead], in combinations order.
+def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
+    """Yield the collinear triples of ms whose first member sits at a lead, in combinations order.
 
-    ms must be distinct members (checked, see iter_collinear).  A row
-    packs d(u, ms[k]) as the w-bit field k of one int: 8 bits when twice
-    `dm.bound` is below 2^7, else 16, so a sum of two distances stays
-    below a field's top bit, its guard, and no fieldwise sum carries into
-    the next field.  For each pair (ms[i], ms[j]), i < lead, one
-    `_collinear_fields` call tests every later member at once, and its
-    set bits come out in ascending order of k.
+    ms must be distinct members (checked, see iter_collinear) and leads
+    ascending positions.  A row packs d(u, ms[k]) as the w-bit field k of
+    one int: 8 bits when twice `dm.bound` is below 2^7, else 16, so a sum
+    of two distances stays below a field's top bit, its guard, and no
+    fieldwise sum carries into the next field.  For each pair (ms[i],
+    ms[j]), i in leads, one `_collinear_fields` call tests every later
+    member at once, and its set bits come out in ascending order of k.
+
+    The rows are built in position order, each when the scan first
+    needs it, and only their tails, the fields after their own, are
+    kept.  A row is gathered from `dm`, or, with coset > 1, made by block
+    swaps.  Then coset is the order of a row-XOR group, ascending, and ms
+    comes in its cosets, ms[t * coset + i] = ms[t * coset] ^ group[i].
+    In ascending order group[i] ^ group[j] == group[i ^ j]: the reduced
+    echelon basis is group[2^b], and comparing two sums of it comes down
+    to the top bit of i ^ j.  Row-XOR is an automorphism, so the row of
+    o ^ group[i] holds, in field (t, j), the row of o's field (t, i ^ j).
+    Thus the row of ms[k] is the row of ms[k & (k - 1)] with fields k'
+    and k' ^ 2^b swapped, b the lowest set bit of k: aligned blocks of
+    2^b fields trade places, and only each coset's first row is gathered.
     """
-    if len(ms) < 3:
+    n = len(ms)
+    if n < 3:
         return  # before packing: two unreachable members read UNREACHABLE
-    fmt = struct.Struct(f"<{len(ms)}{'B' if 2 * dm.bound < 1 << 7 else 'H'}")
-    w = 8 * fmt.size // len(ms)
+    fmt = struct.Struct(f"<{n}{'B' if 2 * dm.bound < 1 << 7 else 'H'}")
+    w = 8 * fmt.size // n
     field = (1 << w) - 1
-    ones = int.from_bytes(fmt.pack(*[1] * len(ms)), "little")
+    ones = int.from_bytes(fmt.pack(*[1] * n), "little")
     low, high = ones * (field >> 1), ones << (w - 1)
+    # halves[b] selects the fields k' with bit b clear, which the swap raises
+    halves = [int.from_bytes((b"\xff" * (w << b >> 3) + bytes(w << b >> 3)) * (n >> b + 1),
+                             "little") for b in range(coset.bit_length() - 1)]
 
-    def pack(u: int) -> int:
-        row, a = dm.source(u)
-        return int.from_bytes(fmt.pack(*[row[v ^ a] for v in ms]), "little")
+    # full[d]: the full row built last at a coset offset with d set bits,
+    # which is the parent of the next row with d + 1 (no row between a
+    # parent and its child has fewer set bits than the child)
+    full: list[int] = []
 
-    # rows[k] = pack(ms[k]), packed when the scan first reaches ms[k], so
-    # an early violation packs only the rows it needs
-    rows: list[int] = []
-    for i in range(lead):
-        if i == len(rows):
-            rows.append(pack(ms[i]))
-        rest = rows[i] >> w * (i + 1)  # d(ms[i], ms[k]) for k > i, then k > j
-        for j in range(i + 1, len(ms)):
-            if j == len(rows):
-                rows.append(pack(ms[j]))
+    def tail(k: int) -> int:
+        """d(ms[k], ms[k']) for k' > k, as field k' - k - 1."""
+        i = k & (coset - 1)
+        if i:
+            d, b = i.bit_count(), (i & -i).bit_length() - 1
+            x, half, s = full[d - 1], halves[b], w << b
+            x = (x & half) << s | (x >> s) & half
+            del full[d:]
+            full.append(x)
+        else:
+            src, a = dm.source(ms[k])
+            x = int.from_bytes(fmt.pack(*[src[v ^ a] for v in ms]), "little")
+            full[:] = (x,)
+        return x >> w * (k + 1)
+
+    # tails[k] = tail(k); an early violation builds only the rows it needs
+    tails: list[int] = []
+    for i in leads:
+        while len(tails) <= i:
+            tails.append(tail(len(tails)))
+        rest = tails[i]  # d(ms[i], ms[k]) for k > i, then k > j
+        for j in range(i + 1, n):
+            if j == len(tails):
+                tails.append(tail(j))
             dxy = rest & field
             rest >>= w
-            hits = _collinear_fields(rest, rows[j] >> w * (j + 1), dxy * ones, low, high)
+            hits = _collinear_fields(rest, tails[j], dxy * ones, low, high)
             while hits:
                 bit = hits & -hits
                 yield (ms[i], ms[j], ms[j + bit.bit_length() // w])

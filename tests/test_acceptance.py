@@ -9,9 +9,7 @@ import json
 from itertools import combinations
 
 import numpy as np
-import pytest
 
-from bfgp.budget import Budget
 from bfgp.cli import main as cli_main
 from bfgp.cycle_cover import (
     KIND_CYCLE,

@@ -4,7 +4,6 @@ from bfgp import cycle_cover
 from bfgp.cycle_cover import (
     KIND_CYCLE,
     KIND_PATH,
-    CoverReport,
     CycleCover,
     candidate_cycle,
     construct_bf_cycle_cover,

@@ -89,18 +89,32 @@ def test_distance_fill_follows_the_edges_not_the_tag():
 
 
 def test_distance_table_is_capped(monkeypatch):
-    # rows are counted, not built, so no test here pays for a table
+    # rows are counted, not built, so no test here pays for a table; a
+    # range stands in for each, for the reflected rows to be read from
     sources = []
-    monkeypatch.setattr(geodesy, "bfs_distances", lambda g, s: sources.append(s))
+    monkeypatch.setattr(geodesy, "bfs_distances", lambda g, s: sources.append(s) or range(g.n))
     with pytest.raises(TooLargeError):
         all_pairs_distances(Graph(MAX_TABLE_VERTICES + 1, []))
     assert sources == []
     assert all_pairs_distances(build_path(MAX_TABLE_VERTICES)).n == MAX_TABLE_VERTICES
     assert len(sources) == MAX_TABLE_VERTICES
-    # the canonical butterfly keeps r + 1 rows, so it is not held to the cap
+    # the canonical butterfly keeps r + 1 rows, so it is not held to the cap,
+    # and searches from levels 0..r/2 alone: the others are reflections
     sources.clear()
     assert all_pairs_distances(build_butterfly(10)).n == 11 << 10 > MAX_TABLE_VERTICES
-    assert len(sources) == 11
+    assert sources == [l << 10 for l in range(10 // 2 + 1)]
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_level_reflection_is_an_automorphism(r):
+    # (l, x) -> (r - l, x read backwards), from the bit string of the row
+    g = build_butterfly(r)
+
+    def reflect(v):
+        level, row = divmod(v, 1 << r)
+        return (r - level) << r | int(format(row, f"0{r}b")[::-1], 2)
+
+    assert sorted(tuple(sorted(map(reflect, e))) for e in g.edges) == list(g.edges)
 
 
 def test_kernel_fields_must_hold_two_distances():
@@ -179,6 +193,46 @@ def test_relabelled_butterfly_takes_the_full_scan(monkeypatch):
     assert verify_general_position(bf4, all_pairs_distances(bf4),
                                    construct_butterfly_gp_set(4)).ok
     assert scans == []
+
+
+@pytest.mark.parametrize("r", range(2, 10))
+def test_closed_form_set_is_accepted_without_the_full_scan(monkeypatch, r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    s = construct_butterfly_gp_set(r)
+    scans = []
+    real = geodesy.iter_collinear
+    monkeypatch.setattr(geodesy, "iter_collinear", lambda dm, ms: scans.append(ms) or real(dm, ms))
+    assert verify_general_position(g, dm, s).ok
+    # BF(2)'s set holds one level-1 vertex, so its stabilizer is trivial
+    assert scans == ([list(s.members)] if r == 2 else [])
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_orbit_of_a_non_member_gives_the_full_scan_witness(r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    closed = construct_butterfly_gp_set(r).members
+    group = row_xor_stabilizer(dm, closed)
+    rng = random.Random(r)
+    for level in (0, 1, 2, r):
+        v = rng.choice([v for v in range(level << r, (level + 1) << r) if v not in closed])
+        members = sorted({*closed, *(v ^ c for c in group)})
+        assert row_xor_stabilizer(dm, members) == group, (r, level)
+        first = next(iter_collinear(dm, members), None)
+        assert first is not None, (r, level)
+        assert first_collinear(dm, members) == first, (r, level)
+        assert verify_general_position(g, dm, VertexSet(tuple(members))).triple == first
+        # members orbit by orbit, each from its least member: rows built by
+        # block swaps within each orbit are the rows gathered from dm
+        order, seen = [], set()
+        for u in members:
+            if u not in seen:
+                order += [u ^ c for c in group]
+                seen.update(order[-len(group):])
+        leads = range(0, len(order), len(group))
+        assert (list(geodesy._scan(dm, order, leads, len(group)))
+                == list(geodesy._scan(dm, order, leads))), (r, level)
 
 
 def test_known_distances():

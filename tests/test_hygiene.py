@@ -1,8 +1,9 @@
 """Static checks over the package source, with the standard library only.
 
-Every import in a module must be used there, every module-level private
-function or class must be referenced somewhere in the package, and every
-module-level function somewhere in the package or the benchmark;
+Every import in a module or a test module must be used there, every
+module-level private function or class must be referenced somewhere in
+the package, and every module-level function somewhere in the package
+or the benchmark;
 otherwise a removal left something dead behind.  A test calling a
 function does not keep it: what only tests need lives in `tests/`, as an
 oracle.  `__init__.py` is skipped: its imports are the package's public
@@ -27,6 +28,8 @@ SOURCES = sorted(p for p in Path(bfgp.__file__).resolve().parent.glob("*.py")
                  if p.name != "__init__.py")
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
 ROOT = Path(__file__).resolve().parents[1]
+TEST_TREES = {f"tests/{p.name}": ast.parse(p.read_text(), filename=str(p))
+              for p in sorted((ROOT / "tests").glob("*.py"))}
 
 
 def _used_names(tree: ast.AST) -> set[str]:
@@ -41,9 +44,9 @@ def _used_names(tree: ast.AST) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("name", list(TREES))
+@pytest.mark.parametrize("name", [*TREES, *TEST_TREES])
 def test_every_import_is_used(name):
-    tree = TREES[name]
+    tree = TREES.get(name) or TEST_TREES[name]
     loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     unused = []
     for node in tree.body:

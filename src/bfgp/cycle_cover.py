@@ -9,7 +9,9 @@ vertices must realize graph distance 2r, and 2r between two level-0
 (level-r) rows means exactly bit r (bit 1) differs.  The cover is
 certified by the verifier, not trusted: every bound drawn from it rests
 on a report that passed `verify_cover`, which walks each member of a
-cycle or path cover once, as a closed or open walk.
+cycle or path cover once, as a closed or open walk.  Each walk edge (u, v),
+u < v, is the int u * n + v in one set: disjointness is a set test, and
+since every walk edge is a graph edge, the partition is decided by count.
 """
 
 from __future__ import annotations
@@ -66,12 +68,6 @@ class CoverReport:
         return all(self.flags.values())
 
 
-def _walk_edges(seq, closed: bool) -> frozenset[tuple[int, int]]:
-    """The edges a walk traverses, each as (smaller id, larger id)."""
-    ends = seq[1:] + seq[:1] if closed else seq[1:]
-    return frozenset((u, v) if u < v else (v, u) for u, v in zip(seq, ends))
-
-
 def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
     """The cover verifier: one pass over the members, failures reported in FLAG_ORDER.
 
@@ -90,18 +86,22 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     On other graphs and for path covers those flags are vacuously true.
     Each flag keeps its first failure (edges are collected up to the
     first overlap, every member is tested for isometry), and
-    first_failure is the earliest of them in FLAG_ORDER.
+    first_failure is the earliest of them in FLAG_ORDER.  A kind other
+    than KIND_CYCLE and KIND_PATH raises InvalidParameterError.
     """
+    if cover.kind not in (KIND_CYCLE, KIND_PATH):
+        raise InvalidParameterError(f"unknown cover kind {cover.kind!r}")
     closed = cover.kind == KIND_CYCLE
     member = "cycle" if closed else "path"
     r = g.butterfly_r if closed else None
+    n = g.n
     failures: dict[str, dict] = {}
 
     def fail(check: str, cycle_index: int | None, detail: str) -> None:
         failures.setdefault(check, {"check": check, "cycle_index": cycle_index, "detail": detail})
 
-    incidence = [0] * g.n
-    seen_edges: set[tuple[int, int]] = set()
+    incidence = [0] * n
+    seen_edges: set[int] = set()  # edge (u, v), u < v, as u * n + v: keys order as pairs do
     for i, seq in enumerate(cover.cycles):
         try:
             check_walk(g, seq, closed)
@@ -110,18 +110,19 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
         for v in seq:
             incidence[v] += 1
         if "edge_disjoint" not in failures:
-            es = _walk_edges(seq, closed)
-            overlap = seen_edges & es
-            if overlap:
-                fail("edge_disjoint", i, f"edge {min(overlap)} already covered")
-            seen_edges |= es
+            ends = seq[1:] + seq[:1] if closed else seq[1:]
+            keys = {u * n + v if u < v else v * n + u for u, v in zip(seq, ends)}
+            if not seen_edges.isdisjoint(keys):
+                edge = divmod(min(seen_edges & keys), n)
+                fail("edge_disjoint", i, f"edge {edge} already covered")
+            seen_edges |= keys
         pair = walk_violation(dm, seq, closed)
         if pair is not None:
             fail("all_isometric", i, f"pair {pair} violates {member} distance")
         if r is not None:
             if len(seq) != 4 * r:
                 fail("lengths_ok", i, f"length {len(seq)}, expected {4 * r}")
-            lvl0 = sum(1 for v in seq if v >> r == 0)
+            lvl0 = len([v for v in seq if v >> r == 0])
             if lvl0 != 2:
                 fail("level0_pairs_ok", i, f"{lvl0} level-0 vertices, expected 2")
 
@@ -130,17 +131,18 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     if "edge_disjoint" in failures:
         # an overlap breaks the partition too; edge_disjoint is reported first
         fail("edge_partition", None, "edges overlap")
-    else:
-        missing = set(g.edges) - seen_edges
-        if missing:
-            fail("edge_partition", None, f"edge {min(missing)} uncovered")
+    elif len(seen_edges) != g.num_edges:
+        # check_walk passed every walk edge as a graph edge, so only a short count fails
+        missing = next(e for e in g.edges if e[0] * n + e[1] not in seen_edges)
+        fail("edge_partition", None, f"edge {missing} uncovered")
     if r is not None:
-        for v in range(g.n):
-            expected = 1 if g.degree(v) == 2 else 2
-            if incidence[v] != expected:
-                fail("incidence_ok", None,
-                     f"vertex {v} in {incidence[v]} cycles, expected {expected}")
-                break
+        # BF(r)'s degree-2 vertices are levels 0 and r, the first and last 2^r ids
+        outer = [1] * (1 << r)
+        expected = outer + [2] * (n - (2 << r)) + outer
+        if incidence != expected:
+            v = next(v for v, (k, e) in enumerate(zip(incidence, expected)) if k != e)
+            fail("incidence_ok", None,
+                 f"vertex {v} in {incidence[v]} cycles, expected {expected[v]}")
     if 0 in incidence:
         fail("vertex_cover", None, f"vertex {incidence.index(0)} uncovered")
 
@@ -165,13 +167,6 @@ def verify_bf_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverRep
     return verify_cover(g, dm, cover)
 
 
-def _monotone_row(x: int, y: int, lev: int, r: int) -> int:
-    """Row at the given level on the unique monotone path [0,x]..[r,y]."""
-    full = (1 << r) - 1
-    hi = ((full >> (r - lev)) << (r - lev)) if lev else 0
-    return (y & hi) | (x & ~hi & full)
-
-
 def candidate_cycle(r: int, uc: int, vc: int) -> tuple[int, ...]:
     """The cycle of length 4r through a level-0 and a level-r row pair.
 
@@ -179,16 +174,16 @@ def candidate_cycle(r: int, uc: int, vc: int) -> tuple[int, ...]:
     uc|1); vc the level-r representative (bit 1 clear, partner with the
     top bit set).  The cycle walks the four monotone paths between the
     corners: up from [0,uc] to [r,vc], down to [0,uc|1], up to the
-    partner of vc, and back down.
+    partner of vc, and back down.  On the monotone path from [0,x] to
+    [r,y] the row at level lev takes its low[lev] bits from x, the rest from y.
     """
     nrows = 1 << r
     msb = 1 << (r - 1)
-    corners = ((uc, vc), (uc | 1, vc), (uc | 1, vc | msb), (uc, vc | msb))
-    seq = []
-    for k, (x, y) in enumerate(corners):
-        levels = range(r) if k % 2 == 0 else range(r, 0, -1)
-        seq.extend(lev * nrows + _monotone_row(x, y, lev, r) for lev in levels)
-    return tuple(seq)
+    low = [(nrows - 1) >> lev for lev in range(r + 1)]
+    up, down = range(r), range(r, 0, -1)
+    corners = ((uc, vc, up), (uc | 1, vc, down), (uc | 1, vc | msb, up), (uc, vc | msb, down))
+    return tuple([lev * nrows + (y ^ (x ^ y) & low[lev])
+                  for x, y, levels in corners for lev in levels])
 
 
 def construct_bf_cycle_cover(r: int) -> CycleCover:

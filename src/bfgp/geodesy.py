@@ -51,12 +51,14 @@ A cycle is a closed walk and a path an open one: `check_walk` checks
 either against the graph, and `walk_violation` tests either for isometry
 by one distance per vertex, to the vertex half a cycle ahead or from a
 path's first: a pair closer than its walk distance would make that short.
+An even cycle meets each such pair twice, and reads its first half only.
 """
 
 from __future__ import annotations
 
 import struct
 from collections import deque
+from itertools import count, repeat
 
 from .errors import (
     InvalidCycleError,
@@ -358,14 +360,13 @@ def check_walk(g: Graph, seq, closed: bool) -> None:
             if v in seen:
                 raise err(f"repeated vertex {v}", position=i)
             seen.add(v)
+    # a later vertex out of range fails adjacency first: only seq[0] is range-checked
+    if not 0 <= seq[0] < g.n:
+        raise err(f"vertex {seq[0]} out of range", position=0)
     adj = g.adj
-    for i, v in enumerate(seq):
-        if not 0 <= v < g.n:
-            raise err(f"vertex {v} out of range", position=i)
-        if i + 1 < L or closed:
-            w = seq[(i + 1) % L]
-            if w not in adj[v]:
-                raise err(f"{v} and {w} are not adjacent", position=i)
+    for v, w in zip(seq, seq[1:] + seq[:1] if closed else seq[1:]):
+        if w not in adj[v]:
+            raise err(f"{v} and {w} are not adjacent", position=seq.index(v))
 
 
 def walk_violation(dm: DistanceMatrix, seq, closed: bool) -> tuple[int, int] | None:
@@ -377,11 +378,17 @@ def walk_violation(dm: DistanceMatrix, seq, closed: bool) -> tuple[int, int] | N
     a path and d(seq[i], seq[i + h]) == h round a cycle, h = L // 2 and
     indices mod L: seq[i], seq[j] closer than j - i (<= h round a cycle)
     bring seq[0] closer than j to seq[j], and seq[i] closer than h to
-    seq[i + h].  seq must be a walk of the graph dm was built from.
+    seq[i + h], which on even L is the pair at i: then only i < h is read.
+    seq must be a walk of the graph dm was built from.
     """
+    rows, shift, mask = dm.rows, dm.shift, dm.mask
     L = len(seq)
-    for k, v in enumerate(seq):  # v against the vertex half a cycle ahead, or seq[0] against v
-        u, w, d = (v, seq[(k + L // 2) % L], L // 2) if closed else (seq[0], v, k)
-        if dm.dist(u, w) != d:
+    h = L // 2
+    if closed:
+        pairs = zip(seq, seq[h:] if L % 2 == 0 else seq[h:] + seq[:h], repeat(h))
+    else:
+        pairs = zip(seq[:1] * L, seq, count())
+    for u, w, d in pairs:
+        if rows[u >> shift][w ^ (u & mask)] != d:
             return (u, w) if u < w else (w, u)
     return None

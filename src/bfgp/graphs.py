@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise, starmap
 
 from .errors import InvalidParameterError, TooLargeError, UnsupportedFamilyError
 
@@ -36,6 +36,9 @@ MAX_BUTTERFLY_R = 14
 # largest vertex count of any graph, that of BF(MAX_BUTTERFLY_R); without
 # it a cycle, path or graph file of 10^8 vertices exhausts memory
 MAX_VERTICES = (MAX_BUTTERFLY_R + 1) << MAX_BUTTERFLY_R
+
+# edges hashed per sha256 update by Graph.ref and butterfly_ref
+REF_CHUNK_EDGES = 4096
 
 
 @dataclass(frozen=True)
@@ -155,26 +158,38 @@ class Graph:
 
 
 def _content_ref(n: int, edges, family: str, family_param: int | None) -> str:
-    h = hashlib.sha256()
-    h.update(f"{n}:".encode())
-    h.update(",".join(f"{u}-{v}" for u, v in edges).encode())
+    """sha256 of "n:u-v,u-v,...", fed REF_CHUNK_EDGES edges at a time, not joined whole."""
+    h = hashlib.sha256(f"{n}:".encode())
+    it = iter(edges)
+    sep = ""
+    while chunk := list(islice(it, REF_CHUNK_EDGES)):
+        h.update((sep + ",".join(starmap("{}-{}".format, chunk))).encode())
+        sep = ","
     tag = family if family_param is None else f"{family}:{family_param}"
     return f"{tag}#{h.hexdigest()[:12]}"
 
 
-def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
-    """Sorted edge tuple of BF(r) in the canonical encoding, without a Graph."""
+def _checked_dim(r: int) -> int:
     if r < 1:
         raise InvalidParameterError(f"butterfly dimension must be >= 1, got {r}")
     if r > MAX_BUTTERFLY_R:
         raise TooLargeError(f"butterfly dimension {r} exceeds the cap r <= {MAX_BUTTERFLY_R}")
+    return r
+
+
+def _iter_butterfly_edges(r: int):
+    """BF(r)'s edges in sorted order, each (u, v) with u < v, one at a time."""
     nrows = 1 << r
-    edges = []
     for u in range(r * nrows):
-        v = u + nrows  # straight edge; the cross edge flips bit l+1 of level l = u >> r
-        w = v ^ (1 << (r - 1 - (u >> r)))
-        edges += ((u, v), (u, w)) if v < w else ((u, w), (u, v))
-    return tuple(edges)
+        flip = nrows >> (u >> r) + 1  # the cross edge from level l = u >> r flips bit l+1
+        v = u + nrows - (u & flip)  # the lesser of u's two neighbours on level l + 1
+        yield (u, v)
+        yield (u, v + flip)
+
+
+def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edge tuple of BF(r) in the canonical encoding, without a Graph."""
+    return tuple(_iter_butterfly_edges(_checked_dim(r)))
 
 
 def _butterfly_dim_of(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
@@ -207,9 +222,9 @@ def _ring_edges(n: int, closed: bool):
 
 
 def butterfly_ref(r: int) -> str:
-    """build_butterfly(r).ref(), computed from the edge list alone."""
-    edges = butterfly_edges(r)
-    return _content_ref((r + 1) << r, edges, FAMILY_BUTTERFLY, r)
+    """build_butterfly(r).ref(), hashed from BF(r)'s edges as they are generated."""
+    r = _checked_dim(r)
+    return _content_ref((r + 1) << r, _iter_butterfly_edges(r), FAMILY_BUTTERFLY, r)
 
 
 def build_butterfly(r: int) -> Graph:

@@ -13,6 +13,8 @@ import random
 from collections import deque
 from itertools import combinations
 
+from bfgp.cycle_cover import FLAG_ORDER, KIND_CYCLE, CoverReport
+from bfgp.errors import InvalidCoverError, InvalidCycleError, InvalidPathError
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 
 
@@ -310,3 +312,137 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit:
 
     members = tuple(sorted(v for i, v in enumerate(pool) if best_mask >> i & 1))
     return members, nodes, nodes > node_limit
+
+
+# The cover verifier and its two walk helpers as they were before edges
+# became int keys and even cycles were read half-way, kept verbatim but
+# for their names: the library's verifier must give the same report, or
+# raise the same InvalidCoverError, on every cover.
+def reference_check_walk(g: Graph, seq, closed: bool) -> None:
+    """Raise unless seq is a genuine cycle (closed) or path (open) of g.
+
+    A cycle needs at least 3 distinct vertices and a path at least 1,
+    consecutive vertices adjacent, and on a cycle also the last and the
+    first.  Raises InvalidCycleError when closed, else InvalidPathError,
+    with `position` at the first bad index.
+    """
+    kind, err, least = ("cycle", InvalidCycleError, 3) if closed else ("path", InvalidPathError, 1)
+    L = len(seq)
+    if L < least:
+        raise err(f"{kind} needs >= {least} vertices, got {L}", position=0)
+    if len(set(seq)) != L:
+        seen = set()
+        for i, v in enumerate(seq):
+            if v in seen:
+                raise err(f"repeated vertex {v}", position=i)
+            seen.add(v)
+    adj = g.adj
+    for i, v in enumerate(seq):
+        if not 0 <= v < g.n:
+            raise err(f"vertex {v} out of range", position=i)
+        if i + 1 < L or closed:
+            w = seq[(i + 1) % L]
+            if w not in adj[v]:
+                raise err(f"{v} and {w} are not adjacent", position=i)
+
+
+def reference_walk_violation(dm, seq, closed: bool) -> tuple[int, int] | None:
+    """The first pair along the walk, as (smaller id, larger id), off its walk distance.
+
+    Vertices k steps apart are k apart on a path (open) and min(k, L - k)
+    round a cycle of length L (closed); the walk is isometric, and the
+    result None, when every pair is.  It is iff d(seq[0], seq[k]) == k on
+    a path and d(seq[i], seq[i + h]) == h round a cycle, h = L // 2 and
+    indices mod L: seq[i], seq[j] closer than j - i (<= h round a cycle)
+    bring seq[0] closer than j to seq[j], and seq[i] closer than h to
+    seq[i + h].  seq must be a walk of the graph dm was built from.
+    """
+    L = len(seq)
+    for k, v in enumerate(seq):  # v against the vertex half a cycle ahead, or seq[0] against v
+        u, w, d = (v, seq[(k + L // 2) % L], L // 2) if closed else (seq[0], v, k)
+        if dm.dist(u, w) != d:
+            return (u, w) if u < w else (w, u)
+    return None
+
+
+def _reference_walk_edges(seq, closed: bool) -> frozenset[tuple[int, int]]:
+    """The edges a walk traverses, each as (smaller id, larger id)."""
+    ends = seq[1:] + seq[:1] if closed else seq[1:]
+    return frozenset((u, v) if u < v else (v, u) for u, v in zip(seq, ends))
+
+
+def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
+    """The cover verifier: one pass over the members, failures reported in FLAG_ORDER.
+
+    Every cover must consist of genuine cycles (or paths; garbage raises
+    InvalidCoverError) that are pairwise edge-disjoint, partition the
+    edges, are isometric, and cover every vertex.  A cycle cover of a
+    canonical BF(r), whatever its tag, must also meet the butterfly contract:
+
+    - every length is 4r;
+    - there are 2^(r-1) cycles (with the lengths, disjointness alone
+      forces the partition, since 2^(r-1) * 4r equals r * 2^(r+1));
+    - every cycle has exactly two level-0 vertices;
+    - every degree-2 vertex lies in exactly 1 cycle and every degree-4
+      vertex in exactly 2.
+
+    On other graphs and for path covers those flags are vacuously true.
+    Each flag keeps its first failure (edges are collected up to the
+    first overlap, every member is tested for isometry), and
+    first_failure is the earliest of them in FLAG_ORDER.
+    """
+    closed = cover.kind == KIND_CYCLE
+    member = "cycle" if closed else "path"
+    r = g.butterfly_r if closed else None
+    failures: dict[str, dict] = {}
+
+    def fail(check: str, cycle_index: int | None, detail: str) -> None:
+        failures.setdefault(check, {"check": check, "cycle_index": cycle_index, "detail": detail})
+
+    incidence = [0] * g.n
+    seen_edges: set[tuple[int, int]] = set()
+    for i, seq in enumerate(cover.cycles):
+        try:
+            reference_check_walk(g, seq, closed)
+        except (InvalidCycleError, InvalidPathError) as e:
+            raise InvalidCoverError(str(e), cycle_index=i) from e
+        for v in seq:
+            incidence[v] += 1
+        if "edge_disjoint" not in failures:
+            es = _reference_walk_edges(seq, closed)
+            overlap = seen_edges & es
+            if overlap:
+                fail("edge_disjoint", i, f"edge {min(overlap)} already covered")
+            seen_edges |= es
+        pair = reference_walk_violation(dm, seq, closed)
+        if pair is not None:
+            fail("all_isometric", i, f"pair {pair} violates {member} distance")
+        if r is not None:
+            if len(seq) != 4 * r:
+                fail("lengths_ok", i, f"length {len(seq)}, expected {4 * r}")
+            lvl0 = sum(1 for v in seq if v >> r == 0)
+            if lvl0 != 2:
+                fail("level0_pairs_ok", i, f"{lvl0} level-0 vertices, expected 2")
+
+    if r is not None and len(cover.cycles) != 1 << (r - 1):
+        fail("count_ok", None, f"{len(cover.cycles)} cycles, expected {1 << (r - 1)}")
+    if "edge_disjoint" in failures:
+        # an overlap breaks the partition too; edge_disjoint is reported first
+        fail("edge_partition", None, "edges overlap")
+    else:
+        missing = set(g.edges) - seen_edges
+        if missing:
+            fail("edge_partition", None, f"edge {min(missing)} uncovered")
+    if r is not None:
+        for v in range(g.n):
+            expected = 1 if g.degree(v) == 2 else 2
+            if incidence[v] != expected:
+                fail("incidence_ok", None,
+                     f"vertex {v} in {incidence[v]} cycles, expected {expected}")
+                break
+    if 0 in incidence:
+        fail("vertex_cover", None, f"vertex {incidence.index(0)} uncovered")
+
+    flags = {name: name not in failures for name in FLAG_ORDER}
+    first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
+    return CoverReport(flags=flags, first_failure=first_failure, incidence=tuple(incidence))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bfgp import cycle_cover
@@ -31,7 +33,12 @@ from bfgp.graphs import (
     build_path,
     label_of,
 )
-from corpus import isometric_cycles, maximal_geodesics_by_containment, min_cover
+from corpus import (
+    isometric_cycles,
+    maximal_geodesics_by_containment,
+    min_cover,
+    reference_verify_cover,
+)
 
 # two 8-cycles through level-0 pairs, transcribed from the diamond drawing
 GOLDEN_BF2_COVER = ((0, 4, 8, 5, 1, 7, 10, 6), (2, 6, 11, 7, 3, 5, 9, 4))
@@ -284,6 +291,79 @@ def test_path_cover_messages():
     assert [name for name, ok in report.flags.items() if not ok] == ["all_isometric"]
     assert report.first_failure == {"check": "all_isometric", "cycle_index": 0,
                                     "detail": "pair (0, 4) violates path distance"}
+
+
+def test_unknown_cover_kind_is_refused():
+    # once read as a path cover: the first passed on P_5 with bound 2, the
+    # second named edge (0, 5) uncovered on C_6
+    for g, kind in ((build_path(5), "cycle_cover"), (build_cycle(6), "cycle")):
+        cover = CycleCover(kind=kind, cycles=(tuple(range(g.n)),))
+        with pytest.raises(InvalidParameterError, match="unknown cover kind"):
+            verify_cover(g, all_pairs_distances(g), cover)
+
+
+def _same_outcome(g, dm, cover) -> str:
+    """Assert that verify_cover and the reference agree; the first failed check, or "raised"."""
+    try:
+        expected = reference_verify_cover(g, dm, cover)
+    except InvalidCoverError as ref_error:
+        with pytest.raises(InvalidCoverError) as e:
+            verify_cover(g, dm, cover)
+        assert (str(e.value), e.value.cycle_index) == (str(ref_error), ref_error.cycle_index)
+        return "raised"
+    assert verify_cover(g, dm, cover) == expected, cover
+    return expected.first_failure["check"] if expected.first_failure else "passes"
+
+
+def _mutated_covers(r: int, rng: random.Random):
+    """BF(r)'s closed-form cover with one seeded mutation each, of every kind, 8 of each."""
+    cycles = list(construct_bf_cycle_cover(r).cycles)
+    k, n, nrows = len(cycles), (r + 1) << r, 1 << r
+    for _ in range(8):
+        i, j = rng.randrange(k), rng.randrange(k)
+        seq, rest = cycles[i], cycles[:i] + cycles[i + 1:]
+        shift = rng.randrange(1, len(seq))
+        other = candidate_cycle(r, 2 * rng.randrange(k), rng.randrange(k))
+        pos, v = rng.randrange(len(seq)), rng.randrange(-1, n + 1)  # v may be out of range
+        # a 4-cycle between levels l and l + 1, rows x and x ^ b
+        lev, x = rng.randrange(r), rng.randrange(nrows)
+        b = nrows >> lev + 1
+        square = (lev * nrows + x, (lev + 1) * nrows + x, lev * nrows + (x ^ b),
+                  (lev + 1) * nrows + (x ^ b))
+        yield rest                                                # dropped
+        yield cycles[:j] + [seq] + cycles[j:]                     # duplicated
+        yield rest[:j] + [seq] + rest[j:]                         # moved
+        for new in (seq[shift:] + seq[:shift], seq[::-1], other,  # rotated, reversed, replaced,
+                    seq[:pos] + (v,) + seq[pos + 1:], square):    # one vertex off, too short
+            yield cycles[:i] + [new] + cycles[i + 1:]
+
+
+@pytest.mark.parametrize("r", range(2, 8))
+def test_verifier_matches_the_reference_on_mutated_bf_covers(r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    outcomes = {_same_outcome(g, dm, CycleCover(kind=KIND_CYCLE, cycles=tuple(cycles)))
+                for cycles in _mutated_covers(r, random.Random(f"cover-mutations/{r}"))}
+    assert _same_outcome(g, dm, construct_bf_cycle_cover(r)) == "passes"
+    assert {"raised", "edge_disjoint", "count_ok", "lengths_ok"} <= outcomes, outcomes
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_verifier_matches_the_reference_on_ring_covers(n):
+    ring = tuple(range(n))
+    outcomes = set()
+    for g in (build_cycle(n), build_path(n)):
+        dm = all_pairs_distances(g)
+        covers = [(KIND_CYCLE, (ring,)), (KIND_CYCLE, (ring[2:] + ring[:2], ring[::-1])),
+                  (KIND_PATH, (ring,)), (KIND_PATH, (ring[::-1],))]
+        for k in (1, 2, n // 2, n // 2 + 1):
+            # C_n's edges as arcs of k edges (the last one may be shorter) ending at 0
+            arcs = tuple(tuple(v % n for v in range(s, min(s + k, n) + 1)) for s in range(0, n, k))
+            covers += [(KIND_PATH, arcs), (KIND_PATH, arcs[:-1]),
+                       (KIND_PATH, arcs[:-1] + (arcs[-1][:-1],))]
+        for kind, members in covers:
+            outcomes.add(_same_outcome(g, dm, CycleCover(kind=kind, cycles=members)))
+    assert {"raised", "passes", "edge_disjoint", "edge_partition", "all_isometric"} <= outcomes
 
 
 @pytest.mark.parametrize("kind", [KIND_CYCLE, KIND_PATH])

@@ -44,6 +44,7 @@ from corpus import (
     oracle_collinear,
     on_some_geodesic,
     random_connected_graph,
+    reference_walk_violation,
 )
 
 
@@ -392,6 +393,13 @@ def test_invalid_cycles():
     with pytest.raises(InvalidCycleError) as e:
         check_walk(g, [0, 1, 3], True)
     assert e.value.position == 1
+    # an id out of range is named only first; later, it fails adjacency
+    for seq, position, message in (([6, 0, 1], 0, "vertex 6 out of range"),
+                                   ([-1, 0, 1], 0, "vertex -1 out of range"),
+                                   ([0, 1, 7], 1, "1 and 7 are not adjacent")):
+        with pytest.raises(InvalidCycleError) as e:
+            check_walk(g, seq, True)
+        assert (e.value.position, str(e.value)) == (position, message)
 
 
 def test_isometric_path():
@@ -467,6 +475,24 @@ def test_walk_violation_matches_all_pairs_oracle(n, seed):
             pair = walk_violation(dm, path, closed)
             assert (pair is None) == (not off), (path, closed)
             assert pair is None or pair in off, (path, closed, pair)
+
+
+def test_half_cycle_read_names_the_full_loops_pair():
+    # every simple cycle of a dozen random graphs, in each rotation and
+    # direction: walk_violation, which reads half of an even cycle, names the
+    # pair the L-pair loop names, and that pair is off by the definition
+    parities = set()
+    for seed in range(12):
+        g = random_connected_graph(7, 0.5, seed)
+        dm = all_pairs_distances(g)
+        for path in _simple_paths(g):
+            if len(path) >= 3 and path[0] in g.adj[path[-1]]:
+                pair = reference_walk_violation(dm, path, True)
+                assert walk_violation(dm, path, True) == pair, (seed, path)
+                if pair is not None:
+                    assert pair in all_pairs_walk_violations(dm, path, True), (seed, path)
+                    parities.add(len(path) % 2)
+    assert parities == {0, 1}  # violations on even and on odd cycles were both met
 
 
 def test_isometric_cycle_subpaths_are_geodesics(bf2):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -20,6 +21,7 @@ from bfgp.graphs import (
     FAMILY_PATH,
     MAX_BUTTERFLY_R,
     MAX_VERTICES,
+    REF_CHUNK_EDGES,
     ButterflyLabel,
     Graph,
     build_butterfly,
@@ -77,6 +79,25 @@ def test_butterfly_edges_and_ref_without_a_graph(r):
 def test_butterfly_ref_golden():
     assert butterfly_ref(2) == "butterfly:2#6136f66dae6d"
     assert butterfly_ref(7) == "butterfly:7#71a38b60117f"
+    # taken when the edges were hashed as one joined string; r = 8 and up span chunks
+    assert butterfly_ref(8) == "butterfly:8#1e1a1ca0475e"
+    assert butterfly_ref(10) == "butterfly:10#8b03daa02b9d"
+    assert butterfly_ref(12) == "butterfly:12#a12e3dec8c4f"
+
+
+def test_ring_refs_golden():
+    # taken when the edges were hashed as one joined string; P_1 has no edges
+    assert build_path(1).ref() == "path:1#0758ffe9350a"
+    assert build_path(2).ref() == "path:2#5a396e832ceb"
+    assert build_cycle(9).ref() == "cycle:9#a4400a6a2763"
+
+
+@pytest.mark.parametrize("m", [REF_CHUNK_EDGES - 1, REF_CHUNK_EDGES, REF_CHUNK_EDGES + 1])
+def test_chunked_ref_is_the_one_string_hash(m):
+    g = build_path(m + 1)
+    assert g.num_edges == m
+    joined = f"{g.n}:" + ",".join(f"{u}-{v}" for u, v in g.edges)
+    assert g.ref() == f"path:{g.n}#{hashlib.sha256(joined.encode()).hexdigest()[:12]}"
 
 
 def test_butterfly_invalid_dimension():

@@ -16,8 +16,6 @@ since every walk edge is a graph edge, the partition is decided by count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     GraphParseError,
     InvalidCoverError,
@@ -30,6 +28,7 @@ from .errors import (
 from .geodesy import DistanceMatrix, check_walk, walk_violation
 from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
+from .records import Record
 
 KIND_CYCLE = "cycle-cover"
 KIND_PATH = "path-cover"
@@ -47,21 +46,26 @@ FLAG_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class CycleCover:
-    kind: str
-    cycles: tuple[tuple[int, ...], ...]
-    graph_ref: str = ""
+class CycleCover(Record):
+    __slots__ = ("kind", "cycles", "graph_ref")
+
+    def __init__(self, kind: str, cycles: tuple[tuple[int, ...], ...], graph_ref: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "graph_ref", graph_ref)
 
     def __len__(self) -> int:
         return len(self.cycles)
 
 
-@dataclass(frozen=True)
-class CoverReport:
-    flags: dict[str, bool]
-    first_failure: dict | None = None
-    incidence: tuple[int, ...] = field(default=())
+class CoverReport(Record):
+    __slots__ = ("flags", "first_failure", "incidence")
+
+    def __init__(self, flags: dict[str, bool], first_failure: dict | None = None,
+                 incidence: tuple[int, ...] = ()):
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "incidence", incidence)
 
     @property
     def passes(self) -> bool:

@@ -25,7 +25,6 @@ source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .budget import Budget
@@ -40,6 +39,7 @@ from .geodesy import (
 )
 from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
+from .records import Record
 
 PROVENANCE_CONSTRUCTION = "construction"
 PROVENANCE_EXACT = "solver-exact"
@@ -54,33 +54,41 @@ VIOLATION = "violation"
 MAX_SEARCH_TRIPLES = 1_000_000
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    members: tuple[int, ...]
-    provenance: str = PROVENANCE_USER
-    graph_ref: str = ""
+class VertexSet(Record):
+    __slots__ = ("members", "provenance", "graph_ref")
+
+    def __init__(self, members: tuple[int, ...], provenance: str = PROVENANCE_USER,
+                 graph_ref: str = ""):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "graph_ref", graph_ref)
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class GpWitness:
-    status: str
-    triple: tuple[int, int, int] | None = None
-    middle: int | None = None
+class GpWitness(Record):
+    __slots__ = ("status", "triple", "middle")
+
+    def __init__(self, status: str, triple: tuple[int, int, int] | None = None,
+                 middle: int | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "middle", middle)
 
     @property
     def ok(self) -> bool:
         return self.status == VERIFIED
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    best_set: VertexSet
-    size: int
-    optimal: bool
-    nodes_explored: int
+class SolveResult(Record):
+    __slots__ = ("best_set", "size", "optimal", "nodes_explored")
+
+    def __init__(self, best_set: VertexSet, size: int, optimal: bool, nodes_explored: int):
+        object.__setattr__(self, "best_set", best_set)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "optimal", optimal)
+        object.__setattr__(self, "nodes_explored", nodes_explored)
 
 
 def verify_general_position(g: Graph, dm: DistanceMatrix, s: VertexSet) -> GpWitness:

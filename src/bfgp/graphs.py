@@ -18,10 +18,10 @@ Level-0 and level-r vertices have degree 2, all others degree 4.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import islice, pairwise, starmap
 
 from .errors import InvalidParameterError, TooLargeError, UnsupportedFamilyError
+from .records import Record
 
 FAMILY_BUTTERFLY = "butterfly"
 FAMILY_CYCLE = "cycle"
@@ -41,12 +41,14 @@ MAX_VERTICES = (MAX_BUTTERFLY_R + 1) << MAX_BUTTERFLY_R
 REF_CHUNK_EDGES = 4096
 
 
-@dataclass(frozen=True)
-class ButterflyLabel:
+class ButterflyLabel(Record):
     """(level, row) name of a butterfly vertex; row is a bitstring of length r."""
 
-    level: int
-    row: str
+    __slots__ = ("level", "row")
+
+    def __init__(self, level: int, row: str):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "row", row)
 
 
 class Graph:

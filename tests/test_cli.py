@@ -1,13 +1,10 @@
 import hashlib
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import bfgp
 from bfgp import cycle_cover as cc
 from bfgp import cli, genpos, geodesy, graphs
 from bfgp.budget import DEFAULT_SOLVER_NODES
@@ -528,14 +525,10 @@ def test_usage_error_is_json(capsys):
     assert doc["kind"] == "usage"
 
 
-def test_module_entry_point(tmp_path):
-    # The tested bfgp's source root goes first: the child imports it, not an installed copy.
-    env = dict(os.environ)
-    src = str(Path(bfgp.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+def test_module_entry_point(tmp_path, source_env):
     proc = subprocess.run(
         [sys.executable, "-m", "bfgp", "generate", "cycle", "--n", "6", "--quiet"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=source_env,
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)

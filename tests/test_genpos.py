@@ -225,8 +225,6 @@ def test_solver_errors(bf2):
     with pytest.raises(InvalidParameterError):
         max_general_position(Graph(0, []), dm)
     with pytest.raises(InvalidParameterError):
-        Budget(node_limit=0)
-    with pytest.raises(InvalidParameterError):
         max_general_position(g, dm, pool=[0, 99])
     disc = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotConnectedError):
@@ -235,6 +233,14 @@ def test_solver_errors(bf2):
     two_paths = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     assert max_general_position(two_paths, all_pairs_distances(two_paths),
                                 pool=[0, 1, 2]).size == 2
+
+
+# a bool or float would pass a positivity check alone and be read as a node
+# count; "5" and None must not escape as a bare TypeError
+@pytest.mark.parametrize("node_limit", [0, -1, True, False, 1.5, 5.0, "5", None])
+def test_budget_refuses_a_node_limit_that_is_not_a_positive_int(node_limit):
+    with pytest.raises(InvalidParameterError):
+        Budget(node_limit=node_limit)
 
 
 def test_budget_exhaustion_returns_best_found(bf3):

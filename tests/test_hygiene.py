@@ -1,4 +1,4 @@
-"""Static checks over the package source, with the standard library only.
+"""Static checks over the package source, and one start-up check, with the standard library only.
 
 Every import in a module or a test module must be used there, every
 module-level private function or class must be referenced somewhere in
@@ -15,9 +15,14 @@ and never the family tag.  Only `geodesy.py` reads a distance matrix's
 rows and row-XOR encoding, so the symmetry it draws from them stays
 behind its functions, and one function there runs the packed
 collinearity kernel, so every collinearity answer comes from one scan.
+The start-up check runs a command in a child interpreter: it must not
+import `dataclasses` or `inspect`, whose import alone cost more than
+most commands' own work.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,3 +140,20 @@ def test_one_scan_runs_the_collinearity_kernel():
     callers = [node.name for node in TREES["geodesy.py"].body if isinstance(node, ast.FunctionDef)
                and "_collinear_fields" in _used_names(node)]
     assert len(callers) == 1, callers
+
+
+# run in a child interpreter started with -S, so that only bfgp's own imports
+# count, not those of the environment's .pth files
+STARTUP_CHILD = """
+import sys
+from bfgp import cli
+code = cli.main(["generate", "cycle", "--n", "6", "--quiet"])
+print(code, *sorted({"dataclasses", "inspect"} & sys.modules.keys()))
+"""
+
+
+def test_commands_start_without_dataclasses_or_inspect(tmp_path, source_env):
+    proc = subprocess.run([sys.executable, "-S", "-c", STARTUP_CHILD],
+                          capture_output=True, text=True, cwd=tmp_path, env=source_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0"

@@ -1,23 +1,27 @@
 """Distances and geodesic predicates.
 
-Distances are exact unweighted hop counts from breadth-first search.
-`all_pairs_distances` keeps one BFS row per 2^shift ids, shift being
-`Graph.butterfly_r` on the canonical BF(r) and 0 on any other graph,
-which so gets an n x n table, refused above MAX_TABLE_VERTICES vertices.
-BF(r) gets one row per level, and every other distance is read through
-an automorphism: XOR-ing every row label with a constant c < 2^r maps
-straight edges to straight edges and cross edges to cross edges of the
-same level, so d((l, x), v) = d((l, 0), v ^ x), and v ^ x flips only the
-row bits of v = level * 2^r + row.  `butterfly_r` comes from checking
-that very edge shape, not from the family tag.  Breadth-first search
-fills the rows of levels 0..r/2 alone: level reflection, (l, x) ->
-(r - l, x bit-reversed), is an automorphism too, since the step from
-level l to l + 1 flips bit a_(l+1) and the reflected step, from level
-r - l - 1 to r - l, flips bit a_(r-l), the one reversal puts in a_(l+1)'s
-place.  So each row l > r/2 is row r - l read through the reflection,
-one list gather.  Every distance is still a BFS distance; at r = 10 the
-rows hold 11 x 11,264 entries, 6 of them searched, where a table would
-hold 11,264^2.
+`all_pairs_distances` keeps one row of hop counts per 2^shift ids,
+shift being `Graph.butterfly_r` on the canonical BF(r) and 0 on any
+other graph, which so gets an n x n table of breadth-first search rows,
+refused above MAX_TABLE_VERTICES vertices.  BF(r) gets one row per
+level, and every other distance is read through an automorphism:
+XOR-ing every row label with a constant c < 2^r maps straight edges to
+straight edges and cross edges to cross edges of the same level, so
+d((l, x), v) = d((l, 0), v ^ x), and v ^ x flips only the row bits of
+v = level * 2^r + row.  `butterfly_r` comes from checking that very edge
+shape, not from the family tag.  At r = 10 the rows hold 11 x 11,264
+entries, where a table would hold 11,264^2.
+
+BF(r)'s rows come from a closed form, with no search.  Take u = (l, x),
+v = (m, y) and D = x ^ y; the step from level i - 1 to i flips bit a_i,
+machine bit r - i.  If D = 0, d(u, v) = |l - m|.  Else let s = r -
+(D.bit_length() - 1) and t = r - (index of D's lowest set bit), the
+first and the last step whose bit is in D, lo = min(l, m, s - 1) and
+hi = max(l, m, t); then d(u, v) = 2 (hi - lo) - |l - m|.  A walk from u
+to v must cross every step whose bit is in D, and each crossing can flip
+its bit or not, as every vertex has a straight and a cross edge to each
+neighbouring level.  So a shortest walk spans exactly the levels lo..hi,
+from l out to both ends and on to m, in 2 (hi - lo) - |l - m| steps.
 
 This module is the only reader of the rows, through `DistanceMatrix`
 and the predicates below.  It owns the collinearity rule that defines
@@ -81,19 +85,20 @@ class DistanceMatrix:
     """Shortest-path lengths; UNREACHABLE marks disconnected pairs.
 
     d(u, v) = rows[u >> shift][v ^ (u & mask)], mask = 2^shift - 1.  On
-    the canonical BF(r), shift = r and rows[l] holds d((l, 0), v): the BFS
-    row from (l, 0) for l <= r/2, and for l > r/2 row r - l reflected,
-    entry (m, x) taken from (r - m, x bit-reversed).  On any other graph
-    shift = mask = 0 and rows[u] is the BFS row from u.
-    No distance exceeds `bound`: n - 1 bounds every BFS distance, and
-    BF(r) has diameter 2r.  The collinearity kernel sizes its fields by it.
+    the canonical BF(r), shift = r and rows[l] holds d((l, 0), v), entry
+    (m, y) = 2 (max(l, m, t) - min(l, m, s - 1)) - |l - m| with s and t
+    the first and last step whose bit is in y, |l - m| for y = 0 (see the
+    module notes).  On any other graph shift = mask = 0 and rows[u] is the
+    BFS row from u.  No distance exceeds `bound`: n - 1 bounds every BFS
+    distance, and BF(r) has diameter 2r.  The collinearity kernel sizes
+    its fields by it.
     """
 
     __slots__ = ("n", "rows", "shift", "mask", "bound")
 
     def __init__(self, n: int, rows, shift: int = 0):
         self.n = n
-        self.rows = rows  # list of BFS distance lists; treat as read-only
+        self.rows = rows  # list of distance lists; treat as read-only
         self.shift = shift
         self.mask = (1 << shift) - 1
         self.bound = 2 * shift if shift else max(n - 1, 0)
@@ -133,17 +138,26 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
                             f"{MAX_TABLE_VERTICES} for a graph other than the canonical BF(r)")
     if not r:
         return DistanceMatrix(g.n, [bfs_distances(g, s) for s in range(g.n)])
-    rows = [bfs_distances(g, l << r) for l in range(r // 2 + 1)]
-    # level reflection (l, x) -> (r - l, x bit-reversed): row l > r/2 read
-    # at level m, row x, is row r - l read at level r - m, row rev[x]
-    rev = [0] * (1 << r)
-    for x in range(1, 1 << r):
-        rev[x] = rev[x >> 1] >> 1 | (x & 1) << (r - 1)
-    for l in range(r // 2 + 1, r + 1):
-        src, row = rows[r - l], [UNREACHABLE] * g.n
-        for m in range(r + 1):
-            row[m << r:(m + 1) << r] = map(src[(r - m) << r:(r - m + 1) << r].__getitem__, rev)
-        rows.append(row)
+    # the closed form (module notes) as d = P - Q, h = max(l, m), o = min(l, m):
+    # P = r + 2 max(h, t) - h reads the index of y's lowest set bit, r - t, and
+    # Q = r + 2 min(o, s - 1) - o its bit length, r - s + 1; y = 0 reads as
+    # lowest bit r and length 0, so d = h - o.  Both are byte tables over a
+    # level's labels, and a row is its P blocks minus its Q blocks as
+    # little-endian ints: no field borrows, its difference being a distance
+    nrows = 1 << r
+    length, lowest = bytearray(nrows), bytearray([r]) * nrows
+    for k in range(r):
+        length[1 << k:2 << k] = bytes([k + 1]) * (1 << k)
+        lowest[1 << k::2 << k] = bytes([k]) * (nrows >> k + 1)
+    P = [lowest.translate(bytes(r + 2 * max(h, r - c) - h for c in range(r + 1)).ljust(256))
+         for h in range(r + 1)]
+    Q = [length.translate(bytes(r + 2 * min(o, r - c) - o for c in range(r + 1)).ljust(256))
+         for o in range(r + 1)]
+    rows = []
+    for l in range(r + 1):
+        p = int.from_bytes(b"".join(P[max(l, m)] for m in range(r + 1)), "little")
+        q = int.from_bytes(b"".join(Q[min(l, m)] for m in range(r + 1)), "little")
+        rows.append(list((p - q).to_bytes(g.n, "little")))
     return DistanceMatrix(g.n, rows, r)
 
 

@@ -122,6 +122,44 @@ def bfs_dist(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def reference_butterfly_rows(g: Graph) -> list[list[int]]:
+    """d((l, 0), v) for l = 0..r on the canonical BF(r), by breadth-first search.
+
+    The rows as the library filled them before the closed form, kept as
+    its oracle: BFS from (l, 0) for l <= r/2, and each row l > r/2 read
+    through the level reflection (l, x) -> (r - l, x bit-reversed), an
+    automorphism: row l at level m, row x, is row r - l at level r - m,
+    row rev[x].
+    """
+    r = g.butterfly_r
+    rows = [bfs_dist(g, l << r) for l in range(r // 2 + 1)]
+    rev = [0] * (1 << r)
+    for x in range(1, 1 << r):
+        rev[x] = rev[x >> 1] >> 1 | (x & 1) << (r - 1)
+    for l in range(r // 2 + 1, r + 1):
+        src, row = rows[r - l], [-1] * g.n
+        for m in range(r + 1):
+            row[m << r:(m + 1) << r] = map(src[(r - m) << r:(r - m + 1) << r].__getitem__, rev)
+        rows.append(row)
+    return rows
+
+
+def butterfly_distance(r: int, u: int, v: int) -> int:
+    """d(u, v) on the canonical BF(r), from the closed form, one pair at a time.
+
+    u = (l, x) and v = (m, y) with D = x ^ y: |l - m| if D = 0, else
+    2 (max(l, m, t) - min(l, m, s - 1)) - |l - m|, where s and t are the
+    first and the last step whose bit is in D, step i flipping bit r - i.
+    """
+    (l, x), (m, y) = divmod(u, 1 << r), divmod(v, 1 << r)
+    D = x ^ y
+    if not D:
+        return abs(l - m)
+    s = r - (D.bit_length() - 1)
+    t = r - ((D & -D).bit_length() - 1)
+    return 2 * (max(l, m, t) - min(l, m, s - 1)) - abs(l - m)
+
+
 def all_geodesics(g: Graph, x: int, z: int) -> list[tuple[int, ...]]:
     """Every shortest x-z path, by DFS over the BFS dag from x."""
     dist = bfs_dist(g, x)

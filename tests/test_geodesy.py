@@ -39,11 +39,13 @@ from bfgp.geodesy import (
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
     bfs_dist,
+    butterfly_distance,
     connected,
     named_corpus,
     oracle_collinear,
     on_some_geodesic,
     random_connected_graph,
+    reference_butterfly_rows,
     reference_walk_violation,
 )
 
@@ -90,20 +92,44 @@ def test_distance_fill_follows_the_edges_not_the_tag():
 
 
 def test_distance_table_is_capped(monkeypatch):
-    # rows are counted, not built, so no test here pays for a table; a
-    # range stands in for each, for the reflected rows to be read from
+    # rows are counted, not built, so no test here pays for a table
     sources = []
-    monkeypatch.setattr(geodesy, "bfs_distances", lambda g, s: sources.append(s) or range(g.n))
+    monkeypatch.setattr(geodesy, "bfs_distances", lambda g, s: sources.append(s))
     with pytest.raises(TooLargeError):
         all_pairs_distances(Graph(MAX_TABLE_VERTICES + 1, []))
     assert sources == []
     assert all_pairs_distances(build_path(MAX_TABLE_VERTICES)).n == MAX_TABLE_VERTICES
     assert len(sources) == MAX_TABLE_VERTICES
     # the canonical butterfly keeps r + 1 rows, so it is not held to the cap,
-    # and searches from levels 0..r/2 alone: the others are reflections
+    # and fills them from the closed form: no search at all, tag or no tag
     sources.clear()
-    assert all_pairs_distances(build_butterfly(10)).n == 11 << 10 > MAX_TABLE_VERTICES
-    assert sources == [l << 10 for l in range(10 // 2 + 1)]
+    bf10 = build_butterfly(10)
+    assert all_pairs_distances(bf10).n == 11 << 10 > MAX_TABLE_VERTICES
+    assert len(all_pairs_distances(Graph(bf10.n, bf10.edges)).rows) == 11
+    assert sources == []
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_butterfly_rows_match_the_bfs_rows(r):
+    g = build_butterfly(r)
+    rows, expected = all_pairs_distances(g).rows, reference_butterfly_rows(g)
+    assert len(rows) == r + 1
+    for l in range(r + 1):
+        assert rows[l] == expected[l], (r, l)
+
+
+@pytest.mark.parametrize("r", range(1, 15))
+def test_butterfly_distances_match_the_closed_form(r):
+    # the two reads of a pair come from different rows unless u and v share
+    # a level, so the symmetry check crosses the row builder with itself
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    rng = random.Random(r)
+    for _ in range(300):
+        u, v = rng.randrange(g.n), rng.randrange(g.n)
+        assert dm.dist(u, v) == butterfly_distance(r, u, v) == dm.dist(v, u), (r, u, v)
+        if r <= 9:
+            assert dm.dist(u, v) == bfs_distances(g, u)[v], (r, u, v)
 
 
 @pytest.mark.parametrize("r", range(1, 10))

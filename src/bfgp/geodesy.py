@@ -35,21 +35,40 @@ every later member in a dozen big-int operations.  One scan, `_scan`,
 runs it, yielding in combinations order the triples whose first member
 sits at one of the given lead positions: `iter_collinear` leads with
 every member, `collinear_through` with its heads, listed first, and
-`first_collinear` with the first member of each orbit.
+`first_collinear` with the first member of each orbit of a reduced set.
 
-`first_collinear` decides general position with the set's symmetry.
-On BF(r), `row_xor_stabilizer` finds the group H of row-XOR constants
-c with S ^ c = S, checked against S itself.  Each element of H is an
-automorphism fixing S.  The scan takes the members orbit by orbit,
+`first_collinear` decides general position with the set's false twins
+and its symmetry.  Vertices u and u' are false twins when N(u) = N(u').
+They are not adjacent (u' in N(u) = N(u') would be its own neighbour),
+so d(u, u') = 2, and every other w has d(u, w) = d(u', w), a shortest
+path from u to w starting at a neighbour that u' shares.  Hence
+(u, u', w) is collinear iff w is a common neighbour (2 = k + k means
+k = 1, and k = 2 + k is impossible), three members of one class are
+pairwise 2 apart, and a triple of distinct classes has the distances of
+the triple of their representatives.  So S is in general position iff
+S', one member of S per twin class, is, and no member of S is a common
+neighbour of a twin pair that S holds whole.
+On BF(r) the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both
+joined to (1, x) and (1, x ^ 2^(r-1)), and (r, y) and (r, y ^ 1), both
+joined to (r - 1, y) and (r - 1, y ^ 1).  One pass, `_twin_reduced`,
+drops the larger member of each whole pair and tests its two common
+neighbours.  Then `row_xor_stabilizer` finds the group H of row-XOR
+constants c with S' ^ c = S', checked against S' itself.  Each element
+of H is an automorphism fixing S'.  The scan takes S' orbit by orbit,
 o ^ H for each orbit's least member o, and leads with each o alone: a
 collinear triple whose first member in that order is o ^ h goes, under
-h, to one whose first member is o.  On the closed-form set that is 5
-leads at every r.  In that order the scan also gathers only the rows of
+h, to one whose first member is o.  The closed-form set holds both
+members of every twin pair or neither, so S' is its level-0 rows with
+a_r = 1 and a_1 = 0, its level-1 rows and its level-r rows with a_1 = 1
+and a_r = 0: 3 * 2^(r-2) members, H of order 2^(r-2), and 3 leads, one
+per level, at every r >= 3, against 5 leads over all 5 * 2^(r-2)
+members of S.  In that order the scan also gathers only the rows of
 the o: as d(o ^ h, v) = d(o, v ^ h), the row of o ^ h is the row of o
 with its fields permuted by XOR with h, a few block swaps of one int.
-The witness never depends on H: when that scan finds a violation, or H
-is trivial, the full `iter_collinear` scan names the first triple in
-combinations order.
+The witness never depends on twins or on H: when a member is a common
+neighbour of a whole pair, when H is trivial, when that scan finds a
+violation, or on a table graph, the full `iter_collinear` scan of S
+names the first triple in combinations order.
 
 A cycle is a closed walk and a path an open one: `check_walk` checks
 either against the graph, and `walk_violation` tests either for isometry
@@ -61,6 +80,7 @@ An even cycle meets each such pair twice, and reads its first half only.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from collections import deque
 from itertools import count, repeat
 
@@ -207,27 +227,68 @@ def iter_collinear(dm: DistanceMatrix, members):
 def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
     """The first collinear triple of members in combinations order, or None.
 
-    Let H be `row_xor_stabilizer(dm, members)`.  Each h in H is an
-    automorphism with h(S) = S.  When H is not trivial, the members are
-    scanned in coset order, each orbit o ^ H after the last, and only the
-    triples led by an orbit's first member o: a collinear triple whose
-    first member is o ^ h goes, under h, to one led by o, its other two
-    members staying in later positions.  If none is collinear, S is in
-    general position.  Otherwise, or when H is trivial, the full
-    `iter_collinear` scan names the first triple, so the answer never
-    depends on H.
+    On BF(r) the members S are first cut to S', one per false-twin
+    class (see `_twin_reduced`): S is in general position iff S' is and
+    no member is a common neighbour of a twin pair held whole.  Let H be
+    `row_xor_stabilizer(dm, S')`.  Each h in H is an automorphism with
+    h(S') = S'.  When H is not trivial, S' is scanned in coset order,
+    each orbit o ^ H after the last, and only the triples led by an
+    orbit's first member o: a collinear triple whose first member is
+    o ^ h goes, under h, to one led by o, its other two members staying
+    in later positions.  If none is collinear, S is in general position.
+    Otherwise, when a member is such a common neighbour, when H is
+    trivial, or on a table graph, the full `iter_collinear` scan of S
+    names the first triple, so the answer never depends on twins or H.
     """
     ms = list(members)
-    group = row_xor_stabilizer(dm, ms)
+    reduced = _twin_reduced(dm, ms)
+    group = (0,) if reduced is None else row_xor_stabilizer(dm, reduced)
     if len(group) > 1:
         # an orbit's least member has no pivot bit set, the highest bit of a
         # basis vector group[2^b] (see _scan), and is the only one of them
         pivots = sum(1 << group[1 << b].bit_length() - 1
                      for b in range(len(group).bit_length() - 1))
-        order = [v ^ c for v in ms if not v & pivots for c in group]
+        order = [v ^ c for v in reduced if not v & pivots for c in group]
         if not any(_scan(dm, order, range(0, len(order), len(group)), len(group))):
             return None
     return next(iter_collinear(dm, ms), None)
+
+
+def _twin_reduced(dm: DistanceMatrix, members) -> list[int] | None:
+    """Members less the larger of each false-twin pair they hold whole, on BF(r).
+
+    None when a member is a common neighbour of such a pair, which
+    makes the three collinear, and members unchanged on a table graph.
+    BF(r)'s false twins, the vertices with one neighbourhood, are the
+    level-0 pairs (0, x), (0, x ^ 2^(r-1)), both joined to (1, x) and
+    (1, x ^ 2^(r-1)), and the level-r pairs (r, y), (r, y ^ 1), both
+    joined to (r - 1, y) and (r - 1, y ^ 1).  Order is kept.  As BF(r)
+    is bipartite, such a neighbour w and the kept twin u are collinear
+    with any third kept member z, d(u, z) and d(w, z) differing by one,
+    so the reduced set would fail too: the test only sends these rejects
+    to the full scan before the group is built.
+    """
+    r = dm.shift
+    if not r:
+        return members
+    ids = set(members)
+    rows, top, msb = 1 << r, r << r, 1 << (r - 1)
+    reduced = []
+    for v in members:
+        if v < rows:
+            twin, up = v ^ msb, rows  # the pair's common neighbours: v + up, twin + up
+        elif v >= top:
+            twin, up = v ^ 1, -rows
+        else:
+            reduced.append(v)
+            continue
+        if twin in ids:
+            if twin < v:
+                continue
+            if v + up in ids or twin + up in ids:
+                return None
+        reduced.append(v)
+    return reduced
 
 
 def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
@@ -246,16 +307,17 @@ def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
     ids = set(members)
     if not dm.shift or not ids:
         return (0,)
-    levels: dict[int, list[int]] = {}
-    for v in sorted(ids):
-        levels.setdefault(v >> dm.shift, []).append(v)
-    if any(len(level) & 1 for level in levels.values()):
+    r, ms = dm.shift, sorted(ids)
+    ends = [bisect_left(ms, l << r) for l in range(r + 2)]
+    levels = [ms[a:b] for a, b in zip(ends, ends[1:]) if a < b]
+    if any(len(level) & 1 for level in levels):
         return (0,)
-    level = min(levels.values(), key=len)
+    level = min(levels, key=len)
     group = {0}
     for m in level:
         c = level[0] ^ m
-        if c not in group and all(v ^ c in ids for v in ids):
+        # C-speed membership test, stopping at the first miss
+        if c not in group and all(map(ids.__contains__, map(c.__xor__, ids))):
             group |= {h ^ c for h in group}
     return tuple(sorted(group))
 

@@ -189,6 +189,42 @@ def oracle_collinear(g: Graph, x: int, y: int, z: int) -> bool:
             or on_some_geodesic(g, x, z, y))
 
 
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The false-twin classes of g with two or more vertices, ascending.
+
+    False twins share one neighbourhood, so this groups the vertices on
+    `frozenset(adj[v])`, with no closed form.
+    """
+    groups: dict[frozenset, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(frozenset(g.adj[v]), []).append(v)
+    return sorted(c for c in groups.values() if len(c) > 1)
+
+
+def twin_reduced_general_position(g: Graph, members) -> bool:
+    """Whether members of a connected g are in general position, by the false-twin lemma.
+
+    The verdict from the two conditions the lemma proves equivalent to
+    general position: the members' least in each twin class are in
+    general position, by a plain triple loop over BFS distances, and
+    no member is a common neighbour of a class holding two or more.
+    """
+    ids = set(members)
+    reduced = set(ids)
+    for cls in twin_classes(g):
+        held = [v for v in cls if v in ids]
+        if len(held) > 1:
+            if not ids.isdisjoint(g.adj[held[0]]):
+                return False
+            reduced -= set(held[1:])
+    dist = {v: bfs_dist(g, v) for v in reduced}
+    for x, y, z in combinations(sorted(reduced), 3):
+        a, b, c = sorted((dist[x][y], dist[y][z], dist[x][z]))
+        if a + b == c:
+            return False
+    return True
+
+
 def isometric_cycles(g: Graph) -> list[tuple[int, ...]]:
     """Every simple isometric cycle, one orientation each, by DFS over simple cycles.
 

@@ -47,6 +47,8 @@ from corpus import (
     random_connected_graph,
     reference_butterfly_rows,
     reference_walk_violation,
+    twin_classes,
+    twin_reduced_general_position,
 )
 
 
@@ -215,11 +217,22 @@ def test_relabelled_butterfly_takes_the_full_scan(monkeypatch):
     monkeypatch.setattr(geodesy, "iter_collinear", lambda dm, ms: scans.append(ms) or real(dm, ms))
     assert verify_general_position(relabelled, dm, VertexSet(tuple(members))).ok
     assert scans == [members]
-    # the canonical copy is proved by its 5 orbit representatives alone
+    # the canonical copy is proved by the 3 orbit representatives of its
+    # members less their twins
     scans.clear()
     assert verify_general_position(bf4, all_pairs_distances(bf4),
                                    construct_butterfly_gp_set(4)).ok
     assert scans == []
+
+
+def _record_scans(monkeypatch):
+    """Lists of the (members, leads, coset) sizes of every _scan and the members of every full scan."""
+    scans, full = [], []
+    real_scan, real_iter = geodesy._scan, geodesy.iter_collinear
+    monkeypatch.setattr(geodesy, "_scan", lambda dm, ms, leads, coset=1: (
+        scans.append((len(ms), len(leads), coset)) or real_scan(dm, ms, leads, coset)))
+    monkeypatch.setattr(geodesy, "iter_collinear", lambda dm, ms: full.append(ms) or real_iter(dm, ms))
+    return scans, full
 
 
 @pytest.mark.parametrize("r", range(2, 10))
@@ -227,12 +240,135 @@ def test_closed_form_set_is_accepted_without_the_full_scan(monkeypatch, r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)
     s = construct_butterfly_gp_set(r)
-    scans = []
-    real = geodesy.iter_collinear
-    monkeypatch.setattr(geodesy, "iter_collinear", lambda dm, ms: scans.append(ms) or real(dm, ms))
+    scans, full = _record_scans(monkeypatch)
     assert verify_general_position(g, dm, s).ok
-    # BF(2)'s set holds one level-1 vertex, so its stabilizer is trivial
-    assert scans == ([list(s.members)] if r == 2 else [])
+    if r == 2:
+        # BF(2)'s set is 2 twin pairs and (1, 0): one member per level
+        # remains, so the stabilizer is trivial and the whole set is scanned
+        assert full == [list(s.members)] and scans == [(5, 5, 1)]
+    else:
+        # one member per twin pair: 3 orbits of 2^(r-2), each led once
+        q = 1 << (r - 2)
+        assert full == [] and scans == [(3 * q, 3, q)]
+
+
+@pytest.mark.parametrize("r", range(1, 10))
+def test_butterfly_false_twins_are_the_end_level_pairs(r):
+    g = build_butterfly(r)
+    msb, top = 1 << (r - 1), r << r
+    level0 = [[x, x ^ msb] for x in range(1 << r) if not x & msb]
+    levelr = [[top + y, top + y + 1] for y in range(0, 1 << r, 2)]
+    assert twin_classes(g) == sorted(level0 + levelr)
+
+
+@st.composite
+def planted_twins(draw):
+    """(g, members): a random connected graph with copies of some vertices' neighbourhoods.
+
+    Each planted vertex gets the neighbourhood of an earlier vertex, a
+    planted one included, so classes of three occur.  Members are drawn
+    at random, or hold one planted pair and none of its neighbours, the
+    case the lemma reduces without a violation.
+    """
+    n = draw(st.integers(3, 8), label="n")
+    g = random_connected_graph(n, draw(st.sampled_from([0.3, 0.5, 0.7])),
+                               draw(st.integers(0, 10_000), label="seed"))
+    adj = [list(a) for a in g.adj]
+    pairs = []
+    for m in range(n, n + draw(st.integers(1, 4), label="planted")):
+        v = draw(st.integers(0, m - 1))
+        adj.append(list(adj[v]))
+        for w in adj[v]:
+            adj[w].append(m)
+        pairs.append((v, m))
+    g = Graph(len(adj), [(u, v) for u, a in enumerate(adj) for v in a if u < v])
+    members = draw(st.lists(st.integers(0, g.n - 1), unique=True), label="members")
+    if draw(st.booleans(), label="one pair, no neighbour"):
+        v, m = draw(st.sampled_from(pairs))
+        members = [u for u in members if u not in g.adj[m] and u not in (v, m)] + [v, m]
+    return g, members
+
+
+@settings(deadline=None, max_examples=150)
+@given(planted_twins())
+def test_twin_lemma_oracle_matches_the_full_scan(case):
+    g, members = case
+    assert twin_classes(g)
+    dm = all_pairs_distances(g)
+    first = next(iter_collinear(dm, members), None)
+    assert twin_reduced_general_position(g, members) == (first is None)
+    assert first_collinear(dm, members) == first
+
+
+SMALL_BUTTERFLIES = {r: (g, all_pairs_distances(g)) for r in range(1, 6) for g in (build_butterfly(r),)}
+
+
+@st.composite
+def butterfly_twin_sets(draw):
+    """(r, members): a few of BF(r)'s twin pairs held whole, some of their neighbours, a few more."""
+    r = draw(st.integers(1, 5), label="r")
+    rows, top = 1 << r, r << r
+    members = set()
+    for _ in range(draw(st.integers(1, 3), label="pairs")):
+        if draw(st.booleans(), label="level 0"):
+            x = draw(st.integers(0, rows - 1))
+            pair, step = (x, x ^ (rows >> 1)), rows
+        else:
+            y = draw(st.integers(0, rows - 1))
+            pair, step = (top + y, top + (y ^ 1)), -rows
+        members.update(pair)
+        members.update(v + step for v in draw(st.sets(st.sampled_from(pair)), label="neighbours"))
+    members.update(draw(st.sets(st.integers(0, (r + 1) * rows - 1), max_size=4), label="others"))
+    return r, sorted(members)
+
+
+@settings(deadline=None, max_examples=150)
+@given(butterfly_twin_sets())
+def test_butterfly_twin_sets_match_the_full_scan(case):
+    r, members = case
+    g, dm = SMALL_BUTTERFLIES[r]
+    first = next(iter_collinear(dm, members), None)
+    assert first_collinear(dm, members) == first
+    assert twin_reduced_general_position(g, members) == (first is None)
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_twin_edits_of_the_closed_form_give_the_full_scan_witness(monkeypatch, r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    closed = set(construct_butterfly_gp_set(r).members)
+    group = row_xor_stabilizer(dm, closed)
+    rows, msb = 1 << r, 1 << (r - 1)
+    x, y = 1, (r << r) + msb  # a level-0 and a level-r twin pair, both held whole
+    neighbours = {"level-0 pair's": (rows + x, rows + (x ^ msb)),
+                  "level-r pair's": (y - rows, (y ^ 1) - rows)}
+    cases = {}
+    for pair, hubs in neighbours.items():
+        for which, hub in zip(("", "other "), hubs):
+            # a common neighbour of a whole pair makes it collinear; with its
+            # orbit the members less their twins keep a non-trivial group
+            cases[f"{pair} {which}neighbour"] = closed | {hub}
+            cases[f"{pair} {which}neighbour's orbit"] = closed | {hub ^ c for c in group}
+    # so does a neighbour of a pair alone, one member per pair being 2
+    # vertices, in general position
+    cases["level-0 pair and its neighbour"] = {x, x ^ msb, rows + (x ^ msb)}
+    cases["level-r pair and its neighbour"] = {y, y ^ 1, (y ^ 1) - rows}
+    # a subset of a set in general position is one
+    cases["level-0 pair less its smaller"] = closed - {x}
+    cases["level-0 pair less its larger"] = closed - {x ^ msb}
+    cases["level-r pair less its smaller"] = closed - {y}
+    cases["level-r pair less its larger"] = closed - {y ^ 1}
+    scans, _ = _record_scans(monkeypatch)
+    for name, members in cases.items():
+        members = tuple(sorted(members))
+        first = next(iter_collinear(dm, members), None)  # the unrecorded full scan
+        scans.clear()
+        assert first_collinear(dm, members) == first, (r, name)
+        w = verify_general_position(g, dm, VertexSet(members))
+        assert (w.ok, w.triple) == (first is None, first), (r, name)
+        if "neighbour" in name:
+            # no orbit scan: the full scan names the witness at once
+            assert first is not None and {s[2] for s in scans} == {1}, (r, name)
 
 
 @pytest.mark.parametrize("r", range(3, 9))

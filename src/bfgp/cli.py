@@ -293,9 +293,10 @@ def cmd_gpset_max(run: Run) -> int:
     dm = geodesy.all_pairs_distances(g)
     res = genpos.max_general_position(g, dm, pool=pool,
                                       budget=Budget(node_limit=args.node_budget))
+    ref = res.best_set.graph_ref  # g.ref(), not hashed again from a non-butterfly's edges
     doc = {
         "command": "gpset-max",
-        "graph_ref": g.ref(),
+        "graph_ref": ref,
         "pool": pool_desc,
         "size": res.size,
         "optimal": res.optimal,
@@ -312,7 +313,7 @@ def cmd_gpset_max(run: Run) -> int:
         doc["witness"] = genpos.witness_to_dict(witness)
     if args.out:
         run.write_json(args.out, doc)
-    run.note(f"max general position on {g.ref()} pool={pool_desc}: "
+    run.note(f"max general position on {ref} pool={pool_desc}: "
              f"size {res.size} optimal={res.optimal}")
     return run.finish(doc, code)
 

@@ -13,6 +13,14 @@ files, golden outputs), are stable across runs:
   edges flipping bit l+1.
 
 Level-0 and level-r vertices have degree 2, all others degree 4.
+
+A graph's ref, the content reference stamped on set and cover files, is
+its tag and 12 hex digits of a sha256 over n and the sorted edges.  For
+BF(r) those digits are read from BUTTERFLY_HASHES, not hashed from its
+r * 2^(r+1) edges: the hash depends on the edges alone, and Graph sets
+butterfly_r only when they are exactly BF(r)'s.
+tests/test_graphs.py::test_butterfly_hashes_are_the_one_string_hash
+recomputes every entry from the edges.
 """
 
 from __future__ import annotations
@@ -37,7 +45,18 @@ MAX_BUTTERFLY_R = 14
 # it a cycle, path or graph file of 10^8 vertices exhausts memory
 MAX_VERTICES = (MAX_BUTTERFLY_R + 1) << MAX_BUTTERFLY_R
 
-# edges hashed per sha256 update by Graph.ref and butterfly_ref
+# first 12 hex digits of the sha256 of "n:u-v,u-v,..." over BF(r)'s sorted
+# edges, indexed by r (there is no BF(0)); the ref of every graph whose
+# edges are BF(r)'s, whatever its tag
+BUTTERFLY_HASHES = (
+    None,
+    "0a62cb4ce11d", "6136f66dae6d", "1790cdebd4ba", "cd7904444e37",
+    "c0596aa23093", "9f2b1760cb29", "71a38b60117f", "1e1a1ca0475e",
+    "681d9a6bee3a", "8b03daa02b9d", "9565289a2a8a", "a12e3dec8c4f",
+    "7446b9e51733", "0c91cc3f4862",
+)
+
+# edges hashed per sha256 update by Graph.ref on graphs other than BF(r)
 REF_CHUNK_EDGES = 4096
 
 
@@ -156,7 +175,14 @@ class Graph:
 
     def ref(self) -> str:
         """Stable content reference used in set/cover files."""
-        return _content_ref(self.n, self.edges, self.family, self.family_param)
+        r = self.butterfly_r
+        if r is None:
+            return _content_ref(self.n, self.edges, self.family, self.family_param)
+        return f"{_ref_tag(self.family, self.family_param)}#{BUTTERFLY_HASHES[r]}"
+
+
+def _ref_tag(family: str, family_param: int | None) -> str:
+    return family if family_param is None else f"{family}:{family_param}"
 
 
 def _content_ref(n: int, edges, family: str, family_param: int | None) -> str:
@@ -167,8 +193,7 @@ def _content_ref(n: int, edges, family: str, family_param: int | None) -> str:
     while chunk := list(islice(it, REF_CHUNK_EDGES)):
         h.update((sep + ",".join(starmap("{}-{}".format, chunk))).encode())
         sep = ","
-    tag = family if family_param is None else f"{family}:{family_param}"
-    return f"{tag}#{h.hexdigest()[:12]}"
+    return f"{_ref_tag(family, family_param)}#{h.hexdigest()[:12]}"
 
 
 def _checked_dim(r: int) -> int:
@@ -179,19 +204,17 @@ def _checked_dim(r: int) -> int:
     return r
 
 
-def _iter_butterfly_edges(r: int):
-    """BF(r)'s edges in sorted order, each (u, v) with u < v, one at a time."""
-    nrows = 1 << r
+def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
+    """Sorted edge tuple of BF(r) in the canonical encoding, each (u, v) with u < v."""
+    nrows = 1 << _checked_dim(r)
+    edges = []
+    add = edges.append
     for u in range(r * nrows):
         flip = nrows >> (u >> r) + 1  # the cross edge from level l = u >> r flips bit l+1
         v = u + nrows - (u & flip)  # the lesser of u's two neighbours on level l + 1
-        yield (u, v)
-        yield (u, v + flip)
-
-
-def butterfly_edges(r: int) -> tuple[tuple[int, int], ...]:
-    """Sorted edge tuple of BF(r) in the canonical encoding, without a Graph."""
-    return tuple(_iter_butterfly_edges(_checked_dim(r)))
+        add((u, v))
+        add((u, v + flip))
+    return tuple(edges)
 
 
 def _butterfly_dim_of(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
@@ -224,9 +247,12 @@ def _ring_edges(n: int, closed: bool):
 
 
 def butterfly_ref(r: int) -> str:
-    """build_butterfly(r).ref(), hashed from BF(r)'s edges as they are generated."""
-    r = _checked_dim(r)
-    return _content_ref((r + 1) << r, _iter_butterfly_edges(r), FAMILY_BUTTERFLY, r)
+    """build_butterfly(r).ref(), read from BUTTERFLY_HASHES without building an edge.
+
+    test_butterfly_hashes_are_the_one_string_hash recomputes each table
+    entry from butterfly_edges(r).
+    """
+    return f"{FAMILY_BUTTERFLY}:{_checked_dim(r)}#{BUTTERFLY_HASHES[r]}"
 
 
 def build_butterfly(r: int) -> Graph:

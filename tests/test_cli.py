@@ -505,6 +505,34 @@ def test_graph_ref_must_match_the_graph(capsys, tmp_path):
                        "--quiet")[0] == code, ref
 
 
+@pytest.mark.parametrize("kind,r", [("gpset", 4), ("cover", 3)])
+def test_claims_on_bf_files_name_content_not_tag(capsys, tmp_path, kind, r):
+    # a BF(r) claim is read from the table of hashes; it holds for BF(r)'s
+    # edges under any tag and fails once the vertices are relabelled
+    claim = tmp_path / "claim.json"
+    run_cli(capsys, kind, "construct", "--r", str(r), "--out", str(claim), "--quiet")
+    g = graphs.build_butterfly(r)
+    edges = [list(e) for e in g.edges]
+    shift = [[(u + 1) % g.n, (v + 1) % g.n] for u, v in g.edges]
+    graph = tmp_path / "graph.json"
+    flag = "--set" if kind == "gpset" else "--cover"
+    for doc, code in (({"family": "butterfly", "r": r, "num_vertices": g.n, "edges": edges}, 0),
+                      ({"family": "custom", "num_vertices": g.n, "edges": edges}, 0),
+                      ({"family": "custom", "n": g.n, "num_vertices": g.n, "edges": edges}, 0),
+                      ({"family": "custom", "num_vertices": g.n, "edges": shift}, 2)):
+        graph.write_text(json.dumps(doc))
+        got, out = run_cli(capsys, kind, "verify", "--graph", str(graph), flag, str(claim),
+                           "--quiet")
+        assert got == code, (doc["family"], out)
+        if code:
+            assert out["kind"] == "GraphParseError"
+            assert graphs.butterfly_ref(r).rpartition("#")[2] in out["error"]
+        elif kind == "gpset":
+            assert out["status"] == "verified-general-position"
+        else:
+            assert out["passes"] is True
+
+
 def test_mislabeled_graph_files_are_parse_errors(capsys, tmp_path):
     bf2 = graphs.build_butterfly(2)
     rotated = [[(u + 1) % bf2.n, (v + 1) % bf2.n] for u, v in bf2.edges]

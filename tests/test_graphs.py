@@ -12,9 +12,10 @@ from bfgp.errors import (
     TooLargeError,
     UnsupportedFamilyError,
 )
-from bfgp import graphs
+from bfgp import cli, cycle_cover, genpos, graphs
 from bfgp.graph_io import export_dot, export_graph, graph_to_dict, import_graph
 from bfgp.graphs import (
+    BUTTERFLY_HASHES,
     FAMILY_BUTTERFLY,
     FAMILY_CUSTOM,
     FAMILY_CYCLE,
@@ -73,7 +74,42 @@ def test_adjacency_symmetry_everywhere():
 def test_butterfly_edges_and_ref_without_a_graph(r):
     g = build_butterfly(r)
     assert butterfly_edges(r) == g.edges
-    assert butterfly_ref(r) == g.ref()
+    assert butterfly_ref(r) == graphs._content_ref(g.n, g.edges, FAMILY_BUTTERFLY, r)
+
+
+def test_butterfly_hashes_are_the_one_string_hash():
+    # raising the cap without a new entry fails here
+    assert len(BUTTERFLY_HASHES) == MAX_BUTTERFLY_R + 1
+    for r in range(1, MAX_BUTTERFLY_R + 1):
+        n = (r + 1) << r
+        joined = f"{n}:" + ",".join(f"{u}-{v}" for u, v in butterfly_edges(r))
+        assert BUTTERFLY_HASHES[r] == hashlib.sha256(joined.encode()).hexdigest()[:12], r
+
+
+def test_no_butterfly_ref_hashes_its_edges(monkeypatch):
+    class Hashed(Exception):
+        pass
+
+    def refuse(*args):
+        raise Hashed
+
+    monkeypatch.setattr(graphs, "_content_ref", refuse)
+    for r in range(2, 10):
+        ref = butterfly_ref(r)
+        assert genpos.construct_butterfly_gp_set(r).graph_ref == ref
+        assert cycle_cover.construct_bf_cycle_cover(r).graph_ref == ref
+        assert build_butterfly(r).ref() == ref
+        assert Graph((r + 1) << r, butterfly_edges(r)).ref() == f"custom#{BUTTERFLY_HASHES[r]}"
+    assert cli.main(["report", "--r-max", "5", "--quiet"]) == 0
+    # graphs other than BF(r) still hash their edges
+    bf4 = build_butterfly(4)
+    perm = list(range(bf4.n))
+    random.Random(4).shuffle(perm)
+    relabelled = Graph(bf4.n, [(perm[u], perm[v]) for u, v in bf4.edges])
+    assert relabelled.butterfly_r is None
+    for g in (relabelled, build_cycle(9), build_path(5)):
+        with pytest.raises(Hashed):
+            g.ref()
 
 
 def test_butterfly_ref_golden():

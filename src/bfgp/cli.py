@@ -249,10 +249,12 @@ def cmd_gpset_construct(run: Run) -> int:
     args = run.args
     s = genpos.construct_butterfly_gp_set(args.r)
     doc = genpos.vertex_set_to_dict(s)
-    result = {"command": "gpset-construct", "r": args.r, "size": len(s), "set": doc}
+    result = {"command": "gpset-construct", "r": args.r, "size": len(s)}
     if args.out:
         run.write_json(args.out, doc)
         result["path"] = args.out
+    else:
+        result["set"] = doc
     run.note(f"BF({args.r}) general position set of size {len(s)}")
     return run.finish(result, EXIT_OK)
 

@@ -59,13 +59,11 @@ class CycleCover(Record):
 
 
 class CoverReport(Record):
-    __slots__ = ("flags", "first_failure", "incidence")
+    __slots__ = ("flags", "first_failure")
 
-    def __init__(self, flags: dict[str, bool], first_failure: dict | None = None,
-                 incidence: tuple[int, ...] = ()):
+    def __init__(self, flags: dict[str, bool], first_failure: dict | None = None):
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "first_failure", first_failure)
-        object.__setattr__(self, "incidence", incidence)
 
     @property
     def passes(self) -> bool:
@@ -152,7 +150,7 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
 
     flags = {name: name not in failures for name in FLAG_ORDER}
     first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
-    return CoverReport(flags=flags, first_failure=first_failure, incidence=tuple(incidence))
+    return CoverReport(flags=flags, first_failure=first_failure)
 
 
 def verify_bf_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
@@ -251,6 +249,5 @@ def report_to_dict(report: CoverReport) -> dict:
         "passes": report.passes,
         "flags": dict(report.flags),
         "first_failure": report.first_failure,
-        "incidence": list(report.incidence),
     }
 

@@ -10,6 +10,7 @@ whatever its tag, vertices are named L<level>_<row>.
 from __future__ import annotations
 
 import json
+import reprlib
 
 from .errors import GraphParseError, InvalidParameterError
 from .graphs import FAMILY_BUTTERFLY, FAMILY_CUSTOM, Graph, label_of
@@ -60,6 +61,8 @@ def parse_json(data: bytes | str):
         raise GraphParseError(f"invalid JSON: not UTF-8 text ({e.reason})") from e
     except RecursionError as e:
         raise GraphParseError("invalid JSON: nested too deeply") from e
+    except ValueError as e:  # an integer longer than sys.get_int_max_str_digits()
+        raise GraphParseError(f"invalid JSON: {e}") from e
 
 
 def is_json_int(x) -> bool:
@@ -93,17 +96,12 @@ def import_graph(data: bytes | str) -> Graph:
         raise GraphParseError("missing num_vertices")
     n = doc["num_vertices"]
     if not is_json_int(n) or n < 0:
-        raise GraphParseError(f"num_vertices must be a non-negative integer, got {n!r}")
+        raise GraphParseError(
+            f"num_vertices must be a non-negative integer, got {reprlib.repr(n)}")
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_edges, list):
         raise GraphParseError("edges must be an array")
-    edges = []
-    for i, e in enumerate(raw_edges):
-        if len(int_array(e, f"edge #{i}")) != 2:
-            raise GraphParseError(f"edge #{i} must be a pair of integers, got {e!r}")
-        edges.append((e[0], e[1]))
-    try:
-        g = Graph(n, edges, family, param)
+    try:  # Graph refuses an edge that is not a pair of ids
+        return Graph(n, raw_edges, family, param)
     except InvalidParameterError as e:
         raise GraphParseError(f"inconsistent graph: {e}") from e
-    return g

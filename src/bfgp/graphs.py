@@ -26,7 +26,8 @@ recomputes every entry from the edges.
 from __future__ import annotations
 
 import hashlib
-from itertools import islice, pairwise, starmap
+import reprlib
+from itertools import pairwise, starmap
 
 from .errors import InvalidParameterError, TooLargeError, UnsupportedFamilyError
 from .records import Record
@@ -55,9 +56,6 @@ BUTTERFLY_HASHES = (
     "681d9a6bee3a", "8b03daa02b9d", "9565289a2a8a", "a12e3dec8c4f",
     "7446b9e51733", "0c91cc3f4862",
 )
-
-# edges hashed per sha256 update by Graph.ref on graphs other than BF(r)
-REF_CHUNK_EDGES = 4096
 
 
 class ButterflyLabel(Record):
@@ -97,7 +95,8 @@ class Graph:
         if n > MAX_VERTICES:
             raise TooLargeError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
         if isinstance(family_param, bool) or not isinstance(family_param, (int, type(None))):
-            raise InvalidParameterError(f"family parameter {family_param!r} is not an integer")
+            raise InvalidParameterError(
+                f"family parameter {reprlib.repr(family_param)} is not an integer")
         pairs = []
         for e in edges:
             try:
@@ -106,9 +105,11 @@ class Graph:
                     raise TypeError
                 in_range = 0 <= u < n and 0 <= v < n
             except (TypeError, ValueError):
-                raise InvalidParameterError(f"edge {e!r} is not a pair of vertex ids") from None
+                # reprlib caps what is shown of a long or deep edge
+                raise InvalidParameterError(
+                    f"edge {reprlib.repr(e)} is not a pair of vertex ids") from None
             if not in_range:
-                raise InvalidParameterError(f"edge {e} out of range for n={n}")
+                raise InvalidParameterError(f"edge {reprlib.repr(e)} out of range for n={n}")
             if u < v:
                 # an oriented tuple is kept, not copied, to spare BF(14)'s
                 # 458,752 edges a second set of pairs in memory
@@ -135,7 +136,7 @@ class Graph:
             if n < (3 if closed else 1) or edges != tuple(_ring_edges(n, closed)):
                 raise InvalidParameterError(f"edges do not match the {family} on {n} vertices")
         elif family != FAMILY_CUSTOM:
-            raise InvalidParameterError(f"unknown family {family!r}")
+            raise InvalidParameterError(f"unknown family {reprlib.repr(family)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         # sorted edges list each vertex's smaller neighbours, then its larger
@@ -186,14 +187,9 @@ def _ref_tag(family: str, family_param: int | None) -> str:
 
 
 def _content_ref(n: int, edges, family: str, family_param: int | None) -> str:
-    """sha256 of "n:u-v,u-v,...", fed REF_CHUNK_EDGES edges at a time, not joined whole."""
-    h = hashlib.sha256(f"{n}:".encode())
-    it = iter(edges)
-    sep = ""
-    while chunk := list(islice(it, REF_CHUNK_EDGES)):
-        h.update((sep + ",".join(starmap("{}-{}".format, chunk))).encode())
-        sep = ","
-    return f"{_ref_tag(family, family_param)}#{h.hexdigest()[:12]}"
+    """sha256 of "n:u-v,u-v,..." over the sorted edges."""
+    text = f"{n}:" + ",".join(starmap("{}-{}".format, edges))
+    return f"{_ref_tag(family, family_param)}#{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
 
 def _checked_dim(r: int) -> int:

@@ -519,4 +519,4 @@ def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
 
     flags = {name: name not in failures for name in FLAG_ORDER}
     first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
-    return CoverReport(flags=flags, first_failure=first_failure, incidence=tuple(incidence))
+    return CoverReport(flags=flags, first_failure=first_failure)

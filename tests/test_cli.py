@@ -77,6 +77,28 @@ def test_gpset_construct_verify_flow(capsys, tmp_path):
     assert doc["status"] == "verified-general-position"
 
 
+def test_gpset_construct_out_names_its_file(capsys, tmp_path):
+    path = str(tmp_path / "s.json")
+    code, doc = run_cli(capsys, "gpset", "construct", "--r", "10", "--out", path, "--quiet",
+                        "--manifest", str(tmp_path / "m.json"))
+    assert code == 0
+    assert doc == {"command": "gpset-construct", "r": 10, "size": 1280, "path": path}
+    nrows, msb = 1 << 10, 1 << 9
+    closed_form = ([row for row in range(nrows) if row & 1]
+                   + [nrows + row for row in range(0, msb, 2)]
+                   + [10 * nrows + row for row in range(msb, nrows)])
+    with open(path) as f:
+        assert json.load(f)["ids"] == closed_form
+
+
+def test_gpset_construct_without_out_prints_the_set(capsys, tmp_path):
+    code, doc = run_cli(capsys, "gpset", "construct", "--r", "3", "--quiet",
+                        "--manifest", str(tmp_path / "m.json"))
+    assert code == 0
+    assert "path" not in doc
+    assert doc["set"] == genpos.vertex_set_to_dict(genpos.construct_butterfly_gp_set(3))
+
+
 def test_gpset_verify_violation(capsys, tmp_path):
     graph = tmp_path / "bf2.json"
     bad = tmp_path / "bad.json"
@@ -392,7 +414,7 @@ PINNED_STDOUT_SHA256 = {
     ("gpset", "max", "--r", "3"):
         "00dc5ba4cddbcb19f99e6ba40e134b2f5172aebeaf8965452de3fca0525cfea7",
     ("cover", "construct", "--r", "6"):
-        "eee8e0e2c433fc83b6f46990ab1c2006877ab06deb381c75ce871605bad5d500",
+        "7eb925e990f75f91d790ebe9bee12075b58768e9f3e2f01d3373dc2665adc20a",
     ("gpset", "max", "--r", "4", "--node-budget", "300"):
         "6aa4adf3563988bb642ad0f96d68e754df1650c124fc60c6579842c7d00ade14",
 }
@@ -410,6 +432,29 @@ def test_cover_construct_r10_passes(capsys, tmp_path):
                         "--manifest", str(tmp_path / "manifest.json"))
     assert code == 0
     assert doc["passes"] is True
+
+
+def test_cover_documents_do_not_grow_with_r(capsys, tmp_path):
+    graph, cover, short = (str(tmp_path / name) for name in ("g.json", "c.json", "short.json"))
+    quiet = ["--quiet", "--manifest", str(tmp_path / "m.json")]
+
+    def document(want, *argv):
+        assert main([*argv, *quiet]) == want, argv
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 1024, argv
+        assert '"incidence":' not in out, argv  # a key of that name at any depth
+
+    assert main(["generate", "butterfly", "--r", "10", "--out", graph, *quiet]) == 0
+    capsys.readouterr()
+    document(0, "cover", "construct", "--r", "10", "--out", cover)
+    with open(cover) as f:
+        doc = json.load(f)
+    doc["cycles"] = doc["cycles"][1:]  # the first cycle's level-0 vertices left uncovered
+    with open(short, "w") as f:
+        json.dump(doc, f)
+    for path, want in ((cover, 0), (short, 1)):
+        document(want, "cover", "verify", "--graph", graph, "--cover", path)
+        document(want, "cover", "bounds", "--graph", graph, "--cover", path)
 
 
 def test_json_on_failure_paths(capsys, tmp_path):
@@ -431,9 +476,12 @@ def test_json_on_failure_paths(capsys, tmp_path):
     undecodable.write_bytes(b"\xff\xfe\xfa")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"num_vertices": 3, "edges": [[0, 1' + "0" * 5000 + "]]}")
     for argv in (("gpset", "verify", "--graph", str(graph), "--set", str(undecodable)),
                  ("cover", "verify", "--graph", str(undecodable), "--cover", str(bad)),
-                 ("gpset", "verify", "--graph", str(graph), "--set", str(deep))):
+                 ("gpset", "verify", "--graph", str(graph), "--set", str(deep)),
+                 ("gpset", "verify", "--graph", str(long_int), "--set", str(bad))):
         code, doc = run_cli(capsys, *argv, "--quiet")
         assert code == 2, argv
         assert doc["kind"] == "GraphParseError"

@@ -22,7 +22,6 @@ from bfgp.graphs import (
     FAMILY_PATH,
     MAX_BUTTERFLY_R,
     MAX_VERTICES,
-    REF_CHUNK_EDGES,
     ButterflyLabel,
     Graph,
     build_butterfly,
@@ -128,7 +127,7 @@ def test_ring_refs_golden():
     assert build_cycle(9).ref() == "cycle:9#a4400a6a2763"
 
 
-@pytest.mark.parametrize("m", [REF_CHUNK_EDGES - 1, REF_CHUNK_EDGES, REF_CHUNK_EDGES + 1])
+@pytest.mark.parametrize("m", [4095, 4096, 4097])
 def test_chunked_ref_is_the_one_string_hash(m):
     g = build_path(m + 1)
     assert g.num_edges == m
@@ -489,3 +488,21 @@ def test_parse_errors():
         import_graph(json.dumps({"num_vertices": 2, "edges": [[0, 5]]}))
     with pytest.raises(GraphParseError):
         import_graph(json.dumps([1, 2]))
+
+
+@pytest.mark.parametrize("edge", [[0, True], [0, 1, 2], [0], "ab", None, [0.5, 1],
+                                  {"a": 0, "b": 1}, 5, list(range(200_000))],
+                         ids=lambda e: json.dumps(e) if len(json.dumps(e)) < 30 else "200000 ints")
+def test_bad_edge_error_is_short(edge):
+    doc = {"family": "custom", "num_vertices": 3, "edges": [[0, 1], edge]}
+    with pytest.raises(GraphParseError, match="is not a pair of vertex ids") as e:
+        import_graph(json.dumps(doc))
+    assert len(str(e.value)) < 200
+
+
+@pytest.mark.parametrize("key,value", [("num_vertices", list(range(200_000))),
+                                       ("family", "x" * 200_000), ("n", list(range(200_000)))])
+def test_bad_field_error_is_short(key, value):
+    with pytest.raises(GraphParseError) as e:
+        import_graph(json.dumps({"family": "custom", "num_vertices": 2, key: value}))
+    assert len(str(e.value)) < 200

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import reprlib
 import sys
 import time
 from datetime import datetime, timezone
@@ -215,8 +216,8 @@ def _read_claim(run: Run, path: str, g: graphs.Graph, from_dict):
     """A set, pool or cover file; a graph_ref other than "" (no claim) must hash g's edges."""
     obj = from_dict(graph_io.parse_json(run.read_bytes(path)))
     if obj.graph_ref != "" and obj.graph_ref.rpartition("#")[2] != g.ref().rpartition("#")[2]:
-        raise GraphParseError(f"{path} claims graph_ref {obj.graph_ref!r}, "
-                              f"but the graph's is {g.ref()!r}")
+        raise GraphParseError(f"{path} claims graph_ref {reprlib.repr(obj.graph_ref)}, "
+                              f"but the graph's is {reprlib.repr(g.ref())}")
     return obj
 
 

@@ -16,6 +16,8 @@ since every walk edge is a graph edge, the partition is decided by count.
 
 from __future__ import annotations
 
+import reprlib
+
 from .errors import (
     GraphParseError,
     InvalidCoverError,
@@ -92,7 +94,7 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     than KIND_CYCLE and KIND_PATH raises InvalidParameterError.
     """
     if cover.kind not in (KIND_CYCLE, KIND_PATH):
-        raise InvalidParameterError(f"unknown cover kind {cover.kind!r}")
+        raise InvalidParameterError(f"unknown cover kind {reprlib.repr(cover.kind)}")
     closed = cover.kind == KIND_CYCLE
     member = "cycle" if closed else "path"
     r = g.butterfly_r if closed else None
@@ -236,7 +238,7 @@ def cover_from_dict(doc: dict) -> CycleCover:
         raise GraphParseError("cover JSON needs a 'cycles' array")
     kind = doc.get("kind", KIND_CYCLE)
     if kind not in (KIND_CYCLE, KIND_PATH):
-        raise GraphParseError(f"unknown cover kind {kind!r}")
+        raise GraphParseError(f"unknown cover kind {reprlib.repr(kind)}")
     cycles = doc["cycles"]
     if not isinstance(cycles, list):
         raise GraphParseError("'cycles' must be an array of id arrays")

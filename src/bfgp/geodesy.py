@@ -36,6 +36,13 @@ runs it, yielding in combinations order the triples whose first member
 sits at one of the given lead positions: `iter_collinear` leads with
 every member, `collinear_through` with its heads, listed first, and
 `first_collinear` with the first member of each orbit of a reduced set.
+The scan reads each member's row from its own position on, the tail,
+and gathers no more of it unless a block swap needs the whole row.  On
+BF(r) with 2^r <= 256 a row label fits a byte, and a row is gathered as
+bytes: the members' labels XOR-ed with the source's, each run of
+same-level members translated through the source level's 256-byte
+block for that level (`DistanceMatrix.blocks`).  On BF(r > 8) and table
+graphs a list comprehension reads `rows`.
 
 `first_collinear` decides general position with the set's false twins
 and its symmetry.  Vertices u and u' are false twins when N(u) = N(u').
@@ -82,7 +89,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from collections import deque
-from itertools import count, repeat
+from itertools import count, groupby, repeat
 
 from .errors import (
     InvalidCycleError,
@@ -111,14 +118,17 @@ class DistanceMatrix:
     module notes).  On any other graph shift = mask = 0 and rows[u] is the
     BFS row from u.  No distance exceeds `bound`: n - 1 bounds every BFS
     distance, and BF(r) has diameter 2r.  The collinearity kernel sizes
-    its fields by it.
+    its fields by it.  When the row labels fit a byte, 2^r <= 256,
+    blocks[l][m] is rows[l]'s level-m block, d((l, 0), (m, y)) at byte y,
+    padded to the 256-byte table `bytes.translate` takes; else None.
     """
 
-    __slots__ = ("n", "rows", "shift", "mask", "bound")
+    __slots__ = ("n", "rows", "shift", "mask", "bound", "blocks")
 
-    def __init__(self, n: int, rows, shift: int = 0):
+    def __init__(self, n: int, rows, shift: int = 0, blocks=None):
         self.n = n
         self.rows = rows  # list of distance lists; treat as read-only
+        self.blocks = blocks
         self.shift = shift
         self.mask = (1 << shift) - 1
         self.bound = 2 * shift if shift else max(n - 1, 0)
@@ -173,12 +183,15 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
          for h in range(r + 1)]
     Q = [length.translate(bytes(r + 2 * min(o, r - c) - o for c in range(r + 1)).ljust(256))
          for o in range(r + 1)]
-    rows = []
+    rows, blocks = [], []
     for l in range(r + 1):
         p = int.from_bytes(b"".join(P[max(l, m)] for m in range(r + 1)), "little")
         q = int.from_bytes(b"".join(Q[min(l, m)] for m in range(r + 1)), "little")
-        rows.append(list((p - q).to_bytes(g.n, "little")))
-    return DistanceMatrix(g.n, rows, r)
+        row = (p - q).to_bytes(g.n, "little")
+        rows.append(list(row))
+        if nrows <= 256:
+            blocks.append([row[m << r:m + 1 << r].ljust(256) for m in range(r + 1)])
+    return DistanceMatrix(g.n, rows, r, blocks or None)
 
 
 def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
@@ -346,28 +359,56 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
 
     The rows are built in position order, each when the scan first
     needs it, and only their tails, the fields after their own, are
-    kept.  A row is gathered from `dm`, or, with coset > 1, made by block
-    swaps.  Then coset is the order of a row-XOR group, ascending, and ms
-    comes in its cosets, ms[t * coset + i] = ms[t * coset] ^ group[i].
-    In ascending order group[i] ^ group[j] == group[i ^ j]: the reduced
-    echelon basis is group[2^b], and comparing two sums of it comes down
-    to the top bit of i ^ j.  Row-XOR is an automorphism, so the row of
-    o ^ group[i] holds, in field (t, j), the row of o's field (t, i ^ j).
-    Thus the row of ms[k] is the row of ms[k & (k - 1)] with fields k'
-    and k' ^ 2^b swapped, b the lowest set bit of k: aligned blocks of
-    2^b fields trade places, and only each coset's first row is gathered.
+    kept.  With coset = 1 only the tail is gathered.  On BF(r) with
+    `dm.blocks`, the gather is bytes throughout: the members' row labels
+    are one int of bytes, XOR-ed with the source's label times 0x0101..,
+    and each maximal run of same-level members is one `bytes.translate`
+    through the source level's block for that level.  Elsewhere, on a
+    table graph or BF(r > 8), whose labels do not fit a byte, a list
+    comprehension reads `dm.rows`.
+
+    With coset > 1 a coset's first row is gathered whole, and every other
+    made by block swaps.  Then coset is the order of a row-XOR group,
+    ascending, and ms comes in its cosets, ms[t * coset + i] = ms[t *
+    coset] ^ group[i].  In ascending order group[i] ^ group[j] ==
+    group[i ^ j]: the reduced echelon basis is group[2^b], and comparing
+    two sums of it comes down to the top bit of i ^ j.  Row-XOR is an
+    automorphism, so the row of o ^ group[i] holds, in field (t, j), the
+    row of o's field (t, i ^ j).  Thus the row of ms[k] is the row of
+    ms[k & (k - 1)] with fields k' and k' ^ 2^b swapped, b the lowest set
+    bit of k: aligned blocks of 2^b fields trade places.
     """
     n = len(ms)
     if n < 3:
         return  # before packing: two unreachable members read UNREACHABLE
-    fmt = struct.Struct(f"<{n}{'B' if 2 * dm.bound < 1 << 7 else 'H'}")
-    w = 8 * fmt.size // n
+    w = 8 if 2 * dm.bound < 1 << 7 else 16
     field = (1 << w) - 1
-    ones = int.from_bytes(fmt.pack(*[1] * n), "little")
+    ones = int.from_bytes(b"\x01".ljust(w >> 3, b"\0") * n, "little")
     low, high = ones * (field >> 1), ones << (w - 1)
     # halves[b] selects the fields k' with bit b clear, which the swap raises
     halves = [int.from_bytes((b"\xff" * (w << b >> 3) + bytes(w << b >> 3)) * (n >> b + 1),
                              "little") for b in range(coset.bit_length() - 1)]
+
+    blocks, r, mask = dm.blocks, dm.shift, dm.mask
+    if blocks:
+        labels = int.from_bytes(bytes([v & mask for v in ms]), "little")
+        runs, end = [], 0  # (start, end, level) of each maximal same-level run
+        for m, run in groupby(v >> r for v in ms):
+            start, end = end, end + len(list(run))
+            runs.append((start, end, m))
+
+    def gather(k: int, lo: int) -> int:
+        """d(ms[k], ms[k']) for k' >= lo, as field k' - lo."""
+        u = ms[k]
+        if blocks:
+            tables = blocks[u >> r]
+            xs = (labels ^ (u & mask) * ones).to_bytes(n, "little")
+            return int.from_bytes(b"".join([xs[lo if start < lo else start:end].translate(tables[m])
+                                            for start, end, m in runs if end > lo]), "little")
+        src, a = dm.source(u)
+        vals = [src[v ^ a] for v in ms[lo:]]
+        return int.from_bytes(bytes(vals) if w == 8 else struct.pack(f"<{len(vals)}H", *vals),
+                              "little")
 
     # full[d]: the full row built last at a coset offset with d set bits,
     # which is the parent of the next row with d + 1 (no row between a
@@ -376,6 +417,8 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
 
     def tail(k: int) -> int:
         """d(ms[k], ms[k']) for k' > k, as field k' - k - 1."""
+        if coset == 1:
+            return gather(k, k + 1)
         i = k & (coset - 1)
         if i:
             d, b = i.bit_count(), (i & -i).bit_length() - 1
@@ -384,8 +427,7 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
             del full[d:]
             full.append(x)
         else:
-            src, a = dm.source(ms[k])
-            x = int.from_bytes(fmt.pack(*[src[v ^ a] for v in ms]), "little")
+            x = gather(k, 0)
             full[:] = (x,)
         return x >> w * (k + 1)
 

@@ -156,6 +156,13 @@ def test_verify_bf_cover_rejects_path_cover_and_r1(bf2):
                         CycleCover(kind=KIND_CYCLE, cycles=((0, 2, 1, 3),)))
 
 
+def test_unknown_kind_is_named_short(bf2):
+    g, dm = bf2
+    with pytest.raises(InvalidParameterError) as info:
+        verify_cover(g, dm, CycleCover(kind="x" * 10**6, cycles=()))
+    assert len(str(info.value)) < 200
+
+
 def test_verify_bf_cover_rejects_non_butterfly():
     g = build_cycle(8)
     dm = all_pairs_distances(g)

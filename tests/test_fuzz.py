@@ -88,3 +88,24 @@ def test_any_input_file_gives_one_json_document(files, case, data):
     doc = json.loads(out.getvalue())   # exactly one document: trailing data fails
     assert isinstance(doc, dict)
     assert err.getvalue() == ""
+
+
+# a value of a megabyte or so where a short string is due: the error names it by reprlib
+OVERSIZED = [
+    ("cover verify --graph {graph} --cover {fuzz}", {"kind": list(range(200_000)), "cycles": []}),
+    ("cover verify --graph {graph} --cover {fuzz}", {"kind": "x" * 10**6, "cycles": []}),
+    ("gpset verify --graph {graph} --set {fuzz}", {"ids": [0, 1], "graph_ref": "x" * 10**6}),
+]
+
+
+@pytest.mark.parametrize("template, doc", OVERSIZED, ids=["int-kind", "str-kind", "graph_ref"])
+def test_oversized_values_give_a_short_error(files, template, doc):
+    files["fuzz"].write_text(json.dumps(doc))
+    argv = template.format(**files).split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--quiet", "--manifest", str(files["manifest"])])
+    assert code == 2
+    assert len(out.getvalue().encode()) < 4096
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert err.getvalue() == ""

@@ -173,6 +173,15 @@ def _kernel_cases():
     for g in (build_path(200), build_cycle(150)):
         yield f"n={g.n}", g, sorted(rng.sample(range(g.n), 60))
         yield f"n={g.n}-shuffled", g, rng.sample(range(g.n), 40)
+    # BF(7) and BF(8) take the byte gather, BF(9) the list comprehension
+    # just above it; shuffled members break the levels into many runs
+    rng = random.Random(8)
+    for r in range(7, 10):
+        g = build_butterfly(r)
+        yield f"BF{r}-sample", g, sorted(rng.sample(range(g.n), 64))
+    for r in range(3, 9):
+        g = build_butterfly(r)
+        yield f"BF{r}-shuffled", g, rng.sample(range(g.n), min(g.n, 48))
 
 
 @pytest.mark.parametrize("case", list(_kernel_cases()), ids=lambda case: case[0])

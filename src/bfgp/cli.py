@@ -367,21 +367,16 @@ def cmd_cover_bounds(run: Run) -> int:
     cover = _read_claim(run, args.cover, g, cc.cover_from_dict)
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_cover(g, dm, cover)
-    try:
-        bounds = cc.gp_upper_bounds(cover, report)
-    except BfgpError as e:
-        result = {"command": "cover-bounds", "error": str(e),
-                  "report": cc.report_to_dict(report)}
-        code = EXIT_VERIFY_FAILED
+    if report.bounds:
+        result = {"command": "cover-bounds", "cover_size": len(cover), "bounds": report.bounds}
     else:
-        result = {"command": "cover-bounds", "cover_size": len(cover), "bounds": bounds,
-                  "report": cc.report_to_dict(report)}
-        code = EXIT_OK
-        for name, value in bounds.items():
-            run.note(f"gp <= {value}  ({name} from a verified cover of {len(cover)})")
+        result = {"command": "cover-bounds", "error": cc.UNVERIFIED}
+    result["report"] = cc.report_to_dict(report)
+    for name, value in report.bounds.items():
+        run.note(f"gp <= {value}  ({name} from a verified cover of {len(cover)})")
     if args.out:
         run.write_json(args.out, result)
-    return run.finish(result, code)
+    return run.finish(result, EXIT_OK if report.bounds else EXIT_VERIFY_FAILED)
 
 
 def cmd_report(run: Run) -> int:
@@ -411,8 +406,7 @@ def cmd_report(run: Run) -> int:
         report = cc.verify_bf_cover(g, dm, cover)
         row["cover_cycles"] = len(cover)
         row["cover_verified"] = report.passes
-        if report.passes:
-            row["gp_upper_bound"] = cc.gp_upper_bounds(cover, report)["from_ic"]
+        row["gp_upper_bound"] = report.bounds.get("from_ic")
         if r <= args.exact_max_r:
             res = genpos.max_general_position(
                 g, dm, budget=Budget(node_limit=args.node_budget))

@@ -7,11 +7,11 @@ union of the four unique monotone paths between the level-0 row pair
 forced if a 4r-cycle is to be isometric, because antipodal cycle
 vertices must realize graph distance 2r, and 2r between two level-0
 (level-r) rows means exactly bit r (bit 1) differs.  The cover is
-certified by the verifier, not trusted: every bound drawn from it rests
-on a report that passed `verify_cover`, which walks each member of a
-cycle or path cover once, as a closed or open walk.  Each walk edge (u, v),
-u < v, is the int u * n + v in one set: disjointness is a set test, and
-since every walk edge is a graph edge, the partition is decided by count.
+certified by the verifier, not trusted: `verify_cover` walks each member
+of a cycle or path cover once, as a closed or open walk, and decides the
+gp bound in the same pass.  Each walk edge (u, v), u < v, is the int
+u * n + v in one set: disjointness is a set test, and since every walk
+edge is a graph edge, the partition is decided by count.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .records import Record
 
 KIND_CYCLE = "cycle-cover"
 KIND_PATH = "path-cover"
+UNVERIFIED = "bounds require a cover that passed verification"
 
 # verifier flags in the order failures are reported; a report passes iff all are true
 FLAG_ORDER = (
@@ -61,11 +62,13 @@ class CycleCover(Record):
 
 
 class CoverReport(Record):
-    __slots__ = ("flags", "first_failure")
+    __slots__ = ("flags", "first_failure", "bounds")
 
-    def __init__(self, flags: dict[str, bool], first_failure: dict | None = None):
+    def __init__(self, flags: dict[str, bool], first_failure: dict | None = None,
+                 bounds: dict[str, int] | None = None):
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "bounds", bounds or {})
 
     @property
     def passes(self) -> bool:
@@ -91,7 +94,9 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     Each flag keeps its first failure (edges are collected up to the
     first overlap, every member is tested for isometry), and
     first_failure is the earliest of them in FLAG_ORDER.  A kind other
-    than KIND_CYCLE and KIND_PATH raises InvalidParameterError.
+    than KIND_CYCLE and KIND_PATH raises InvalidParameterError.  The
+    report's bounds are the cover's gp bound if all_isometric and
+    vertex_cover, the flags soundness rests on, hold, and {} otherwise.
     """
     if cover.kind not in (KIND_CYCLE, KIND_PATH):
         raise InvalidParameterError(f"unknown cover kind {reprlib.repr(cover.kind)}")
@@ -152,7 +157,8 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
 
     flags = {name: name not in failures for name in FLAG_ORDER}
     first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
-    return CoverReport(flags=flags, first_failure=first_failure)
+    bounds = _bound(cover) if flags["all_isometric"] and flags["vertex_cover"] else {}
+    return CoverReport(flags=flags, first_failure=first_failure, bounds=bounds)
 
 
 def verify_bf_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
@@ -207,22 +213,21 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     )
 
 
-def gp_upper_bounds(cover: CycleCover, verified: CoverReport) -> dict[str, int]:
-    """Certified bounds from a verified cover of k members.
+def _bound(cover: CycleCover) -> dict[str, int]:
+    """gp <= 3k from a vertex cover by k isometric cycles, gp <= 2k by k isometric paths."""
+    return {"from_ic": 3 * len(cover)} if cover.kind == KIND_CYCLE else {"from_ip": 2 * len(cover)}
 
-    A vertex cover by k isometric cycles gives gp <= 3k; by k isometric
-    paths, gp <= 2k.  Soundness rests on two report flags, all_isometric
-    and vertex_cover, and covers failing either are refused; the
-    remaining flags are structural diagnostics that do not weaken the
-    bound.
+
+def gp_upper_bounds(cover: CycleCover, verified: CoverReport) -> dict[str, int]:
+    """The bounds `verify_cover` drew from `cover`, read off its report.
+
+    `cover` stays a parameter so that a report vouches for no other cover:
+    UnverifiedCoverError unless the report holds the bound of `cover`'s kind
+    and size (an unsound cover's report holds none).
     """
-    if not (verified.flags.get("all_isometric", False)
-            and verified.flags.get("vertex_cover", False)):
-        raise UnverifiedCoverError("bounds require a cover that passed verification")
-    k = len(cover.cycles)
-    if cover.kind == KIND_CYCLE:
-        return {"from_ic": 3 * k}
-    return {"from_ip": 2 * k}
+    if verified.bounds != _bound(cover):
+        raise UnverifiedCoverError(UNVERIFIED)
+    return dict(verified.bounds)
 
 
 def cover_to_dict(cover: CycleCover) -> dict:

@@ -202,7 +202,7 @@ def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
     here; `what` names them in errors.  Reachability, an equivalence, is
     checked from the first id, which names the first unreachable pair in
     combinations order, and only for three or more ids: fewer form no
-    triple.
+    triple, and not on BF(r)'s table (a shift): BF(r) is connected.
     """
     ms = tuple(sorted(ids))
     if ms and (ms[0] < 0 or ms[-1] >= dm.n):
@@ -211,7 +211,7 @@ def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
     for a, b in zip(ms, ms[1:]):
         if a == b:
             raise InvalidParameterError(f"{what} must be distinct, {a} repeats")
-    if len(ms) >= 3:
+    if len(ms) >= 3 and not dm.shift:
         for v in ms[1:]:
             if not dm.reachable(ms[0], v):
                 raise NotConnectedError(f"{what} {ms[0]} and {v} are not connected")

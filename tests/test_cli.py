@@ -271,6 +271,39 @@ def test_report_fails_on_rejected_cover(capsys, monkeypatch):
     assert row["gp_upper_bound"] is None
 
 
+@pytest.mark.parametrize("r", range(2, 6))
+def test_report_and_cover_bounds_give_one_bound(capsys, tmp_path, r):
+    graph, cover = tmp_path / "g.json", tmp_path / "c.json"
+    run_cli(capsys, "generate", "butterfly", "--r", str(r), "--out", str(graph), "--quiet")
+    run_cli(capsys, "cover", "construct", "--r", str(r), "--out", str(cover), "--quiet")
+    code, doc = run_cli(capsys, "cover", "bounds", "--graph", str(graph),
+                        "--cover", str(cover), "--quiet")
+    assert code == 0
+    _, rep = run_cli(capsys, "report", "--r-min", str(r), "--r-max", str(r),
+                     "--exact-max-r", "0", "--quiet")
+    assert rep["rows"][0]["gp_upper_bound"] == doc["bounds"]["from_ic"] == 3 << (r - 1)
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_report_bounds_a_sound_cover_that_fails_the_contract(capsys, monkeypatch, r):
+    construct = cc.construct_bf_cycle_cover
+
+    def padded(r):
+        cover = construct(r)
+        return cc.CycleCover(kind=cover.kind, cycles=cover.cycles + cover.cycles[:1],
+                             graph_ref=cover.graph_ref)
+    g = graphs.build_butterfly(r)
+    report = cc.verify_bf_cover(g, geodesy.all_pairs_distances(g), padded(r))
+    assert [name for name, ok in report.flags.items() if not ok] == [
+        "count_ok", "edge_disjoint", "edge_partition", "incidence_ok"]
+    monkeypatch.setattr(cc, "construct_bf_cycle_cover", padded)
+    code, doc = run_cli(capsys, "report", "--r-min", str(r), "--r-max", str(r),
+                        "--exact-max-r", "0", "--quiet")
+    assert code == 1
+    row = doc["rows"][0]
+    assert (row["cover_verified"], row["gp_upper_bound"]) == (False, 3 * ((1 << (r - 1)) + 1))
+
+
 def test_report_fails_on_rejected_set(capsys, monkeypatch):
     construct = genpos.construct_butterfly_gp_set
 

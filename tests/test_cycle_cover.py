@@ -7,6 +7,7 @@ from bfgp import cycle_cover
 from bfgp.cycle_cover import (
     KIND_CYCLE,
     KIND_PATH,
+    CoverReport,
     CycleCover,
     candidate_cycle,
     construct_bf_cycle_cover,
@@ -398,6 +399,22 @@ def test_gp_bounds_refuses_unverified(bf2):
     assert not report.flags["vertex_cover"]
     with pytest.raises(UnverifiedCoverError):
         gp_upper_bounds(cover, report)
+
+
+def test_a_report_vouches_for_its_own_cover_only():
+    g = build_butterfly(6)
+    cover = construct_bf_cycle_cover(6)
+    report = verify_bf_cover(g, all_pairs_distances(g), cover)
+    assert report.bounds == gp_upper_bounds(cover, report) == {"from_ic": 96}
+    others = (CycleCover(KIND_CYCLE, ((0, 1, 2),)),           # once bounded by 3
+              CycleCover(KIND_PATH, cover.cycles),            # same size, other kind
+              CycleCover(KIND_CYCLE, cover.cycles + cover.cycles[:1]))  # one longer
+    for other in others:
+        with pytest.raises(UnverifiedCoverError, match="passed verification"):
+            gp_upper_bounds(other, report)
+    # flags alone, without the verifier's bounds, vouch for nothing
+    with pytest.raises(UnverifiedCoverError):
+        gp_upper_bounds(cover, CoverReport(flags=report.flags))
 
 
 def test_min_cover_exact_cycles():

@@ -7,6 +7,13 @@ with input/output digests and timing; the result JSON itself carries no
 timestamps, so identical inputs and node budget reproduce it byte for
 byte.
 
+`--out F` writes a command's product, the graph, set or cover file that
+another command reads, and the result then names F as `path` instead of
+carrying the product: `generate` (graph), `gpset construct` and `gpset
+max` (set) and `cover construct` (cover) take it.  The verifiers and
+`report` write nothing, their document on stdout being all they produce,
+so `--out` is a usage error there.
+
 Exit codes: 0 success/verified, 1 verification failed, 2 usage, parse
 or io error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R,
 a graph other than the canonical butterfly with more than
@@ -73,13 +80,14 @@ class Run:
         self.inputs[path] = _sha256(data)
         return data
 
-    def write_bytes(self, path: str, data: bytes) -> None:
+    def write_product(self, result: dict, product) -> None:
+        """Write the product, its bytes or a JSON document, to --out; result names it as path."""
+        path = self.args.out
+        data = product if isinstance(product, bytes) else _dumps(product).encode()
         with open(path, "wb") as f:
             f.write(data)
         self.outputs[path] = _sha256(data)
-
-    def write_json(self, path: str, doc) -> None:
-        self.write_bytes(path, _dumps(doc).encode())
+        result["path"] = path
 
     def note(self, line: str) -> None:
         if not getattr(self.args, "quiet", False):
@@ -134,8 +142,9 @@ _GENERATE = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="output file path")
+def _add_common(p: argparse.ArgumentParser, product: str = "") -> None:
+    if product:
+        p.add_argument("--out", help=f"write the {product} file here; the result names it as path")
     p.add_argument("--manifest", help="write the run manifest to this path")
     p.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
 
@@ -157,14 +166,14 @@ def build_parser() -> _Parser:
     param.add_argument("--r", type=int, help="butterfly dimension")
     param.add_argument("--n", type=int, help="cycle/path order")
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    _add_common(p)
+    _add_common(p, "graph")
 
     p = sub.add_parser("gpset", help="general position sets")
     gsub = p.add_subparsers(dest="action", required=True)
 
     q = gsub.add_parser("construct", help="write the built-in optimal butterfly set")
     q.add_argument("--r", type=int, required=True)
-    _add_common(q)
+    _add_common(q, "set")
 
     q = gsub.add_parser("verify", help="check a set for general position")
     q.add_argument("--graph", required=True)
@@ -177,7 +186,7 @@ def build_parser() -> _Parser:
     source.add_argument("--r", type=int, help="solve on BF(r) without a graph file")
     q.add_argument("--pool", default="all",
                    help="'all', 'deg2', or 'file:PATH' with a vertex-set JSON")
-    _add_common(q)
+    _add_common(q, "set")
     _add_budget(q)
 
     p = sub.add_parser("cover", help="isometric cycle covers")
@@ -185,7 +194,7 @@ def build_parser() -> _Parser:
 
     q = csub.add_parser("construct", help="build the butterfly cycle cover")
     q.add_argument("--r", type=int, required=True)
-    _add_common(q)
+    _add_common(q, "cover")
 
     q = csub.add_parser("verify", help="verify a cover file")
     q.add_argument("--graph", required=True)
@@ -236,8 +245,7 @@ def cmd_generate(run: Run) -> int:
         "graph_ref": g.ref(),
     }
     if args.out:
-        run.write_bytes(args.out, graph_io.export_graph(g, args.format))
-        result["path"] = args.out
+        run.write_product(result, graph_io.export_graph(g, args.format))
     elif args.format == "dot":
         result["dot"] = graph_io.export_dot(g)
     else:
@@ -252,8 +260,7 @@ def cmd_gpset_construct(run: Run) -> int:
     doc = genpos.vertex_set_to_dict(s)
     result = {"command": "gpset-construct", "r": args.r, "size": len(s)}
     if args.out:
-        run.write_json(args.out, doc)
-        result["path"] = args.out
+        run.write_product(result, doc)
     else:
         result["set"] = doc
     run.note(f"BF({args.r}) general position set of size {len(s)}")
@@ -266,12 +273,8 @@ def cmd_gpset_verify(run: Run) -> int:
     s = _read_claim(run, args.set_path, g, genpos.vertex_set_from_dict)
     dm = geodesy.all_pairs_distances(g)
     witness = genpos.verify_general_position(g, dm, s)
-    wdoc = genpos.witness_to_dict(witness)
     result = {"command": "gpset-verify", "size": len(s), "status": witness.status,
-              "witness": wdoc}
-    if args.out:
-        run.write_json(args.out, wdoc)
-        result["path"] = args.out
+              "witness": genpos.witness_to_dict(witness)}
     run.note(f"set of size {len(s)}: {witness.status}")
     return run.finish(result, EXIT_OK if witness.ok else EXIT_VERIFY_FAILED)
 
@@ -305,8 +308,12 @@ def cmd_gpset_max(run: Run) -> int:
         "optimal": res.optimal,
         "nodes_explored": res.nodes_explored,
         "budget_exhausted": not res.optimal,
-        "set": genpos.vertex_set_to_dict(res.best_set),
     }
+    sdoc = genpos.vertex_set_to_dict(res.best_set)
+    if args.out:
+        run.write_product(doc, sdoc)
+    else:
+        doc["set"] = sdoc
     witness = genpos.verify_general_position(g, dm, res.best_set)
     if witness.ok:
         code = EXIT_OK if res.optimal else EXIT_INCONCLUSIVE
@@ -314,8 +321,6 @@ def cmd_gpset_max(run: Run) -> int:
         code = EXIT_VERIFY_FAILED
         doc["status"] = "verify-failed"
         doc["witness"] = genpos.witness_to_dict(witness)
-    if args.out:
-        run.write_json(args.out, doc)
     run.note(f"max general position on {ref} pool={pool_desc}: "
              f"size {res.size} optimal={res.optimal}")
     return run.finish(doc, code)
@@ -327,7 +332,6 @@ def cmd_cover_construct(run: Run) -> int:
     g = graphs.build_butterfly(args.r)
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_bf_cover(g, dm, cover)
-    cdoc = cc.cover_to_dict(cover)
     result = {
         "command": "cover-construct",
         "r": args.r,
@@ -338,8 +342,7 @@ def cmd_cover_construct(run: Run) -> int:
         "report": cc.report_to_dict(report),
     }
     if args.out:
-        run.write_json(args.out, cdoc)
-        result["path"] = args.out
+        run.write_product(result, cc.cover_to_dict(cover))
     run.note(f"BF({args.r}) cover: {len(cover)} cycles of length {4 * args.r}, "
              f"verified={report.passes}")
     return run.finish(result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED)
@@ -351,12 +354,8 @@ def cmd_cover_verify(run: Run) -> int:
     cover = _read_claim(run, args.cover, g, cc.cover_from_dict)
     dm = geodesy.all_pairs_distances(g)
     report = cc.verify_cover(g, dm, cover)
-    rdoc = cc.report_to_dict(report)
     result = {"command": "cover-verify", "cycles": len(cover), "passes": report.passes,
-              "report": rdoc}
-    if args.out:
-        run.write_json(args.out, rdoc)
-        result["path"] = args.out
+              "report": cc.report_to_dict(report)}
     run.note(f"cover of {len(cover)} members: passes={report.passes}")
     return run.finish(result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED)
 
@@ -374,8 +373,6 @@ def cmd_cover_bounds(run: Run) -> int:
     result["report"] = cc.report_to_dict(report)
     for name, value in report.bounds.items():
         run.note(f"gp <= {value}  ({name} from a verified cover of {len(cover)})")
-    if args.out:
-        run.write_json(args.out, result)
     return run.finish(result, EXIT_OK if report.bounds else EXIT_VERIFY_FAILED)
 
 
@@ -417,8 +414,6 @@ def cmd_report(run: Run) -> int:
                  f"cover {row['cover_cycles']} bound {row['gp_upper_bound']} "
                  f"exact {row['gp_exact']}")
     result = {"command": "report", "rows": rows}
-    if args.out:
-        run.write_json(args.out, result)
     certified = all(row["set_verified"] and row["cover_verified"] for row in rows)
     return run.finish(result, EXIT_OK if certified else EXIT_VERIFY_FAILED)
 

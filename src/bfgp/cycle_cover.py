@@ -62,13 +62,14 @@ class CycleCover(Record):
 
 
 class CoverReport(Record):
-    __slots__ = ("flags", "first_failure", "bounds")
+    __slots__ = ("flags", "first_failure", "bounds", "cover")
 
     def __init__(self, flags: dict[str, bool], first_failure: dict | None = None,
-                 bounds: dict[str, int] | None = None):
+                 bounds: dict[str, int] | None = None, cover: CycleCover | None = None):
         object.__setattr__(self, "flags", flags)
         object.__setattr__(self, "first_failure", first_failure)
         object.__setattr__(self, "bounds", bounds or {})
+        object.__setattr__(self, "cover", cover)
 
     @property
     def passes(self) -> bool:
@@ -95,8 +96,10 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     first overlap, every member is tested for isometry), and
     first_failure is the earliest of them in FLAG_ORDER.  A kind other
     than KIND_CYCLE and KIND_PATH raises InvalidParameterError.  The
-    report's bounds are the cover's gp bound if all_isometric and
-    vertex_cover, the flags soundness rests on, hold, and {} otherwise.
+    report records `cover`, and its bounds are the cover's gp bound if
+    all_isometric and vertex_cover, the flags soundness rests on, hold,
+    and {} otherwise: gp <= 3k from a vertex cover by k isometric cycles,
+    gp <= 2k by k isometric paths.
     """
     if cover.kind not in (KIND_CYCLE, KIND_PATH):
         raise InvalidParameterError(f"unknown cover kind {reprlib.repr(cover.kind)}")
@@ -157,8 +160,11 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
 
     flags = {name: name not in failures for name in FLAG_ORDER}
     first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
-    bounds = _bound(cover) if flags["all_isometric"] and flags["vertex_cover"] else {}
-    return CoverReport(flags=flags, first_failure=first_failure, bounds=bounds)
+    bounds = {}
+    if flags["all_isometric"] and flags["vertex_cover"]:
+        k = len(cover.cycles)
+        bounds = {"from_ic": 3 * k} if closed else {"from_ip": 2 * k}
+    return CoverReport(flags=flags, first_failure=first_failure, bounds=bounds, cover=cover)
 
 
 def verify_bf_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport:
@@ -213,19 +219,14 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     )
 
 
-def _bound(cover: CycleCover) -> dict[str, int]:
-    """gp <= 3k from a vertex cover by k isometric cycles, gp <= 2k by k isometric paths."""
-    return {"from_ic": 3 * len(cover)} if cover.kind == KIND_CYCLE else {"from_ip": 2 * len(cover)}
-
-
 def gp_upper_bounds(cover: CycleCover, verified: CoverReport) -> dict[str, int]:
     """The bounds `verify_cover` drew from `cover`, read off its report.
 
     `cover` stays a parameter so that a report vouches for no other cover:
-    UnverifiedCoverError unless the report holds the bound of `cover`'s kind
-    and size (an unsound cover's report holds none).
+    UnverifiedCoverError unless the report judged a cover equal to `cover`
+    and holds a bound (an unsound cover's report holds none).
     """
-    if verified.bounds != _bound(cover):
+    if verified.cover != cover or not verified.bounds:
         raise UnverifiedCoverError(UNVERIFIED)
     return dict(verified.bounds)
 

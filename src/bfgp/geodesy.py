@@ -127,7 +127,7 @@ class DistanceMatrix:
 
     def __init__(self, n: int, rows, shift: int = 0, blocks=None):
         self.n = n
-        self.rows = rows  # list of distance lists; treat as read-only
+        self.rows = rows  # BF(r)'s as bytes, BFS rows (holding UNREACHABLE) as lists
         self.blocks = blocks
         self.shift = shift
         self.mask = (1 << shift) - 1
@@ -135,7 +135,7 @@ class DistanceMatrix:
         if 2 * self.bound >= 1 << 15:  # a 16-bit field holds two distances
             raise TooLargeError(f"distances up to {self.bound} do not fit the collinearity kernel")
 
-    def source(self, u: int) -> tuple[list[int], int]:
+    def source(self, u: int) -> tuple[bytes | list[int], int]:
         """(row, a) such that d(u, v) == row[v ^ a] for every vertex v."""
         return self.rows[u >> self.shift], u & self.mask
 
@@ -188,7 +188,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         p = int.from_bytes(b"".join(P[max(l, m)] for m in range(r + 1)), "little")
         q = int.from_bytes(b"".join(Q[min(l, m)] for m in range(r + 1)), "little")
         row = (p - q).to_bytes(g.n, "little")
-        rows.append(list(row))
+        rows.append(row)
         if nrows <= 256:
             blocks.append([row[m << r:m + 1 << r].ljust(256) for m in range(r + 1)])
     return DistanceMatrix(g.n, rows, r, blocks or None)

@@ -463,9 +463,10 @@ def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
     On other graphs and for path covers those flags are vacuously true.
     Each flag keeps its first failure (edges are collected up to the
     first overlap, every member is tested for isometry), and
-    first_failure is the earliest of them in FLAG_ORDER.  The bounds are
-    gp <= 3k for k isometric cycles, gp <= 2k for k isometric paths, when
-    every member is isometric and every vertex is covered, and {} otherwise.
+    first_failure is the earliest of them in FLAG_ORDER.  The report
+    records `cover`, and its bounds are gp <= 3k for k isometric cycles,
+    gp <= 2k for k isometric paths, when every member is isometric and
+    every vertex is covered, and {} otherwise.
     """
     closed = cover.kind == KIND_CYCLE
     member = "cycle" if closed else "path"
@@ -524,4 +525,4 @@ def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
     k, bounds = len(cover.cycles), {}
     if "all_isometric" not in failures and "vertex_cover" not in failures:
         bounds = {"from_ic": 3 * k} if closed else {"from_ip": 2 * k}
-    return CoverReport(flags=flags, first_failure=first_failure, bounds=bounds)
+    return CoverReport(flags=flags, first_failure=first_failure, bounds=bounds, cover=cover)

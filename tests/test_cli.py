@@ -119,6 +119,21 @@ def test_gpset_max(capsys):
     assert doc["set"]["ids"] == [1, 3, 4, 10, 11]
 
 
+def test_gpset_max_out_writes_a_set_gpset_verify_accepts(capsys, tmp_path):
+    graph, found = tmp_path / "bf3.json", tmp_path / "max3.json"
+    run_cli(capsys, "generate", "butterfly", "--r", "3", "--out", str(graph), "--quiet")
+    code, doc = run_cli(capsys, "gpset", "max", "--r", "3", "--out", str(found), "--quiet")
+    assert code == 0 and doc["optimal"] is True
+    assert doc["path"] == str(found) and "set" not in doc
+    written = json.loads(found.read_text())
+    assert written["provenance"] == "solver-exact" and len(written["ids"]) == doc["size"] == 10
+    code, doc = run_cli(capsys, "gpset", "verify", "--graph", str(graph), "--set", str(found),
+                        "--quiet")
+    assert code == 0 and doc["status"] == "verified-general-position"
+    manifest = json.loads((tmp_path / "max3.json.manifest.json").read_text())
+    assert str(found) in manifest["outputs"]
+
+
 def test_gpset_max_pool_deg2(capsys):
     code, doc = run_cli(capsys, "gpset", "max", "--r", "3", "--pool", "deg2", "--quiet")
     assert code == 0
@@ -183,27 +198,19 @@ def test_cover_flow(capsys, tmp_path):
     assert doc["bounds"] == {"from_ic": 6}
 
 
-def test_cover_bounds_writes_out(capsys, tmp_path):
-    graph = tmp_path / "bf2.json"
-    cover = tmp_path / "cover2.json"
-    run_cli(capsys, "generate", "butterfly", "--r", "2", "--out", str(graph), "--quiet")
-    run_cli(capsys, "cover", "construct", "--r", "2", "--out", str(cover), "--quiet")
-    out = tmp_path / "bounds.json"
-    code, doc = run_cli(capsys, "cover", "bounds", "--graph", str(graph),
-                        "--cover", str(cover), "--out", str(out), "--quiet")
-    assert code == 0
-    assert json.loads(out.read_text()) == doc
-    manifest = json.loads((tmp_path / "bounds.json.manifest.json").read_text())
-    assert str(out) in manifest["outputs"]
-    # a cover that fails verification writes its error document too
-    tampered = json.loads(cover.read_text())
-    tampered["cycles"] = tampered["cycles"][:1]
-    cover.write_text(json.dumps(tampered))
-    code, doc = run_cli(capsys, "cover", "bounds", "--graph", str(graph),
-                        "--cover", str(cover), "--out", str(out), "--quiet")
-    assert code == 1
-    assert "error" in doc
-    assert json.loads(out.read_text()) == doc
+@pytest.mark.parametrize("argv", [
+    ("gpset", "verify", "--graph", "g.json", "--set", "s.json"),
+    ("cover", "verify", "--graph", "g.json", "--cover", "c.json"),
+    ("cover", "bounds", "--graph", "g.json", "--cover", "c.json"),
+    ("report", "--r-max", "2"),
+], ids=["gpset-verify", "cover-verify", "cover-bounds", "report"])
+def test_out_is_a_usage_error_where_there_is_no_product(capsys, tmp_path, argv):
+    # these commands write no file another command reads; stdout is their whole result
+    out = tmp_path / "out.json"
+    code = main([*argv, "--out", str(out), "--quiet"])
+    doc = json.loads(capsys.readouterr().out)  # one document, or this raises
+    assert code == 2 and doc["kind"] == "usage" and "--out" in doc["error"]
+    assert not out.exists()
 
 
 def test_cover_tampered_fails(capsys, tmp_path):

@@ -403,18 +403,26 @@ def test_gp_bounds_refuses_unverified(bf2):
 
 def test_a_report_vouches_for_its_own_cover_only():
     g = build_butterfly(6)
-    cover = construct_bf_cycle_cover(6)
-    report = verify_bf_cover(g, all_pairs_distances(g), cover)
+    dm, cover = all_pairs_distances(g), construct_bf_cycle_cover(6)
+    report = verify_bf_cover(g, dm, cover)
     assert report.bounds == gp_upper_bounds(cover, report) == {"from_ic": 96}
+    # a copy read back from its file is the judged cover, not the same object
+    copy = cover_from_dict(cover_to_dict(cover))
+    assert copy is not cover and gp_upper_bounds(copy, report) == {"from_ic": 96}
+    first_32 = CycleCover(KIND_CYCLE, cover.cycles[:1] * 32, cover.graph_ref)
+    assert verify_bf_cover(g, dm, first_32).bounds == {}
     others = (CycleCover(KIND_CYCLE, ((0, 1, 2),)),           # once bounded by 3
               CycleCover(KIND_PATH, cover.cycles),            # same size, other kind
-              CycleCover(KIND_CYCLE, cover.cycles + cover.cycles[:1]))  # one longer
+              CycleCover(KIND_CYCLE, cover.cycles + cover.cycles[:1]),  # one longer
+              first_32)  # same kind and size, once bounded by 96
     for other in others:
         with pytest.raises(UnverifiedCoverError, match="passed verification"):
             gp_upper_bounds(other, report)
-    # flags alone, without the verifier's bounds, vouch for nothing
-    with pytest.raises(UnverifiedCoverError):
-        gp_upper_bounds(cover, CoverReport(flags=report.flags))
+    # flags alone, or flags and bounds without the judged cover, vouch for nothing
+    for bare in (CoverReport(flags=report.flags),
+                 CoverReport(flags=report.flags, bounds=report.bounds)):
+        with pytest.raises(UnverifiedCoverError):
+            gp_upper_bounds(cover, bare)
 
 
 def test_min_cover_exact_cycles():

@@ -117,7 +117,7 @@ def test_butterfly_rows_match_the_bfs_rows(r):
     rows, expected = all_pairs_distances(g).rows, reference_butterfly_rows(g)
     assert len(rows) == r + 1
     for l in range(r + 1):
-        assert rows[l] == expected[l], (r, l)
+        assert type(rows[l]) is bytes and list(rows[l]) == expected[l], (r, l)
 
 
 @pytest.mark.parametrize("r", range(1, 15))

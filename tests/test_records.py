@@ -38,10 +38,14 @@ CASES = {
     "CycleCover": (CycleCover, ("cycle-cover", ((0, 1, 2),), "bf:2"), 2, ("",),
                    ("path-cover", ((0, 1, 2),), "bf:2"),
                    "CycleCover(kind='cycle-cover', cycles=((0, 1, 2),), graph_ref='bf:2')"),
-    "CoverReport": (CoverReport, ({"lengths_ok": True}, {"flag": "count_ok"}, {"from_ic": 3}),
-                    1, (None, {}), ({"lengths_ok": True}, {"flag": "count_ok"}, {}),
+    "CoverReport": (CoverReport, ({"lengths_ok": True}, {"flag": "count_ok"}, {"from_ic": 3},
+                                  CycleCover("cycle-cover", ((0, 1, 2),))),
+                    1, (None, {}, None),
+                    ({"lengths_ok": True}, {"flag": "count_ok"}, {"from_ic": 3},
+                     CycleCover("cycle-cover", ((0, 2, 1),))),
                     "CoverReport(flags={'lengths_ok': True}, first_failure={'flag': "
-                    "'count_ok'}, bounds={'from_ic': 3})"),
+                    "'count_ok'}, bounds={'from_ic': 3}, cover=CycleCover(kind='cycle-cover', "
+                    "cycles=((0, 1, 2),), graph_ref=''))"),
 }
 
 

@@ -21,7 +21,9 @@ geodesy.MAX_TABLE_VERTICES vertices, any graph with more than
 graphs.MAX_VERTICES vertices, a search pool with more than
 genpos.MAX_SEARCH_TRIPLES collinear triples, and, as a last resort, a
 MemoryError or RecursionError), 3 inconclusive (`gpset max` ran out of
-budget before proving optimality).
+budget before proving optimality).  An exit-2 document's error says
+where: invalid JSON by its line and column, a cover member that is not
+a walk as `cycle #i` or `path #i` with the position in it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import reprlib
 import sys
 import time
@@ -96,9 +99,10 @@ class Run:
     def finish(self, result: dict, exit_code: int) -> int:
         """Write the manifest, then print the one result document.
 
-        An unwritable manifest path sends the manifest to stderr and turns
-        the run into an io error (exit 2), unless it already failed with
-        exit 2, whose document then stands.
+        A manifest path that is one of the run's own inputs or outputs
+        (same real path) is a usage error, and an unwritable one an io
+        error: either way the manifest goes to stderr and the run exits 2,
+        unless it already failed with exit 2, whose document then stands.
         """
         manifest = {
             "command": self.argv,
@@ -113,15 +117,22 @@ class Run:
         target = getattr(self.args, "manifest", None)
         if target is None and getattr(self.args, "out", None):
             target = self.args.out + ".manifest.json"
-        if target:
+        error = None
+        if target and os.path.realpath(target) in map(os.path.realpath,
+                                                       [*self.inputs, *self.outputs]):
+            error = {"error": f"manifest path {target} is a file this run reads or writes",
+                     "kind": "usage"}
+        elif target:
             try:
                 with open(target, "w") as f:
                     f.write(_dumps(manifest))
             except OSError as e:
-                target = None
-                if exit_code != EXIT_USAGE:
-                    result, exit_code = {"error": str(e), "kind": "io"}, EXIT_USAGE
-                    manifest.update(exit_code=exit_code, result_summary=_summarize(result))
+                error = {"error": str(e), "kind": "io"}
+        if error:
+            target = None
+            if exit_code != EXIT_USAGE:
+                result, exit_code = error, EXIT_USAGE
+                manifest.update(exit_code=exit_code, result_summary=_summarize(result))
         if not target:
             print("manifest: " + json.dumps(manifest), file=sys.stderr)
         sys.stdout.write(_dumps(result))

@@ -21,13 +21,11 @@ import reprlib
 from .errors import (
     GraphParseError,
     InvalidCoverError,
-    InvalidCycleError,
     InvalidParameterError,
-    InvalidPathError,
     UnsupportedFamilyError,
     UnverifiedCoverError,
 )
-from .geodesy import DistanceMatrix, check_walk, walk_violation
+from .geodesy import DistanceMatrix, walk_defect, walk_violation
 from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
 from .records import Record
@@ -80,9 +78,10 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     """The cover verifier: one pass over the members, failures reported in FLAG_ORDER.
 
     Every cover must consist of genuine cycles (or paths; garbage raises
-    InvalidCoverError) that are pairwise edge-disjoint, partition the
-    edges, are isometric, and cover every vertex.  A cycle cover of a
-    canonical BF(r), whatever its tag, must also meet the butterfly contract:
+    InvalidCoverError, its message led by `cycle #i` or `path #i`) that
+    are pairwise edge-disjoint, partition the edges, are isometric, and
+    cover every vertex.  A cycle cover of a canonical BF(r), whatever its
+    tag, must also meet the butterfly contract:
 
     - every length is 4r;
     - there are 2^(r-1) cycles (with the lengths, disjointness alone
@@ -115,10 +114,9 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     incidence = [0] * n
     seen_edges: set[int] = set()  # edge (u, v), u < v, as u * n + v: keys order as pairs do
     for i, seq in enumerate(cover.cycles):
-        try:
-            check_walk(g, seq, closed)
-        except (InvalidCycleError, InvalidPathError) as e:
-            raise InvalidCoverError(str(e), cycle_index=i) from e
+        defect = walk_defect(g, seq, closed)
+        if defect is not None:
+            raise InvalidCoverError(f"{member} #{i}: {defect}")
         for v in seq:
             incidence[v] += 1
         if "edge_disjoint" not in failures:
@@ -144,7 +142,7 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
         # an overlap breaks the partition too; edge_disjoint is reported first
         fail("edge_partition", None, "edges overlap")
     elif len(seen_edges) != g.num_edges:
-        # check_walk passed every walk edge as a graph edge, so only a short count fails
+        # walk_defect passed every walk edge as a graph edge, so only a short count fails
         missing = next(e for e in g.edges if e[0] * n + e[1] not in seen_edges)
         fail("edge_partition", None, f"edge {missing} uncovered")
     if r is not None:

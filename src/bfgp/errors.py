@@ -18,36 +18,11 @@ class NotConnectedError(BfgpError):
 
 
 class GraphParseError(BfgpError):
-    """Malformed graph input.  Carries line/column when known."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-class InvalidCycleError(BfgpError):
-    """Sequence is not a cycle of the graph.  `position` is the first bad index."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
-
-class InvalidPathError(BfgpError):
-    """Sequence is not a path of the graph."""
-
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
+    """Malformed graph, set or cover input; the message says where when it can."""
 
 
 class InvalidCoverError(BfgpError):
-    """Cover contains structural garbage.  `cycle_index` points at the offender."""
-
-    def __init__(self, message: str, cycle_index: int | None = None):
-        super().__init__(message)
-        self.cycle_index = cycle_index
+    """A cover member is not a walk of the graph; the message names the member."""
 
 
 class UnverifiedCoverError(BfgpError):

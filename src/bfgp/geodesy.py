@@ -77,7 +77,7 @@ neighbour of a whole pair, when H is trivial, when that scan finds a
 violation, or on a table graph, the full `iter_collinear` scan of S
 names the first triple in combinations order.
 
-A cycle is a closed walk and a path an open one: `check_walk` checks
+A cycle is a closed walk and a path an open one: `walk_defect` checks
 either against the graph, and `walk_violation` tests either for isometry
 by one distance per vertex, to the vertex half a cycle ahead or from a
 path's first: a pair closer than its walk distance would make that short.
@@ -86,18 +86,13 @@ An even cycle meets each such pair twice, and reads its first half only.
 
 from __future__ import annotations
 
+import reprlib
 import struct
 from bisect import bisect_left
 from collections import deque
 from itertools import count, groupby, repeat
 
-from .errors import (
-    InvalidCycleError,
-    InvalidParameterError,
-    InvalidPathError,
-    NotConnectedError,
-    TooLargeError,
-)
+from .errors import InvalidParameterError, NotConnectedError, TooLargeError
 from .graphs import Graph
 
 UNREACHABLE = -1
@@ -207,7 +202,7 @@ def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
     ms = tuple(sorted(ids))
     if ms and (ms[0] < 0 or ms[-1] >= dm.n):
         bad = ms[0] if ms[0] < 0 else ms[-1]
-        raise InvalidParameterError(f"{what} must lie in 0..{dm.n - 1}, got {bad}")
+        raise InvalidParameterError(f"{what} must lie in 0..{dm.n - 1}, got {reprlib.repr(bad)}")
     for a, b in zip(ms, ms[1:]):
         if a == b:
             raise InvalidParameterError(f"{what} must be distinct, {a} repeats")
@@ -460,31 +455,32 @@ def _collinear_fields(x: int, y: int, xy: int, low: int, high: int) -> int:
     return high & ~((((y + xy) ^ x) + low) & (((x + xy) ^ y) + low) & (((x + y) ^ xy) + low))
 
 
-def check_walk(g: Graph, seq, closed: bool) -> None:
-    """Raise unless seq is a genuine cycle (closed) or path (open) of g.
+def walk_defect(g: Graph, seq, closed: bool) -> str | None:
+    """The first defect of seq as a cycle (closed) or path (open) of g, or None.
 
     A cycle needs at least 3 distinct vertices and a path at least 1,
     consecutive vertices adjacent, and on a cycle also the last and the
-    first.  Raises InvalidCycleError when closed, else InvalidPathError,
-    with `position` at the first bad index.
+    first.  The text names the first bad position; ids go through
+    reprlib, so an id of any length gives a short message.
     """
-    kind, err, least = ("cycle", InvalidCycleError, 3) if closed else ("path", InvalidPathError, 1)
+    least = 3 if closed else 1
     L = len(seq)
     if L < least:
-        raise err(f"{kind} needs >= {least} vertices, got {L}", position=0)
+        return f"needs >= {least} vertices, got {L}"
     if len(set(seq)) != L:
         seen = set()
         for i, v in enumerate(seq):
             if v in seen:
-                raise err(f"repeated vertex {v}", position=i)
+                return f"repeated vertex {reprlib.repr(v)} at position {i}"
             seen.add(v)
     # a later vertex out of range fails adjacency first: only seq[0] is range-checked
     if not 0 <= seq[0] < g.n:
-        raise err(f"vertex {seq[0]} out of range", position=0)
+        return f"vertex {reprlib.repr(seq[0])} out of range at position 0"
     adj = g.adj
     for v, w in zip(seq, seq[1:] + seq[:1] if closed else seq[1:]):
         if w not in adj[v]:
-            raise err(f"{v} and {w} are not adjacent", position=seq.index(v))
+            return f"{v} and {reprlib.repr(w)} are not adjacent at position {seq.index(v)}"
+    return None
 
 
 def walk_violation(dm: DistanceMatrix, seq, closed: bool) -> tuple[int, int] | None:

@@ -56,7 +56,8 @@ def parse_json(data: bytes | str):
     try:
         return json.loads(data.decode() if isinstance(data, bytes) else data)
     except json.JSONDecodeError as e:
-        raise GraphParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
+        raise GraphParseError(
+            f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except UnicodeDecodeError as e:
         raise GraphParseError(f"invalid JSON: not UTF-8 text ({e.reason})") from e
     except RecursionError as e:

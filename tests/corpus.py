@@ -14,7 +14,7 @@ from collections import deque
 from itertools import combinations
 
 from bfgp.cycle_cover import FLAG_ORDER, KIND_CYCLE, CoverReport
-from bfgp.errors import InvalidCoverError, InvalidCycleError, InvalidPathError
+from bfgp.errors import InvalidCoverError
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 
 
@@ -390,34 +390,35 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit:
 
 # The cover verifier and its two walk helpers as they were before edges
 # became int keys and even cycles were read half-way, kept verbatim but
-# for their names: the library's verifier must give the same report, or
-# raise the same InvalidCoverError, on every cover.
-def reference_check_walk(g: Graph, seq, closed: bool) -> None:
-    """Raise unless seq is a genuine cycle (closed) or path (open) of g.
+# for their names and for the walk check returning its defect: the
+# library's verifier must give the same report, or raise an
+# InvalidCoverError with the same message, on every cover.
+def reference_walk_defect(g: Graph, seq, closed: bool) -> str | None:
+    """The first defect of seq as a cycle (closed) or path (open) of g, or None.
 
     A cycle needs at least 3 distinct vertices and a path at least 1,
     consecutive vertices adjacent, and on a cycle also the last and the
-    first.  Raises InvalidCycleError when closed, else InvalidPathError,
-    with `position` at the first bad index.
+    first.  The text names the first bad position.
     """
-    kind, err, least = ("cycle", InvalidCycleError, 3) if closed else ("path", InvalidPathError, 1)
+    least = 3 if closed else 1
     L = len(seq)
     if L < least:
-        raise err(f"{kind} needs >= {least} vertices, got {L}", position=0)
+        return f"needs >= {least} vertices, got {L}"
     if len(set(seq)) != L:
         seen = set()
         for i, v in enumerate(seq):
             if v in seen:
-                raise err(f"repeated vertex {v}", position=i)
+                return f"repeated vertex {v} at position {i}"
             seen.add(v)
     adj = g.adj
     for i, v in enumerate(seq):
         if not 0 <= v < g.n:
-            raise err(f"vertex {v} out of range", position=i)
+            return f"vertex {v} out of range at position {i}"
         if i + 1 < L or closed:
             w = seq[(i + 1) % L]
             if w not in adj[v]:
-                raise err(f"{v} and {w} are not adjacent", position=i)
+                return f"{v} and {w} are not adjacent at position {i}"
+    return None
 
 
 def reference_walk_violation(dm, seq, closed: bool) -> tuple[int, int] | None:
@@ -479,10 +480,9 @@ def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
     incidence = [0] * g.n
     seen_edges: set[tuple[int, int]] = set()
     for i, seq in enumerate(cover.cycles):
-        try:
-            reference_check_walk(g, seq, closed)
-        except (InvalidCycleError, InvalidPathError) as e:
-            raise InvalidCoverError(str(e), cycle_index=i) from e
+        defect = reference_walk_defect(g, seq, closed)
+        if defect is not None:
+            raise InvalidCoverError(f"{member} #{i}: {defect}")
         for v in seq:
             incidence[v] += 1
         if "edge_disjoint" not in failures:

@@ -527,6 +527,61 @@ def test_json_on_failure_paths(capsys, tmp_path):
         assert doc["kind"] == "GraphParseError"
 
 
+# a value is due after the last comma, at line 2, column 18
+SYNTAX_ERROR = '{\n  "x": [1, 2, 3, ]\n}\n'
+JSON_AT = "invalid JSON at line 2, column 18: Expecting value"
+# BF(2)'s cover is [[0, 4, 8, 5, 1, 7, 10, 6], [2, 4, 9, 5, 3, 7, 11, 6]]
+LOCATED = {
+    "graph-json": ("graph", SYNTAX_ERROR, JSON_AT),
+    "set-json": ("set", SYNTAX_ERROR, JSON_AT),
+    "cover-json": ("cover", SYNTAX_ERROR, JSON_AT),
+    "repeated-vertex": ("cover", {"cycles": [[0, 4, 8, 5, 1, 7, 10, 6], [2, 4, 9, 2, 3, 7, 11, 6]]},
+                        "cycle #1: repeated vertex 2 at position 3"),
+    "non-adjacent": ("cover", {"cycles": [[0, 4, 8, 5, 1, 7, 10, 6], [2, 9, 4, 5, 3, 7, 11, 6]]},
+                     "cycle #1: 2 and 9 are not adjacent at position 0"),
+    "empty-path": ("cover", {"kind": "path-cover", "cycles": [[0, 4], []]},
+                   "path #1: needs >= 1 vertices, got 0"),
+}
+
+
+@pytest.mark.parametrize("role, content, error", list(LOCATED.values()), ids=list(LOCATED))
+def test_exit_2_documents_name_the_location(capsys, tmp_path, role, content, error):
+    files = {name: tmp_path / f"{name}.json" for name in ("graph", "set", "cover")}
+    files["graph"].write_bytes(export_graph(graphs.build_butterfly(2)))
+    files["set"].write_text(json.dumps({"ids": [0, 1]}))
+    files["cover"].write_text(json.dumps(cc.cover_to_dict(cc.construct_bf_cycle_cover(2))))
+    files[role].write_text(content if isinstance(content, str) else json.dumps(content))
+    argv = (("gpset", "verify", "--set", str(files["set"])) if role != "cover"
+            else ("cover", "verify", "--cover", str(files["cover"])))
+    code = main([*argv, "--graph", str(files["graph"]), "--quiet",
+                 "--manifest", str(tmp_path / "m.json")])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert len(out.encode()) < 4096
+    kind = "InvalidCoverError" if error.startswith(("cycle", "path")) else "GraphParseError"
+    assert json.loads(out) == {"error": error, "kind": kind}
+
+
+@pytest.mark.parametrize("argv", [
+    ("gpset", "construct", "--r", "3", "--out", "x.json", "--manifest", "x.json"),
+    ("gpset", "verify", "--graph", "g.json", "--set", "s.json", "--manifest", "./s.json"),
+], ids=["output", "input"])
+def test_manifest_never_overwrites_the_runs_own_files(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_bytes(export_graph(graphs.build_butterfly(3)))
+    run_cli(capsys, "gpset", "construct", "--r", "3", "--out", "s.json", "--quiet")
+    before = (tmp_path / "s.json").read_bytes()
+    code = main([*argv, "--quiet"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["kind"] == "usage" and "manifest" in doc["error"]
+    manifest = json.loads(captured.err.removeprefix("manifest: "))
+    assert manifest["exit_code"] == 2
+    # the file still holds the set, the product of the "output" case too
+    target = tmp_path / argv[-1]
+    assert target.read_bytes() == before
+
+
 def test_booleans_are_not_integers(capsys, tmp_path):
     graph = tmp_path / "bf2.json"
     run_cli(capsys, "generate", "butterfly", "--r", "2", "--out", str(graph), "--quiet")

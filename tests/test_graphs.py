@@ -477,9 +477,8 @@ def test_butterfly_recognition_builds_no_edge_list(monkeypatch):
 
 
 def test_parse_errors():
-    with pytest.raises(GraphParseError) as e:
+    with pytest.raises(GraphParseError, match="^invalid JSON at line 1, column 2: "):
         import_graph(b"{not json")
-    assert e.value.line is not None
     with pytest.raises(GraphParseError):
         import_graph(json.dumps({"family": "cycle"}))
     with pytest.raises(GraphParseError):

@@ -8,11 +8,13 @@ timestamps, so identical inputs and node budget reproduce it byte for
 byte.
 
 `--out F` writes a command's product, the graph, set or cover file that
-another command reads, and the result then names F as `path` instead of
-carrying the product: `generate` (graph), `gpset construct` and `gpset
-max` (set) and `cover construct` (cover) take it.  The verifiers and
-`report` write nothing, their document on stdout being all they produce,
-so `--out` is a usage error there.
+another command reads, once its check has passed, and the result then
+names F as `path` instead of carrying the product: `generate` (graph),
+`gpset construct` and `gpset max` (set) and `cover construct` (cover)
+take it.  F may not be a file the run reads.  The verifiers and `report`
+write nothing, their document on stdout being all they produce, so
+`--out` is a usage error there.  `report`'s exact column is verified as
+`gpset max`'s set is, by one shared step.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 usage, parse
 or io error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R,
@@ -83,9 +85,15 @@ class Run:
         self.inputs[path] = _sha256(data)
         return data
 
+    def owns(self, path: str) -> bool:
+        """True if path is, by real path, a file this run reads or writes."""
+        return os.path.realpath(path) in map(os.path.realpath, [*self.inputs, *self.outputs])
+
     def write_product(self, result: dict, product) -> None:
         """Write the product, its bytes or a JSON document, to --out; result names it as path."""
         path = self.args.out
+        if self.owns(path):
+            raise _UsageError(f"--out path {path} is a file this run reads")
         data = product if isinstance(product, bytes) else _dumps(product).encode()
         with open(path, "wb") as f:
             f.write(data)
@@ -118,8 +126,7 @@ class Run:
         if target is None and getattr(self.args, "out", None):
             target = self.args.out + ".manifest.json"
         error = None
-        if target and os.path.realpath(target) in map(os.path.realpath,
-                                                       [*self.inputs, *self.outputs]):
+        if target and self.owns(target):
             error = {"error": f"manifest path {target} is a file this run reads or writes",
                      "kind": "usage"}
         elif target:
@@ -303,35 +310,29 @@ def _resolve_pool(run: Run, g: graphs.Graph):
     raise _UsageError(f"unknown pool {spec!r}")
 
 
+def _solve(g: graphs.Graph, dm, pool, node_budget: int):
+    """The exact search, and verify_general_position's witness on the set it found."""
+    res = genpos.max_general_position(g, dm, pool=pool, budget=Budget(node_limit=node_budget))
+    return res, genpos.verify_general_position(g, dm, res.best_set)
+
+
 def cmd_gpset_max(run: Run) -> int:
     args = run.args
     g = _load_graph(run, args.graph) if args.r is None else graphs.build_butterfly(args.r)
     pool, pool_desc = _resolve_pool(run, g)
-    dm = geodesy.all_pairs_distances(g)
-    res = genpos.max_general_position(g, dm, pool=pool,
-                                      budget=Budget(node_limit=args.node_budget))
+    res, witness = _solve(g, geodesy.all_pairs_distances(g), pool, args.node_budget)
     ref = res.best_set.graph_ref  # g.ref(), not hashed again from a non-butterfly's edges
-    doc = {
-        "command": "gpset-max",
-        "graph_ref": ref,
-        "pool": pool_desc,
-        "size": res.size,
-        "optimal": res.optimal,
-        "nodes_explored": res.nodes_explored,
-        "budget_exhausted": not res.optimal,
-    }
-    sdoc = genpos.vertex_set_to_dict(res.best_set)
-    if args.out:
-        run.write_product(doc, sdoc)
-    else:
-        doc["set"] = sdoc
-    witness = genpos.verify_general_position(g, dm, res.best_set)
-    if witness.ok:
-        code = EXIT_OK if res.optimal else EXIT_INCONCLUSIVE
-    else:
+    doc = {"command": "gpset-max", "graph_ref": ref, "pool": pool_desc, "size": res.size,
+           "optimal": res.optimal, "nodes_explored": res.nodes_explored,
+           "budget_exhausted": not res.optimal}
+    if not args.out:
+        doc["set"] = genpos.vertex_set_to_dict(res.best_set)
+    elif witness.ok:
+        run.write_product(doc, genpos.vertex_set_to_dict(res.best_set))
+    code = EXIT_OK if res.optimal else EXIT_INCONCLUSIVE
+    if not witness.ok:
         code = EXIT_VERIFY_FAILED
-        doc["status"] = "verify-failed"
-        doc["witness"] = genpos.witness_to_dict(witness)
+        doc.update(status="verify-failed", witness=genpos.witness_to_dict(witness))
     run.note(f"max general position on {ref} pool={pool_desc}: "
              f"size {res.size} optimal={res.optimal}")
     return run.finish(doc, code)
@@ -352,7 +353,7 @@ def cmd_cover_construct(run: Run) -> int:
         "passes": report.passes,
         "report": cc.report_to_dict(report),
     }
-    if args.out:
+    if args.out and report.passes:
         run.write_product(result, cc.cover_to_dict(cover))
     run.note(f"BF({args.r}) cover: {len(cover)} cycles of length {4 * args.r}, "
              f"verified={report.passes}")
@@ -394,39 +395,28 @@ def cmd_report(run: Run) -> int:
     if args.r_max > graphs.MAX_BUTTERFLY_R:
         raise TooLargeError(f"--r-max {args.r_max} exceeds the butterfly cap "
                             f"r <= {graphs.MAX_BUTTERFLY_R}")
-    rows = []
+    rows, certified = [], True
     for r in range(args.r_min, args.r_max + 1):
         g = graphs.build_butterfly(r)
         dm = geodesy.all_pairs_distances(g)
         s = genpos.construct_butterfly_gp_set(r)
-        verified = genpos.verify_general_position(g, dm, s).ok
-        row = {
-            "r": r,
-            "set_size": len(s),
-            "set_verified": verified,
-            "cover_cycles": None,
-            "cover_verified": None,
-            "gp_upper_bound": None,
-            "gp_exact": None,
-            "exact_optimal": None,
-        }
+        set_ok = genpos.verify_general_position(g, dm, s).ok
         cover = cc.construct_bf_cycle_cover(r)
         report = cc.verify_bf_cover(g, dm, cover)
-        row["cover_cycles"] = len(cover)
-        row["cover_verified"] = report.passes
-        row["gp_upper_bound"] = report.bounds.get("from_ic")
+        res = None
         if r <= args.exact_max_r:
-            res = genpos.max_general_position(
-                g, dm, budget=Budget(node_limit=args.node_budget))
-            row["gp_exact"] = res.size
-            row["exact_optimal"] = res.optimal
+            res, witness = _solve(g, dm, None, args.node_budget)
+            certified &= witness.ok
+        certified &= set_ok and report.passes
+        row = {"r": r, "set_size": len(s), "set_verified": set_ok,
+               "cover_cycles": len(cover), "cover_verified": report.passes,
+               "gp_upper_bound": report.bounds.get("from_ic"),
+               "gp_exact": res and res.size, "exact_optimal": res and res.optimal}
         rows.append(row)
-        run.note(f"r={r}: set {row['set_size']} verified={row['set_verified']} "
-                 f"cover {row['cover_cycles']} bound {row['gp_upper_bound']} "
-                 f"exact {row['gp_exact']}")
-    result = {"command": "report", "rows": rows}
-    certified = all(row["set_verified"] and row["cover_verified"] for row in rows)
-    return run.finish(result, EXIT_OK if certified else EXIT_VERIFY_FAILED)
+        run.note(f"r={r}: set {len(s)} verified={set_ok} cover {len(cover)} "
+                 f"bound {row['gp_upper_bound']} exact {row['gp_exact']}")
+    return run.finish({"command": "report", "rows": rows},
+                      EXIT_OK if certified else EXIT_VERIFY_FAILED)
 
 
 _DISPATCH = {

@@ -167,9 +167,6 @@ class Graph:
                 and self.family == other.family
                 and self.family_param == other.family_param)
 
-    def __hash__(self):
-        return hash((self.n, self.edges, self.family, self.family_param))
-
     def __repr__(self) -> str:
         tag = self.family if self.family_param is None else f"{self.family}({self.family_param})"
         return f"Graph({tag}, n={self.n}, m={self.num_edges})"

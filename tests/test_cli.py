@@ -9,7 +9,7 @@ from bfgp import cycle_cover as cc
 from bfgp import cli, genpos, geodesy, graphs
 from bfgp.budget import DEFAULT_SOLVER_NODES
 from bfgp.cli import main
-from bfgp.graph_io import export_graph
+from bfgp.graph_io import export_dot, export_graph
 from bfgp.graphs import build_path
 
 
@@ -60,6 +60,14 @@ def test_generate_dot(capsys):
                         "--format", "dot", "--quiet")
     assert code == 0
     assert "L0_00" in doc["dot"]
+
+
+def test_generate_dot_out_writes_the_dot_file(capsys, tmp_path):
+    out = tmp_path / "g.dot"
+    code, doc = run_cli(capsys, "generate", "butterfly", "--r", "2", "--format", "dot",
+                        "--out", str(out), "--quiet")
+    assert code == 0 and doc["path"] == str(out) and "dot" not in doc
+    assert out.read_text() == export_dot(graphs.build_butterfly(2))
 
 
 def test_gpset_construct_verify_flow(capsys, tmp_path):
@@ -158,7 +166,7 @@ def test_gpset_max_budget_exhaustion(capsys):
     assert doc["budget_exhausted"] is True
 
 
-def test_gpset_max_fails_on_rejected_set(capsys, monkeypatch):
+def _corrupt_solver(monkeypatch):
     solve = genpos.max_general_position
 
     def corrupted(g, dm, pool=None, budget=None):
@@ -167,10 +175,44 @@ def test_gpset_max_fails_on_rejected_set(capsys, monkeypatch):
         s = genpos.VertexSet(members=(0, 4, 8), graph_ref=res.best_set.graph_ref)
         return genpos.SolveResult(s, 3, res.optimal, res.nodes_explored)
     monkeypatch.setattr(genpos, "max_general_position", corrupted)
+
+
+def test_gpset_max_fails_on_rejected_set(capsys, monkeypatch):
+    _corrupt_solver(monkeypatch)
     code, doc = run_cli(capsys, "gpset", "max", "--r", "2", "--quiet")
     assert code == 1
     assert doc["status"] == "verify-failed"
     assert doc["witness"]["triple"] == [0, 4, 8]
+
+
+@pytest.mark.parametrize("argv", [("gpset", "max", "--r", "2"), ("cover", "construct", "--r", "2")],
+                         ids=["gpset-max", "cover-construct"])
+def test_rejected_product_is_not_written(capsys, tmp_path, monkeypatch, argv):
+    _corrupt_solver(monkeypatch)
+    _corrupt_cover(monkeypatch)
+    out = tmp_path / "product.json"
+    code, doc = run_cli(capsys, *argv, "--out", str(out), "--quiet")
+    assert code == 1 and doc["status"] == "verify-failed"
+    assert "path" not in doc and "set" not in doc
+    assert not out.exists()
+    manifest = json.loads((tmp_path / "product.json.manifest.json").read_text())
+    assert manifest["outputs"] == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--out", "g.json"),
+    ("--pool", "file:p.json", "--out", "./p.json"),
+], ids=["graph", "pool"])
+def test_out_never_overwrites_the_runs_input(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_bytes(export_graph(graphs.build_butterfly(3)))
+    (tmp_path / "p.json").write_text(json.dumps({"ids": [0, 1, 2, 3]}))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code, doc = run_cli(capsys, "gpset", "max", "--graph", "g.json", *argv,
+                        "--node-budget", "100", "--manifest", "m.json", "--quiet")
+    assert code == 2 and doc["kind"] == "usage" and "--out" in doc["error"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "m.json"} == before
+    assert json.loads((tmp_path / "m.json").read_text())["outputs"] == {}
 
 
 def test_gpset_max_bad_pool(capsys):
@@ -311,6 +353,23 @@ def test_report_bounds_a_sound_cover_that_fails_the_contract(capsys, monkeypatch
     assert (row["cover_verified"], row["gp_upper_bound"]) == (False, 3 * ((1 << (r - 1)) + 1))
 
 
+def test_report_fails_on_rejected_exact_set(capsys, monkeypatch):
+    _corrupt_solver(monkeypatch)
+    code, doc = run_cli(capsys, "report", "--r-min", "2", "--r-max", "2", "--quiet")
+    assert code == 1
+    row = doc["rows"][0]
+    assert (row["set_verified"], row["cover_verified"]) == (True, True)
+    assert (row["gp_exact"], row["exact_optimal"]) == (3, True)
+
+
+@pytest.mark.parametrize("argv", [("--r-min", "5", "--r-max", "4"), ("--r-min", "1")],
+                         ids=["empty-range", "r-min-1"])
+def test_report_range_is_checked(capsys, argv):
+    code, doc = run_cli(capsys, "report", *argv, "--quiet")
+    assert code == 2
+    assert doc == {"error": "need 2 <= r-min <= r-max", "kind": "usage"}
+
+
 def test_report_fails_on_rejected_set(capsys, monkeypatch):
     construct = genpos.construct_butterfly_gp_set
 
@@ -436,6 +495,20 @@ def test_report(capsys):
     assert rows[1]["gp_exact"] == 10
 
 
+@pytest.mark.parametrize("argv, note", [
+    (("gpset", "construct", "--r", "3"), "BF(3) general position set of size 10"),
+    (("report", "--r-max", "2"), "r=2: set 5 verified=True cover 2 bound 6 exact 5"),
+], ids=["gpset-construct", "report"])
+def test_note_goes_to_stderr_alone(capsys, tmp_path, argv, note):
+    argv = [*argv, "--manifest", str(tmp_path / "m.json")]
+    assert main(argv) == 0
+    loud = capsys.readouterr()
+    assert main([*argv, "--quiet"]) == 0
+    quiet = capsys.readouterr()
+    assert loud.err == note + "\n" and quiet.err == ""
+    assert loud.out == quiet.out
+
+
 def test_stdout_is_deterministic(capsys):
     def grab(*argv):
         assert main(list(argv)) in (0, 3)
@@ -525,6 +598,11 @@ def test_json_on_failure_paths(capsys, tmp_path):
         code, doc = run_cli(capsys, *argv, "--quiet")
         assert code == 2, argv
         assert doc["kind"] == "GraphParseError"
+    edges_object = tmp_path / "edges_object.json"
+    edges_object.write_text(json.dumps({"num_vertices": 3, "edges": {}}))
+    code, doc = run_cli(capsys, "gpset", "max", "--graph", str(edges_object), "--quiet")
+    assert code == 2
+    assert doc == {"error": "edges must be an array", "kind": "GraphParseError"}
 
 
 # a value is due after the last comma, at line 2, column 18

@@ -351,6 +351,12 @@ def test_triple_ceiling_is_exact(bf2, monkeypatch):
         max_general_position(g, dm)
 
 
+def test_brute_force_refuses_more_than_20_pool_vertices():
+    g = build_butterfly(3)
+    with pytest.raises(InvalidParameterError, match="limited to 20 pool vertices, got 21"):
+        brute_force_max_gp(g, all_pairs_distances(g), pool=range(21))
+
+
 def test_solver_matches_brute_force_on_sample():
     sample = [g for _, g in named_corpus(max_n=8)][:12]
     for g in sample:

@@ -7,14 +7,16 @@ with input/output digests and timing; the result JSON itself carries no
 timestamps, so identical inputs and node budget reproduce it byte for
 byte.
 
-`--out F` writes a command's product, the graph, set or cover file that
-another command reads, once its check has passed, and the result then
-names F as `path` instead of carrying the product: `generate` (graph),
-`gpset construct` and `gpset max` (set) and `cover construct` (cover)
-take it.  F may not be a file the run reads.  The verifiers and `report`
-write nothing, their document on stdout being all they produce, so
-`--out` is a usage error there.  `report`'s exact column is verified as
-`gpset max`'s set is, by one shared step.
+`main` alone applies the `--out` rule, writes the manifest and prints;
+each handler returns its document, exit code and product.  A product is
+the graph, set or cover file that another command reads, made by
+`generate`, `gpset construct`, `gpset max` and `cover construct`.
+`--out F` writes it unless the run exits 1, so a set or cover is written
+only once its check has passed, and the result names F as `path`;
+without `--out` the product is inlined (a cover is not).  Reading F as
+an input is refused, before any work.  The verifiers and `report`
+produce only their stdout document, so `--out` is a usage error there.
+`--node-budget` below 1 is a usage error when the arguments are parsed.
 
 Exit codes: 0 success/verified, 1 verification failed, 2 usage, parse
 or io error (including a butterfly dimension above graphs.MAX_BUTTERFLY_R,
@@ -80,21 +82,19 @@ class Run:
         self.t0 = time.perf_counter()
 
     def read_bytes(self, path: str) -> bytes:
+        """Read an input, refusing one that is --out by real path before any work is done on it."""
+        out = getattr(self.args, "out", None)
+        if out and os.path.realpath(path) == os.path.realpath(out):
+            raise _UsageError(f"--out path {out} is a file this run reads")
         with open(path, "rb") as f:
             data = f.read()
         self.inputs[path] = _sha256(data)
         return data
 
-    def owns(self, path: str) -> bool:
-        """True if path is, by real path, a file this run reads or writes."""
-        return os.path.realpath(path) in map(os.path.realpath, [*self.inputs, *self.outputs])
-
     def write_product(self, result: dict, product) -> None:
-        """Write the product, its bytes or a JSON document, to --out; result names it as path."""
+        """Write the product, text or a JSON document, to --out; result names it as path."""
         path = self.args.out
-        if self.owns(path):
-            raise _UsageError(f"--out path {path} is a file this run reads")
-        data = product if isinstance(product, bytes) else _dumps(product).encode()
+        data = (product if isinstance(product, str) else _dumps(product)).encode()
         with open(path, "wb") as f:
             f.write(data)
         self.outputs[path] = _sha256(data)
@@ -104,8 +104,8 @@ class Run:
         if not getattr(self.args, "quiet", False):
             print(line, file=sys.stderr)
 
-    def finish(self, result: dict, exit_code: int) -> int:
-        """Write the manifest, then print the one result document.
+    def finish(self, result: dict, exit_code: int) -> tuple[dict, int]:
+        """Write the manifest; return the result document to print and the exit code.
 
         A manifest path that is one of the run's own inputs or outputs
         (same real path) is a usage error, and an unwritable one an io
@@ -126,7 +126,8 @@ class Run:
         if target is None and getattr(self.args, "out", None):
             target = self.args.out + ".manifest.json"
         error = None
-        if target and self.owns(target):
+        owned = map(os.path.realpath, [*self.inputs, *self.outputs])
+        if target and os.path.realpath(target) in owned:
             error = {"error": f"manifest path {target} is a file this run reads or writes",
                      "kind": "usage"}
         elif target:
@@ -142,8 +143,7 @@ class Run:
                 manifest.update(exit_code=exit_code, result_summary=_summarize(result))
         if not target:
             print("manifest: " + json.dumps(manifest), file=sys.stderr)
-        sys.stdout.write(_dumps(result))
-        return exit_code
+        return result, exit_code
 
 
 def _summarize(result: dict) -> dict:
@@ -160,17 +160,28 @@ _GENERATE = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, product: str = "") -> None:
+def _add_common(p: argparse.ArgumentParser, handler, product: str = "") -> None:
+    p.set_defaults(handler=handler)
     if product:
         p.add_argument("--out", help=f"write the {product} file here; the result names it as path")
     p.add_argument("--manifest", help="write the run manifest to this path")
     p.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
 
 
+def _node_budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_budget(p: argparse.ArgumentParser) -> None:
-    """The budget flag, for the subcommands that run a search."""
-    p.add_argument("--node-budget", type=int, default=DEFAULT_SOLVER_NODES,
-                   help="deterministic search node limit")
+    """The budget flag, for the subcommands that run a search; checked as it is parsed."""
+    p.add_argument("--node-budget", type=_node_budget, default=DEFAULT_SOLVER_NODES,
+                   help="deterministic search node limit, at least 1")
 
 
 def build_parser() -> _Parser:
@@ -184,19 +195,19 @@ def build_parser() -> _Parser:
     param.add_argument("--r", type=int, help="butterfly dimension")
     param.add_argument("--n", type=int, help="cycle/path order")
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    _add_common(p, "graph")
+    _add_common(p, cmd_generate, "graph")
 
     p = sub.add_parser("gpset", help="general position sets")
     gsub = p.add_subparsers(dest="action", required=True)
 
     q = gsub.add_parser("construct", help="write the built-in optimal butterfly set")
     q.add_argument("--r", type=int, required=True)
-    _add_common(q, "set")
+    _add_common(q, cmd_gpset_construct, "set")
 
     q = gsub.add_parser("verify", help="check a set for general position")
     q.add_argument("--graph", required=True)
     q.add_argument("--set", dest="set_path", required=True)
-    _add_common(q)
+    _add_common(q, cmd_gpset_verify)
 
     q = gsub.add_parser("max", help="exact maximum general position set")
     source = q.add_mutually_exclusive_group(required=True)
@@ -204,7 +215,7 @@ def build_parser() -> _Parser:
     source.add_argument("--r", type=int, help="solve on BF(r) without a graph file")
     q.add_argument("--pool", default="all",
                    help="'all', 'deg2', or 'file:PATH' with a vertex-set JSON")
-    _add_common(q, "set")
+    _add_common(q, cmd_gpset_max, "set")
     _add_budget(q)
 
     p = sub.add_parser("cover", help="isometric cycle covers")
@@ -212,31 +223,27 @@ def build_parser() -> _Parser:
 
     q = csub.add_parser("construct", help="build the butterfly cycle cover")
     q.add_argument("--r", type=int, required=True)
-    _add_common(q, "cover")
+    _add_common(q, cmd_cover_construct, "cover")
 
     q = csub.add_parser("verify", help="verify a cover file")
     q.add_argument("--graph", required=True)
     q.add_argument("--cover", required=True)
-    _add_common(q)
+    _add_common(q, cmd_cover_verify)
 
     q = csub.add_parser("bounds", help="certified gp upper bounds from a cover")
     q.add_argument("--graph", required=True)
     q.add_argument("--cover", required=True)
-    _add_common(q)
+    _add_common(q, cmd_cover_bounds)
 
     p = sub.add_parser("report", help="summary table across butterfly dimensions")
     p.add_argument("--r-min", type=int, default=2)
     p.add_argument("--r-max", type=int, default=4)
     p.add_argument("--exact-max-r", type=int, default=3,
                    help="run the exact solver for r up to this value")
-    _add_common(p)
+    _add_common(p, cmd_report)
     _add_budget(p)
 
     return parser
-
-
-def _load_graph(run: Run, path: str) -> graphs.Graph:
-    return graph_io.import_graph(run.read_bytes(path))
 
 
 def _read_claim(run: Run, path: str, g: graphs.Graph, from_dict):
@@ -248,7 +255,35 @@ def _read_claim(run: Run, path: str, g: graphs.Graph, from_dict):
     return obj
 
 
-def cmd_generate(run: Run) -> int:
+def _claim(run: Run, path: str, from_dict):
+    """The --graph file, its distances, and the claim file at path read against it."""
+    g = graph_io.import_graph(run.read_bytes(run.args.graph))
+    obj = _read_claim(run, path, g, from_dict)
+    return g, geodesy.all_pairs_distances(g), obj
+
+
+def _made(r: int, construct, verify, bf=None):
+    """BF(r)'s closed-form set or cover, its verifier's verdict, and bf.
+
+    bf is BF(r) and its distances, built here unless given.  The object
+    is made first, so that it, not the graph, refuses r < 2.
+    """
+    obj = construct(r)
+    if bf is None:
+        g = graphs.build_butterfly(r)
+        bf = g, geodesy.all_pairs_distances(g)
+    return obj, verify(*bf, obj), bf
+
+
+def _set_verdict(doc: dict, witness, code: int) -> int:
+    """code if the set passed verify_general_position; else exit 1, the witness in doc."""
+    if witness.ok:
+        return code
+    doc.update(status="verify-failed", witness=genpos.witness_to_dict(witness))
+    return EXIT_VERIFY_FAILED
+
+
+def cmd_generate(run: Run):
     args = run.args
     build, flag = _GENERATE[args.family]
     if getattr(args, flag) is None:
@@ -262,39 +297,27 @@ def cmd_generate(run: Run) -> int:
         "num_edges": g.num_edges,
         "graph_ref": g.ref(),
     }
-    if args.out:
-        run.write_product(result, graph_io.export_graph(g, args.format))
-    elif args.format == "dot":
-        result["dot"] = graph_io.export_dot(g)
-    else:
-        result["graph"] = graph_io.graph_to_dict(g)
     run.note(f"{g.family}({g.family_param}): {g.n} vertices, {g.num_edges} edges")
-    return run.finish(result, EXIT_OK)
+    if args.format == "dot":
+        return result, EXIT_OK, ("dot", graph_io.export_dot(g))
+    return result, EXIT_OK, ("graph", graph_io.graph_to_dict(g))
 
 
-def cmd_gpset_construct(run: Run) -> int:
-    args = run.args
-    s = genpos.construct_butterfly_gp_set(args.r)
-    doc = genpos.vertex_set_to_dict(s)
-    result = {"command": "gpset-construct", "r": args.r, "size": len(s)}
-    if args.out:
-        run.write_product(result, doc)
-    else:
-        result["set"] = doc
-    run.note(f"BF({args.r}) general position set of size {len(s)}")
-    return run.finish(result, EXIT_OK)
+def cmd_gpset_construct(run: Run):
+    r = run.args.r
+    s, witness, _ = _made(r, genpos.construct_butterfly_gp_set, genpos.verify_general_position)
+    result = {"command": "gpset-construct", "r": r, "size": len(s)}
+    run.note(f"BF({r}) general position set of size {len(s)}")
+    return result, _set_verdict(result, witness, EXIT_OK), ("set", genpos.vertex_set_to_dict(s))
 
 
-def cmd_gpset_verify(run: Run) -> int:
-    args = run.args
-    g = _load_graph(run, args.graph)
-    s = _read_claim(run, args.set_path, g, genpos.vertex_set_from_dict)
-    dm = geodesy.all_pairs_distances(g)
+def cmd_gpset_verify(run: Run):
+    g, dm, s = _claim(run, run.args.set_path, genpos.vertex_set_from_dict)
     witness = genpos.verify_general_position(g, dm, s)
     result = {"command": "gpset-verify", "size": len(s), "status": witness.status,
               "witness": genpos.witness_to_dict(witness)}
     run.note(f"set of size {len(s)}: {witness.status}")
-    return run.finish(result, EXIT_OK if witness.ok else EXIT_VERIFY_FAILED)
+    return result, EXIT_OK if witness.ok else EXIT_VERIFY_FAILED, None
 
 
 def _resolve_pool(run: Run, g: graphs.Graph):
@@ -316,67 +339,50 @@ def _solve(g: graphs.Graph, dm, pool, node_budget: int):
     return res, genpos.verify_general_position(g, dm, res.best_set)
 
 
-def cmd_gpset_max(run: Run) -> int:
+def cmd_gpset_max(run: Run):
     args = run.args
-    g = _load_graph(run, args.graph) if args.r is None else graphs.build_butterfly(args.r)
+    g = (graph_io.import_graph(run.read_bytes(args.graph)) if args.r is None
+         else graphs.build_butterfly(args.r))
     pool, pool_desc = _resolve_pool(run, g)
     res, witness = _solve(g, geodesy.all_pairs_distances(g), pool, args.node_budget)
     ref = res.best_set.graph_ref  # g.ref(), not hashed again from a non-butterfly's edges
     doc = {"command": "gpset-max", "graph_ref": ref, "pool": pool_desc, "size": res.size,
            "optimal": res.optimal, "nodes_explored": res.nodes_explored,
            "budget_exhausted": not res.optimal}
-    if not args.out:
-        doc["set"] = genpos.vertex_set_to_dict(res.best_set)
-    elif witness.ok:
-        run.write_product(doc, genpos.vertex_set_to_dict(res.best_set))
-    code = EXIT_OK if res.optimal else EXIT_INCONCLUSIVE
-    if not witness.ok:
-        code = EXIT_VERIFY_FAILED
-        doc.update(status="verify-failed", witness=genpos.witness_to_dict(witness))
     run.note(f"max general position on {ref} pool={pool_desc}: "
              f"size {res.size} optimal={res.optimal}")
-    return run.finish(doc, code)
+    code = _set_verdict(doc, witness, EXIT_OK if res.optimal else EXIT_INCONCLUSIVE)
+    return doc, code, ("set", genpos.vertex_set_to_dict(res.best_set))
 
 
-def cmd_cover_construct(run: Run) -> int:
-    args = run.args
-    cover = cc.construct_bf_cycle_cover(args.r)
-    g = graphs.build_butterfly(args.r)
-    dm = geodesy.all_pairs_distances(g)
-    report = cc.verify_bf_cover(g, dm, cover)
+def cmd_cover_construct(run: Run):
+    r = run.args.r
+    cover, report, _ = _made(r, cc.construct_bf_cycle_cover, cc.verify_bf_cover)
     result = {
         "command": "cover-construct",
-        "r": args.r,
+        "r": r,
         "status": "ok" if report.passes else "verify-failed",
         "cycles": len(cover),
-        "cycle_length": 4 * args.r,
+        "cycle_length": 4 * r,
         "passes": report.passes,
         "report": cc.report_to_dict(report),
     }
-    if args.out and report.passes:
-        run.write_product(result, cc.cover_to_dict(cover))
-    run.note(f"BF({args.r}) cover: {len(cover)} cycles of length {4 * args.r}, "
-             f"verified={report.passes}")
-    return run.finish(result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED)
+    run.note(f"BF({r}) cover: {len(cover)} cycles of length {4 * r}, verified={report.passes}")
+    return (result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED,
+            (None, cc.cover_to_dict(cover)))
 
 
-def cmd_cover_verify(run: Run) -> int:
-    args = run.args
-    g = _load_graph(run, args.graph)
-    cover = _read_claim(run, args.cover, g, cc.cover_from_dict)
-    dm = geodesy.all_pairs_distances(g)
+def cmd_cover_verify(run: Run):
+    g, dm, cover = _claim(run, run.args.cover, cc.cover_from_dict)
     report = cc.verify_cover(g, dm, cover)
     result = {"command": "cover-verify", "cycles": len(cover), "passes": report.passes,
               "report": cc.report_to_dict(report)}
     run.note(f"cover of {len(cover)} members: passes={report.passes}")
-    return run.finish(result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED)
+    return result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED, None
 
 
-def cmd_cover_bounds(run: Run) -> int:
-    args = run.args
-    g = _load_graph(run, args.graph)
-    cover = _read_claim(run, args.cover, g, cc.cover_from_dict)
-    dm = geodesy.all_pairs_distances(g)
+def cmd_cover_bounds(run: Run):
+    g, dm, cover = _claim(run, run.args.cover, cc.cover_from_dict)
     report = cc.verify_cover(g, dm, cover)
     if report.bounds:
         result = {"command": "cover-bounds", "cover_size": len(cover), "bounds": report.bounds}
@@ -385,10 +391,10 @@ def cmd_cover_bounds(run: Run) -> int:
     result["report"] = cc.report_to_dict(report)
     for name, value in report.bounds.items():
         run.note(f"gp <= {value}  ({name} from a verified cover of {len(cover)})")
-    return run.finish(result, EXIT_OK if report.bounds else EXIT_VERIFY_FAILED)
+    return result, EXIT_OK if report.bounds else EXIT_VERIFY_FAILED, None
 
 
-def cmd_report(run: Run) -> int:
+def cmd_report(run: Run):
     args = run.args
     if args.r_min < 2 or args.r_max < args.r_min:
         raise _UsageError("need 2 <= r-min <= r-max")
@@ -397,63 +403,54 @@ def cmd_report(run: Run) -> int:
                             f"r <= {graphs.MAX_BUTTERFLY_R}")
     rows, certified = [], True
     for r in range(args.r_min, args.r_max + 1):
-        g = graphs.build_butterfly(r)
-        dm = geodesy.all_pairs_distances(g)
-        s = genpos.construct_butterfly_gp_set(r)
-        set_ok = genpos.verify_general_position(g, dm, s).ok
-        cover = cc.construct_bf_cycle_cover(r)
-        report = cc.verify_bf_cover(g, dm, cover)
+        s, witness, bf = _made(r, genpos.construct_butterfly_gp_set,
+                               genpos.verify_general_position)
+        cover, report, _ = _made(r, cc.construct_bf_cycle_cover, cc.verify_bf_cover, bf)
         res = None
         if r <= args.exact_max_r:
-            res, witness = _solve(g, dm, None, args.node_budget)
-            certified &= witness.ok
-        certified &= set_ok and report.passes
-        row = {"r": r, "set_size": len(s), "set_verified": set_ok,
+            res, exact = _solve(*bf, None, args.node_budget)
+            certified &= exact.ok
+        certified &= witness.ok and report.passes
+        row = {"r": r, "set_size": len(s), "set_verified": witness.ok,
                "cover_cycles": len(cover), "cover_verified": report.passes,
                "gp_upper_bound": report.bounds.get("from_ic"),
                "gp_exact": res and res.size, "exact_optimal": res and res.optimal}
         rows.append(row)
-        run.note(f"r={r}: set {len(s)} verified={set_ok} cover {len(cover)} "
+        run.note(f"r={r}: set {len(s)} verified={witness.ok} cover {len(cover)} "
                  f"bound {row['gp_upper_bound']} exact {row['gp_exact']}")
-    return run.finish({"command": "report", "rows": rows},
-                      EXIT_OK if certified else EXIT_VERIFY_FAILED)
-
-
-_DISPATCH = {
-    ("generate", None): cmd_generate,
-    ("gpset", "construct"): cmd_gpset_construct,
-    ("gpset", "verify"): cmd_gpset_verify,
-    ("gpset", "max"): cmd_gpset_max,
-    ("cover", "construct"): cmd_cover_construct,
-    ("cover", "verify"): cmd_cover_verify,
-    ("cover", "bounds"): cmd_cover_bounds,
-    ("report", None): cmd_report,
-}
+    return {"command": "report", "rows": rows}, EXIT_OK if certified else EXIT_VERIFY_FAILED, None
 
 
 def main(argv=None) -> int:
+    """Parse argv, run its handler, apply the --out rule, finish the run, print its document."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as e:
         sys.stdout.write(_dumps({"error": str(e), "kind": "usage"}))
         return EXIT_USAGE
     run = Run(argv, args)
-    handler = _DISPATCH[(args.command, getattr(args, "action", None))]
     try:
-        return handler(run)
+        result, code, product = args.handler(run)
+        if product and args.out:
+            if code != EXIT_VERIFY_FAILED:
+                run.write_product(result, product[1])
+        elif product and product[0]:
+            result[product[0]] = product[1]
     except _UsageError as e:
-        return run.finish({"error": str(e), "kind": "usage"}, EXIT_USAGE)
+        result, code = {"error": str(e), "kind": "usage"}, EXIT_USAGE
     except OSError as e:
-        return run.finish({"error": str(e), "kind": "io"}, EXIT_USAGE)
+        result, code = {"error": str(e), "kind": "io"}, EXIT_USAGE
     except BfgpError as e:
-        return run.finish({"error": str(e), "kind": type(e).__name__}, EXIT_USAGE)
+        result, code = {"error": str(e), "kind": type(e).__name__}, EXIT_USAGE
     except (MemoryError, RecursionError) as e:
         # last resort; finishing after the except clause lets the frames of
         # the failed command, and what they hold, be freed first
-        last = {"error": str(e) or type(e).__name__, "kind": type(e).__name__}
-    return run.finish(last, EXIT_USAGE)
+        result = {"error": str(e) or type(e).__name__, "kind": type(e).__name__}
+        code = EXIT_USAGE
+    result, code = run.finish(result, code)
+    sys.stdout.write(_dumps(result))
+    return code
 
 
 if __name__ == "__main__":

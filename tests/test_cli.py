@@ -107,6 +107,26 @@ def test_gpset_construct_without_out_prints_the_set(capsys, tmp_path):
     assert doc["set"] == genpos.vertex_set_to_dict(genpos.construct_butterfly_gp_set(3))
 
 
+def _corrupt_set(monkeypatch):
+    construct = genpos.construct_butterfly_gp_set
+
+    def corrupted(r):
+        s = construct(r)
+        # levels 0, 1, 2 of row 0 lie on one geodesic
+        return genpos.VertexSet(members=tuple(sorted(set(s.members) | {0, 1 << r, 2 << r})),
+                                provenance=s.provenance, graph_ref=s.graph_ref)
+    monkeypatch.setattr(genpos, "construct_butterfly_gp_set", corrupted)
+
+
+def test_gpset_construct_fails_on_rejected_set(capsys, monkeypatch):
+    _corrupt_set(monkeypatch)
+    code, doc = run_cli(capsys, "gpset", "construct", "--r", "2", "--quiet")
+    assert code == 1
+    assert doc["status"] == "verify-failed"
+    # 4, at level 1, is adjacent to 0 and to 1 at level 0
+    assert doc["witness"] == {"status": "violation", "triple": [0, 1, 4], "middle": 4}
+
+
 def test_gpset_verify_violation(capsys, tmp_path):
     graph = tmp_path / "bf2.json"
     bad = tmp_path / "bad.json"
@@ -185,11 +205,13 @@ def test_gpset_max_fails_on_rejected_set(capsys, monkeypatch):
     assert doc["witness"]["triple"] == [0, 4, 8]
 
 
-@pytest.mark.parametrize("argv", [("gpset", "max", "--r", "2"), ("cover", "construct", "--r", "2")],
-                         ids=["gpset-max", "cover-construct"])
+@pytest.mark.parametrize("argv", [("gpset", "max", "--r", "2"), ("cover", "construct", "--r", "2"),
+                                  ("gpset", "construct", "--r", "2")],
+                         ids=["gpset-max", "cover-construct", "gpset-construct"])
 def test_rejected_product_is_not_written(capsys, tmp_path, monkeypatch, argv):
     _corrupt_solver(monkeypatch)
     _corrupt_cover(monkeypatch)
+    _corrupt_set(monkeypatch)
     out = tmp_path / "product.json"
     code, doc = run_cli(capsys, *argv, "--out", str(out), "--quiet")
     assert code == 1 and doc["status"] == "verify-failed"
@@ -204,12 +226,16 @@ def test_rejected_product_is_not_written(capsys, tmp_path, monkeypatch, argv):
     ("--pool", "file:p.json", "--out", "./p.json"),
 ], ids=["graph", "pool"])
 def test_out_never_overwrites_the_runs_input(capsys, tmp_path, monkeypatch, argv):
+    # refused as the input is read, so before the default-budget search on BF(4)
+    def no_search(*args, **kwargs):
+        raise AssertionError("a refused --out must not reach the search")
+    monkeypatch.setattr(genpos, "max_general_position", no_search)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "g.json").write_bytes(export_graph(graphs.build_butterfly(3)))
+    (tmp_path / "g.json").write_bytes(export_graph(graphs.build_butterfly(4)))
     (tmp_path / "p.json").write_text(json.dumps({"ids": [0, 1, 2, 3]}))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     code, doc = run_cli(capsys, "gpset", "max", "--graph", "g.json", *argv,
-                        "--node-budget", "100", "--manifest", "m.json", "--quiet")
+                        "--manifest", "m.json", "--quiet")
     assert code == 2 and doc["kind"] == "usage" and "--out" in doc["error"]
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name != "m.json"} == before
     assert json.loads((tmp_path / "m.json").read_text())["outputs"] == {}
@@ -371,13 +397,7 @@ def test_report_range_is_checked(capsys, argv):
 
 
 def test_report_fails_on_rejected_set(capsys, monkeypatch):
-    construct = genpos.construct_butterfly_gp_set
-
-    def corrupted(r):
-        s = construct(r)
-        # levels 0, 1, 2 of row 0 lie on one geodesic
-        return genpos.VertexSet(members=tuple(sorted(set(s.members) | {0, 1 << r, 2 << r})))
-    monkeypatch.setattr(genpos, "construct_butterfly_gp_set", corrupted)
+    _corrupt_set(monkeypatch)
     code, doc = run_cli(capsys, "report", "--r-min", "2", "--r-max", "2",
                         "--exact-max-r", "0", "--quiet")
     assert code == 1
@@ -395,6 +415,22 @@ def test_budget_flags_only_on_searches(capsys):
     code, doc = run_cli(capsys, "gpset", "max", "--r", "2", "--time-budget", "5", "--quiet")
     assert code == 2
     assert doc["kind"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gpset", "max", "--r", "2", "--node-budget", "0"),
+    ("gpset", "max", "--r", "2", "--node-budget", "-5"),
+    ("report", "--r-max", "3", "--exact-max-r", "0", "--node-budget", "-5"),
+    ("report", "--r-max", "3", "--node-budget", "0"),
+    ("report", "--r-max", "3", "--node-budget", "many"),
+], ids=" ".join)
+def test_node_budget_is_checked_as_it_is_parsed(capsys, monkeypatch, argv):
+    def no_graph(r):
+        raise AssertionError("a refused budget must not reach a graph")
+    monkeypatch.setattr(graphs, "build_butterfly", no_graph)
+    code, doc = run_cli(capsys, *argv, "--quiet")
+    assert code == 2 and doc["kind"] == "usage"
+    assert doc["error"].startswith("argument --node-budget: ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -455,7 +491,7 @@ def test_vertex_ceiling(capsys, tmp_path):
 def test_last_resort_errors_give_one_document(capsys, monkeypatch, error):
     def boom(run):
         raise error("maximum recursion depth exceeded" if error is RecursionError else "")
-    monkeypatch.setitem(cli._DISPATCH, ("generate", None), boom)
+    monkeypatch.setattr(cli, "cmd_generate", boom)
     code, doc = run_cli(capsys, "generate", "path", "--n", "3", "--quiet")
     assert code == 2
     assert doc["kind"] == error.__name__ and doc["error"]

@@ -15,6 +15,8 @@ and never the family tag.  Only `geodesy.py` reads a distance matrix's
 rows and row-XOR encoding, so the symmetry it draws from them stays
 behind its functions, and one function there runs the packed
 collinearity kernel, so every collinearity answer comes from one scan.
+Only `cli.main` finishes a run or writes a product, so the `--out` rule
+lives in one place.
 The start-up check runs a command in a child interpreter: it must not
 import `dataclasses` or `inspect`, whose import alone cost more than
 most commands' own work.
@@ -140,6 +142,15 @@ def test_one_scan_runs_the_collinearity_kernel():
     callers = [node.name for node in TREES["geodesy.py"].body if isinstance(node, ast.FunctionDef)
                and "_collinear_fields" in _used_names(node)]
     assert len(callers) == 1, callers
+
+
+def test_only_main_finishes_a_run_or_writes_a_product():
+    calls = sorted((node.name, call.func.attr) for node in ast.walk(TREES["cli.py"])
+                   if isinstance(node, ast.FunctionDef)
+                   for call in ast.walk(node) if isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Attribute)
+                   and call.func.attr in ("finish", "write_product"))
+    assert calls == [("main", "finish"), ("main", "write_product")], calls
 
 
 # run in a child interpreter started with -S, so that only bfgp's own imports

@@ -357,7 +357,7 @@ def cmd_gpset_max(run: Run):
 
 def cmd_cover_construct(run: Run):
     r = run.args.r
-    cover, report, _ = _made(r, cc.construct_bf_cycle_cover, cc.verify_bf_cover)
+    cover, report, _ = _made(r, cc.construct_bf_cycle_cover, cc.verify_cover)
     result = {
         "command": "cover-construct",
         "r": r,
@@ -405,7 +405,7 @@ def cmd_report(run: Run):
     for r in range(args.r_min, args.r_max + 1):
         s, witness, bf = _made(r, genpos.construct_butterfly_gp_set,
                                genpos.verify_general_position)
-        cover, report, _ = _made(r, cc.construct_bf_cycle_cover, cc.verify_bf_cover, bf)
+        cover, report, _ = _made(r, cc.construct_bf_cycle_cover, cc.verify_cover, bf)
         res = None
         if r <= args.exact_max_r:
             res, exact = _solve(*bf, None, args.node_budget)

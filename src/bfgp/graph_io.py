@@ -27,12 +27,9 @@ def graph_to_dict(g: Graph) -> dict:
     return doc
 
 
-def export_graph(g: Graph, fmt: str = "json") -> bytes:
-    if fmt == "json":
-        return (json.dumps(graph_to_dict(g), indent=2) + "\n").encode()
-    if fmt == "dot":
-        return export_dot(g).encode()
-    raise InvalidParameterError(f"unknown export format {fmt!r}")
+def export_graph(g: Graph) -> bytes:
+    """The JSON graph file of g, which import_graph reads back to an equal Graph."""
+    return (json.dumps(graph_to_dict(g), indent=2) + "\n").encode()
 
 
 def export_dot(g: Graph) -> str:

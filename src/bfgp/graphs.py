@@ -93,7 +93,8 @@ class Graph:
         if n < 0:
             raise InvalidParameterError(f"vertex count must be >= 0, got {n}")
         if n > MAX_VERTICES:
-            raise TooLargeError(f"{n} vertices exceed the cap of {MAX_VERTICES}")
+            raise TooLargeError(
+                f"{reprlib.repr(n)} vertices exceed the cap of {MAX_VERTICES}")
         if isinstance(family_param, bool) or not isinstance(family_param, (int, type(None))):
             raise InvalidParameterError(
                 f"family parameter {reprlib.repr(family_param)} is not an integer")
@@ -127,11 +128,12 @@ class Graph:
         if family == FAMILY_BUTTERFLY:
             if r is None or r != family_param:
                 raise InvalidParameterError(
-                    f"edges do not match the canonical butterfly encoding for r={family_param}")
+                    "edges do not match the canonical butterfly encoding for "
+                    f"r={reprlib.repr(family_param)}")
         elif family in (FAMILY_CYCLE, FAMILY_PATH):
             if family_param not in (None, n):
-                raise InvalidParameterError(
-                    f"family parameter {family_param} disagrees with {n} vertices")
+                raise InvalidParameterError(f"family parameter {reprlib.repr(family_param)} "
+                                            f"disagrees with {n} vertices")
             closed = family == FAMILY_CYCLE
             if n < (3 if closed else 1) or edges != tuple(_ring_edges(n, closed)):
                 raise InvalidParameterError(f"edges do not match the {family} on {n} vertices")

@@ -13,7 +13,7 @@ import random
 from collections import deque
 from itertools import combinations
 
-from bfgp.cycle_cover import FLAG_ORDER, KIND_CYCLE, CoverReport
+from bfgp.cycle_cover import KIND_CYCLE, CoverReport
 from bfgp.errors import InvalidCoverError
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 
@@ -390,9 +390,13 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit:
 
 # The cover verifier and its two walk helpers as they were before edges
 # became int keys and even cycles were read half-way, kept verbatim but
-# for their names and for the walk check returning its defect: the
+# for their names, for the walk check returning its defect, and for the
+# verifier keeping only the four checks of REFERENCE_FLAG_ORDER: the
 # library's verifier must give the same report, or raise an
 # InvalidCoverError with the same message, on every cover.
+REFERENCE_FLAG_ORDER = ("edge_disjoint", "edge_partition", "all_isometric", "vertex_cover")
+
+
 def reference_walk_defect(g: Graph, seq, closed: bool) -> str | None:
     """The first defect of seq as a cycle (closed) or path (open) of g, or None.
 
@@ -447,31 +451,20 @@ def _reference_walk_edges(seq, closed: bool) -> frozenset[tuple[int, int]]:
 
 
 def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
-    """The cover verifier: one pass over the members, failures reported in FLAG_ORDER.
+    """The cover verifier: one pass over the members, failures in REFERENCE_FLAG_ORDER.
 
-    Every cover must consist of genuine cycles (or paths; garbage raises
-    InvalidCoverError) that are pairwise edge-disjoint, partition the
-    edges, are isometric, and cover every vertex.  A cycle cover of a
-    canonical BF(r), whatever its tag, must also meet the butterfly contract:
-
-    - every length is 4r;
-    - there are 2^(r-1) cycles (with the lengths, disjointness alone
-      forces the partition, since 2^(r-1) * 4r equals r * 2^(r+1));
-    - every cycle has exactly two level-0 vertices;
-    - every degree-2 vertex lies in exactly 1 cycle and every degree-4
-      vertex in exactly 2.
-
-    On other graphs and for path covers those flags are vacuously true.
-    Each flag keeps its first failure (edges are collected up to the
-    first overlap, every member is tested for isometry), and
-    first_failure is the earliest of them in FLAG_ORDER.  The report
+    Every cover, on every graph, must consist of genuine cycles (or
+    paths; garbage raises InvalidCoverError) that are pairwise
+    edge-disjoint, partition the edges, are isometric, and cover every
+    vertex.  Each flag keeps its first failure (edges are collected up to
+    the first overlap, every member is tested for isometry), and
+    first_failure is the earliest of them in REFERENCE_FLAG_ORDER.  The report
     records `cover`, and its bounds are gp <= 3k for k isometric cycles,
     gp <= 2k for k isometric paths, when every member is isometric and
     every vertex is covered, and {} otherwise.
     """
     closed = cover.kind == KIND_CYCLE
     member = "cycle" if closed else "path"
-    r = g.butterfly_r if closed else None
     failures: dict[str, dict] = {}
 
     def fail(check: str, cycle_index: int | None, detail: str) -> None:
@@ -494,15 +487,7 @@ def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
         pair = reference_walk_violation(dm, seq, closed)
         if pair is not None:
             fail("all_isometric", i, f"pair {pair} violates {member} distance")
-        if r is not None:
-            if len(seq) != 4 * r:
-                fail("lengths_ok", i, f"length {len(seq)}, expected {4 * r}")
-            lvl0 = sum(1 for v in seq if v >> r == 0)
-            if lvl0 != 2:
-                fail("level0_pairs_ok", i, f"{lvl0} level-0 vertices, expected 2")
 
-    if r is not None and len(cover.cycles) != 1 << (r - 1):
-        fail("count_ok", None, f"{len(cover.cycles)} cycles, expected {1 << (r - 1)}")
     if "edge_disjoint" in failures:
         # an overlap breaks the partition too; edge_disjoint is reported first
         fail("edge_partition", None, "edges overlap")
@@ -510,18 +495,12 @@ def reference_verify_cover(g: Graph, dm, cover) -> CoverReport:
         missing = set(g.edges) - seen_edges
         if missing:
             fail("edge_partition", None, f"edge {min(missing)} uncovered")
-    if r is not None:
-        for v in range(g.n):
-            expected = 1 if g.degree(v) == 2 else 2
-            if incidence[v] != expected:
-                fail("incidence_ok", None,
-                     f"vertex {v} in {incidence[v]} cycles, expected {expected}")
-                break
     if 0 in incidence:
         fail("vertex_cover", None, f"vertex {incidence.index(0)} uncovered")
 
-    flags = {name: name not in failures for name in FLAG_ORDER}
-    first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
+    flags = {name: name not in failures for name in REFERENCE_FLAG_ORDER}
+    first_failure = next((failures[name] for name in REFERENCE_FLAG_ORDER if name in failures),
+                         None)
     k, bounds = len(cover.cycles), {}
     if "all_isometric" not in failures and "vertex_cover" not in failures:
         bounds = {"from_ic": 3 * k} if closed else {"from_ip": 2 * k}

@@ -16,7 +16,7 @@ from bfgp.cycle_cover import (
     CycleCover,
     construct_bf_cycle_cover,
     gp_upper_bounds,
-    verify_bf_cover,
+    verify_cover,
 )
 from bfgp.errors import InvalidCoverError
 from bfgp.genpos import (
@@ -76,7 +76,7 @@ def test_criterion_3_cycle_covers_r2_to_r6():
         cover = construct_bf_cycle_cover(r)
         g = build_butterfly(r)
         dm = all_pairs_distances(g)
-        report = verify_bf_cover(g, dm, cover)
+        report = verify_cover(g, dm, cover)
         assert report.passes, (r, report.first_failure)
         assert len(cover) == 2 ** (r - 1)
         assert all(len(c) == 4 * r for c in cover.cycles)
@@ -88,7 +88,7 @@ def test_criterion_4_bound_sandwich(bf2, bf3):
     results = {}
     for r, (g, dm) in ((2, bf2), (3, bf3)):
         cover = construct_bf_cycle_cover(r)
-        report = verify_bf_cover(g, dm, cover)
+        report = verify_cover(g, dm, cover)
         bound = gp_upper_bounds(cover, report)["from_ic"]
         exact = max_general_position(g, dm)
         assert exact.optimal
@@ -174,7 +174,7 @@ def test_criterion_7d_mutation_kill(bf2, bf3):
     killed = tried = 0
     for r, (g, dm) in ((2, bf2), (3, bf3)):
         base = construct_bf_cycle_cover(r)
-        assert verify_bf_cover(g, dm, base).passes
+        assert verify_cover(g, dm, base).passes
         for ci, seq in enumerate(base.cycles):
             for pos in range(len(seq)):
                 for replacement in range(0, g.n, 3 if r == 3 else 1):
@@ -186,7 +186,7 @@ def test_criterion_7d_mutation_kill(bf2, bf3):
                     cycles[ci] = tuple(mutated)
                     tried += 1
                     try:
-                        report = verify_bf_cover(g, dm, CycleCover(
+                        report = verify_cover(g, dm, CycleCover(
                             kind=KIND_CYCLE, cycles=tuple(cycles)))
                     except InvalidCoverError:
                         killed += 1

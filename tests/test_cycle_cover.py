@@ -49,7 +49,7 @@ GOLDEN_BF2_COVER = ((0, 4, 8, 5, 1, 7, 10, 6), (2, 6, 11, 7, 3, 5, 9, 4))
 def test_golden_bf2_cover_passes(bf2):
     g, dm = bf2
     cover = CycleCover(kind=KIND_CYCLE, cycles=GOLDEN_BF2_COVER)
-    report = verify_bf_cover(g, dm, cover)
+    report = verify_cover(g, dm, cover)
     assert report.passes, report.first_failure
     assert all(report.flags.values())
 
@@ -66,7 +66,7 @@ def test_constructed_covers_verify(r):
     cover = construct_bf_cycle_cover(r)
     assert len(cover) == 2 ** (r - 1)
     assert all(len(c) == 4 * r for c in cover.cycles)
-    report = verify_bf_cover(g, dm, cover)
+    report = verify_cover(g, dm, cover)
     assert report.passes, report.first_failure
 
 
@@ -90,43 +90,31 @@ def test_level0_corners_are_antipodal(r):
         assert min(gap, len(seq) - gap) == 2 * r
 
 
-def test_incidence_by_degree(bf3):
-    g, dm = bf3
-    cover = construct_bf_cycle_cover(3)
-    assert verify_bf_cover(g, dm, cover).flags["incidence_ok"]
+@pytest.mark.parametrize("r", range(2, 11))
+def test_closed_form_cover_has_the_paper_shape(r):
+    # the construction's shape, which the bound does not rest on: 2^(r-1)
+    # cycles of length 4r (so r * 2^(r+1) edges, BF(r)'s edge count), two
+    # level-0 vertices each, and every vertex on degree / 2 cycles
+    g = build_butterfly(r)
+    cover = construct_bf_cycle_cover(r)
+    assert len(cover) == 2 ** (r - 1)
+    assert all(len(seq) == 4 * r for seq in cover.cycles)
+    assert len(cover) * 4 * r == g.num_edges
+    assert all(len([v for v in seq if v < 2 ** r]) == 2 for seq in cover.cycles)
     incidence = Counter(v for seq in cover.cycles for v in seq)
-    for v in range(g.n):
-        assert incidence[v] == g.degree(v) // 2
+    assert {g.degree(v) for v in range(g.n)} == {2, 4}
+    assert all(incidence[v] == g.degree(v) // 2 for v in range(g.n))
 
 
 def test_repeated_edge_is_flagged(bf2):
     g, dm = bf2
     c0 = GOLDEN_BF2_COVER[0]
     cover = CycleCover(kind=KIND_CYCLE, cycles=(c0, c0))
-    report = verify_bf_cover(g, dm, cover)
+    report = verify_cover(g, dm, cover)
     assert not report.flags["edge_disjoint"]
     assert not report.flags["edge_partition"]
-    assert report.first_failure["check"] in ("edge_disjoint", "count_ok")
+    assert report.first_failure["check"] == "edge_disjoint"
     assert not report.passes
-
-
-def test_wrong_count_is_flagged(bf2):
-    g, dm = bf2
-    cover = CycleCover(kind=KIND_CYCLE, cycles=(GOLDEN_BF2_COVER[0],))
-    report = verify_bf_cover(g, dm, cover)
-    assert not report.flags["count_ok"]
-    assert not report.flags["edge_partition"]
-    assert report.flags["lengths_ok"]
-
-
-def test_disjointness_with_counts_forces_partition(bf2):
-    # 2^(r-1) cycles of length 4r have exactly r*2^(r+1) edges in total,
-    # so disjointness alone already exhausts the edge set
-    g, dm = bf2
-    report = verify_bf_cover(g, dm, construct_bf_cycle_cover(2))
-    assert report.flags["edge_disjoint"] and report.flags["lengths_ok"] \
-        and report.flags["count_ok"]
-    assert report.flags["edge_partition"]
 
 
 def test_structural_garbage_raises(bf2):
@@ -134,17 +122,8 @@ def test_structural_garbage_raises(bf2):
     for cycle, defect in (((0, 1, 2), "0 and 1 are not adjacent at position 0"),
                           ((0, 4, 0, 4), "repeated vertex 0 at position 2")):
         with pytest.raises(InvalidCoverError) as e:
-            verify_bf_cover(g, dm, CycleCover(kind=KIND_CYCLE, cycles=(cycle,)))
+            verify_cover(g, dm, CycleCover(kind=KIND_CYCLE, cycles=(cycle,)))
         assert str(e.value) == f"cycle #0: {defect}"
-
-
-def test_verify_cover_applies_butterfly_contract(bf2):
-    # the generic entry point infers the butterfly checks from the graph
-    g, dm = bf2
-    report = verify_cover(g, dm, CycleCover(kind=KIND_CYCLE, cycles=GOLDEN_BF2_COVER[:1]))
-    assert not report.flags["count_ok"]
-    assert report.first_failure["check"] == "count_ok"
-    assert not report.passes
 
 
 def test_verify_bf_cover_rejects_path_cover_and_r1(bf2):
@@ -171,8 +150,8 @@ def test_verify_bf_cover_rejects_non_butterfly():
         verify_bf_cover(g, dm, CycleCover(kind=KIND_CYCLE, cycles=(tuple(range(8)),)))
 
 
-def test_untagged_butterfly_gets_the_butterfly_contract(bf3):
-    # the contract follows the edges, not the family tag
+def test_untagged_butterfly_is_verified_as_tagged(bf3):
+    # distances and verdicts follow the edges, not the family tag
     g, dm = bf3
     untagged = Graph(g.n, g.edges)
     assert untagged.family == "custom" and untagged.butterfly_r == 3
@@ -183,10 +162,6 @@ def test_untagged_butterfly_gets_the_butterfly_contract(bf3):
     short = CycleCover(kind=KIND_CYCLE, cycles=cover.cycles[1:])
     for c in (cover, short):
         assert verify_cover(untagged, udm, c) == verify_cover(g, dm, c)
-    assert verify_bf_cover(untagged, udm, cover).passes
-    report = verify_bf_cover(untagged, udm, short)
-    assert not report.flags["count_ok"]
-    assert report.first_failure["check"] == "count_ok"
     assert label_of(untagged, 9) == label_of(g, 9) == ButterflyLabel(1, "001")
 
 
@@ -205,7 +180,7 @@ def test_mutated_covers_never_pass(bf2):
                 cycles[ci] = tuple(mutated)
                 cover = CycleCover(kind=KIND_CYCLE, cycles=tuple(cycles))
                 try:
-                    report = verify_bf_cover(g, dm, cover)
+                    report = verify_cover(g, dm, cover)
                 except InvalidCoverError:
                     killed += 1
                     continue
@@ -226,7 +201,7 @@ def test_swap_mutations_never_pass(bf3):
                 cycles[ci] = tuple(mutated)
                 cover = CycleCover(kind=KIND_CYCLE, cycles=tuple(cycles))
                 try:
-                    report = verify_bf_cover(g, dm, cover)
+                    report = verify_cover(g, dm, cover)
                 except InvalidCoverError:
                     continue
                 assert not report.passes
@@ -246,13 +221,13 @@ def test_candidate_cycle_shape():
 def test_gp_bounds_bf(bf2, bf3):
     g2, dm2 = bf2
     cover2 = construct_bf_cycle_cover(2)
-    report2 = verify_bf_cover(g2, dm2, cover2)
+    report2 = verify_cover(g2, dm2, cover2)
     assert gp_upper_bounds(cover2, report2) == {"from_ic": 6}
     assert max_general_position(g2, dm2).size <= 6
 
     g3, dm3 = bf3
     cover3 = construct_bf_cycle_cover(3)
-    report3 = verify_bf_cover(g3, dm3, cover3)
+    report3 = verify_cover(g3, dm3, cover3)
     assert gp_upper_bounds(cover3, report3) == {"from_ic": 12}
 
 
@@ -354,7 +329,7 @@ def test_verifier_matches_the_reference_on_mutated_bf_covers(r):
     outcomes = {_same_outcome(g, dm, CycleCover(kind=KIND_CYCLE, cycles=tuple(cycles)))
                 for cycles in _mutated_covers(r, random.Random(f"cover-mutations/{r}"))}
     assert _same_outcome(g, dm, construct_bf_cycle_cover(r)) == "passes"
-    assert {"raised", "edge_disjoint", "count_ok", "lengths_ok"} <= outcomes, outcomes
+    assert outcomes == {"raised", "edge_disjoint", "edge_partition", "passes"}, outcomes
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -403,13 +378,13 @@ def test_gp_bounds_refuses_unverified(bf2):
 def test_a_report_vouches_for_its_own_cover_only():
     g = build_butterfly(6)
     dm, cover = all_pairs_distances(g), construct_bf_cycle_cover(6)
-    report = verify_bf_cover(g, dm, cover)
+    report = verify_cover(g, dm, cover)
     assert report.bounds == gp_upper_bounds(cover, report) == {"from_ic": 96}
     # a copy read back from its file is the judged cover, not the same object
     copy = cover_from_dict(cover_to_dict(cover))
     assert copy is not cover and gp_upper_bounds(copy, report) == {"from_ic": 96}
     first_32 = CycleCover(KIND_CYCLE, cover.cycles[:1] * 32, cover.graph_ref)
-    assert verify_bf_cover(g, dm, first_32).bounds == {}
+    assert verify_cover(g, dm, first_32).bounds == {}
     others = (CycleCover(KIND_CYCLE, ((0, 1, 2),)),           # once bounded by 3
               CycleCover(KIND_PATH, cover.cycles),            # same size, other kind
               CycleCover(KIND_CYCLE, cover.cycles + cover.cycles[:1]),  # one longer
@@ -444,7 +419,7 @@ def test_min_cover_exact_paths():
 def test_closed_form_cover_is_minimum_on_bf2(bf2):
     g, dm = bf2
     cover = construct_bf_cycle_cover(2)
-    assert verify_bf_cover(g, dm, cover).passes
+    assert verify_cover(g, dm, cover).passes
     assert min_cover(g.n, isometric_cycles(g)) == len(cover) == 2
 
 
@@ -481,11 +456,9 @@ def test_cover_graph_ref_must_be_a_string():
 
 def test_report_dict_shape(bf2):
     g, dm = bf2
-    report = verify_bf_cover(g, dm, construct_bf_cycle_cover(2))
+    report = verify_cover(g, dm, construct_bf_cycle_cover(2))
     doc = report_to_dict(report)
     assert doc["passes"] is True
-    assert set(doc["flags"]) == {
-        "lengths_ok", "count_ok", "edge_disjoint", "edge_partition",
-        "all_isometric", "level0_pairs_ok", "incidence_ok", "vertex_cover",
-    }
+    assert list(doc["flags"]) == ["edge_disjoint", "edge_partition", "all_isometric",
+                                  "vertex_cover"]
     assert doc["first_failure"] is None

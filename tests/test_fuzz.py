@@ -90,8 +90,9 @@ def test_any_input_file_gives_one_json_document(files, case, data):
     assert err.getvalue() == ""
 
 
-# a value of a megabyte or so where a short string is due, or an id of
-# 4,300 digits, the longest integer JSON parsing accepts: the error names it by reprlib
+# a value of a megabyte or so where a short string is due, or an id or
+# graph size of 4,300 digits, the longest integer JSON parsing accepts:
+# the error names it by reprlib
 LONG_ID = 10**4299
 OVERSIZED = [
     ("cover verify --graph {graph} --cover {fuzz}", {"kind": list(range(200_000)), "cycles": []}),
@@ -100,11 +101,18 @@ OVERSIZED = [
     ("gpset verify --graph {graph} --set {fuzz}", {"ids": [0, 1, LONG_ID]}),
     ("cover verify --graph {graph} --cover {fuzz}", {"cycles": [[LONG_ID, 0, 1]]}),
     ("gpset max --graph {graph} --pool file:{fuzz} --node-budget 200", {"ids": [0, 1, LONG_ID]}),
+    ("gpset max --graph {fuzz}", {"num_vertices": LONG_ID, "edges": []}),
+    ("gpset max --graph {fuzz}", {"family": "cycle", "n": LONG_ID, "num_vertices": 4,
+                                  "edges": []}),
+    ("gpset max --graph {fuzz}", {"family": "butterfly", "r": LONG_ID, "num_vertices": 4,
+                                  "edges": []}),
 ]
 
 
 @pytest.mark.parametrize("template, doc", OVERSIZED, ids=["int-kind", "str-kind", "graph_ref",
-                                                          "set-id", "cover-id", "pool-id"])
+                                                          "set-id", "cover-id", "pool-id",
+                                                          "num_vertices", "cycle-n",
+                                                          "butterfly-r"])
 def test_oversized_values_give_a_short_error(files, template, doc):
     files["fuzz"].write_text(json.dumps(doc))
     argv = template.format(**files).split()

@@ -265,12 +265,12 @@ def test_classification_counts(r):
 def test_json_round_trip():
     for g in (build_butterfly(2), build_cycle(5), build_path(1),
               random_connected_graph(7, 0.4, seed=5)):
-        assert import_graph(export_graph(g, "json")) == g
+        assert import_graph(export_graph(g)) == g
 
 
 def test_json_round_trip_is_canonical():
-    data = export_graph(build_butterfly(2), "json")
-    assert export_graph(import_graph(data), "json") == data
+    data = export_graph(build_butterfly(2))
+    assert export_graph(import_graph(data)) == data
 
 
 def test_butterfly_json_has_no_labels():
@@ -288,7 +288,7 @@ def test_butterfly_json_has_no_labels():
 
 def test_single_vertex_round_trip():
     g = build_path(1)
-    assert import_graph(export_graph(g, "json")).n == 1
+    assert import_graph(export_graph(g)).n == 1
 
 
 def test_dot_export():
@@ -368,7 +368,7 @@ def test_every_graph_that_constructs_round_trips(case):
     elif family in (FAMILY_CYCLE, FAMILY_PATH):
         build = build_cycle if family == FAMILY_CYCLE else build_path
         assert param in (None, n) and g.edges == build(n).edges
-    assert import_graph(export_graph(g, "json")) == g
+    assert import_graph(export_graph(g)) == g
 
 
 def _rotated(g):

@@ -59,23 +59,24 @@ On BF(r) the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both
 joined to (1, x) and (1, x ^ 2^(r-1)), and (r, y) and (r, y ^ 1), both
 joined to (r - 1, y) and (r - 1, y ^ 1).  One pass, `_twin_reduced`,
 drops the larger member of each whole pair and tests its two common
-neighbours.  Then `row_xor_stabilizer` finds the group H of row-XOR
-constants c with S' ^ c = S', checked against S' itself.  Each element
-of H is an automorphism fixing S'.  The scan takes S' orbit by orbit,
-o ^ H for each orbit's least member o, and leads with each o alone: a
-collinear triple whose first member in that order is o ^ h goes, under
-h, to one whose first member is o.  The closed-form set holds both
-members of every twin pair or neither, so S' is its level-0 rows with
-a_r = 1 and a_1 = 0, its level-1 rows and its level-r rows with a_1 = 1
-and a_r = 0: 3 * 2^(r-2) members, H of order 2^(r-2), and 3 leads, one
-per level, at every r >= 3, against 5 leads over all 5 * 2^(r-2)
-members of S.  In that order the scan also gathers only the rows of
-the o: as d(o ^ h, v) = d(o, v ^ h), the row of o ^ h is the row of o
-with its fields permuted by XOR with h, a few block swaps of one int.
-The witness never depends on twins or on H: when a member is a common
-neighbour of a whole pair, when H is trivial, when that scan finds a
-violation, or on a table graph, the full `iter_collinear` scan of S
-names the first triple in combinations order.
+neighbours.  Then `row_xor_stabilizer` tests each row bit 2^k, k < r,
+against S' itself, and H is every XOR of the bits c with S' ^ c = S'.
+Each element of H is an automorphism fixing S'.  The scan takes S'
+orbit by orbit, o ^ H for each orbit's leader o, the member with none
+of H's bits set, and leads with each o alone: a collinear triple whose
+first member in that order is o ^ h goes, under h, to one whose first
+member is o.  The closed-form set holds both members of every twin
+pair or neither, so S' is its level-0 rows with a_r = 1 and a_1 = 0,
+its level-1 rows and its level-r rows with a_1 = 1 and a_r = 0: two
+row bits fixed, so H is spanned by the other r - 2, of order 2^(r-2),
+and 3 leads, one per level, at every r >= 3, against 5 leads over all
+5 * 2^(r-2) members of S.  In that order the scan also gathers only
+the rows of the o: as d(o ^ h, v) = d(o, v ^ h), the row of o ^ h is
+the row of o with its fields permuted by XOR with h, a few block swaps
+of one int.  The witness never depends on twins or on H: when a member
+is a common neighbour of a whole pair, when H is trivial, when that
+scan finds a violation, or on a table graph, the full `iter_collinear`
+scan of S names the first triple in combinations order.
 
 A cycle is a closed walk and a path an open one: `walk_defect` checks
 either against the graph, and `walk_violation` tests either for isometry
@@ -88,7 +89,6 @@ from __future__ import annotations
 
 import reprlib
 import struct
-from bisect import bisect_left
 from collections import deque
 from itertools import count, groupby, repeat
 
@@ -238,25 +238,25 @@ def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
     On BF(r) the members S are first cut to S', one per false-twin
     class (see `_twin_reduced`): S is in general position iff S' is and
     no member is a common neighbour of a twin pair held whole.  Let H be
-    `row_xor_stabilizer(dm, S')`.  Each h in H is an automorphism with
-    h(S') = S'.  When H is not trivial, S' is scanned in coset order,
-    each orbit o ^ H after the last, and only the triples led by an
-    orbit's first member o: a collinear triple whose first member is
-    o ^ h goes, under h, to one led by o, its other two members staying
-    in later positions.  If none is collinear, S is in general position.
-    Otherwise, when a member is such a common neighbour, when H is
-    trivial, or on a table graph, the full `iter_collinear` scan of S
-    names the first triple, so the answer never depends on twins or H.
+    `row_xor_stabilizer(dm, S')`, spanned by the row bits that fix S'.
+    Each h in H is an automorphism with h(S') = S'.  When H is not
+    trivial, S' is scanned in coset order, each orbit o ^ H after the
+    last, and only the triples led by an orbit's first member o, the
+    one with none of H's bits set: a collinear triple whose first
+    member is o ^ h goes, under h, to one led by o, its other two
+    members staying in later positions.  If none is collinear, S is in
+    general position.  Otherwise, when a member is such a common
+    neighbour, when H is trivial, or on a table graph, the full
+    `iter_collinear` scan of S names the first triple, so the answer
+    never depends on twins or H.
     """
     ms = list(members)
     reduced = _twin_reduced(dm, ms)
     group = (0,) if reduced is None else row_xor_stabilizer(dm, reduced)
     if len(group) > 1:
-        # an orbit's least member has no pivot bit set, the highest bit of a
-        # basis vector group[2^b] (see _scan), and is the only one of them
-        pivots = sum(1 << group[1 << b].bit_length() - 1
-                     for b in range(len(group).bit_length() - 1))
-        order = [v ^ c for v in reduced if not v & pivots for c in group]
+        # an orbit's leader, its least member, has none of the group's bits,
+        # which group[-1] holds all of
+        order = [v ^ c for v in reduced if not v & group[-1] for c in group]
         if not any(_scan(dm, order, range(0, len(order), len(group)), len(group))):
             return None
     return next(iter_collinear(dm, ms), None)
@@ -300,34 +300,31 @@ def _twin_reduced(dm: DistanceMatrix, members) -> list[int] | None:
 
 
 def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
-    """The c < 2^r with {v ^ c : v in members} == members on BF(r), ascending; else (0,).
+    """Every XOR of the row bits 2^k, k < r, that map members onto themselves, ascending.
 
     XOR-ing a vertex id with c < 2^r flips its row bits alone, an
-    automorphism of the canonical BF(r) (see the module notes).  A c != 0
-    moves every vertex to another on its level, in pairs, so the group's
-    order divides each level's member count, and a level with an odd
-    count ends the search at once.  c must carry a member m0 to a member
-    on m0's level, so the candidates are m0 ^ m over the least populated
-    level.  Each candidate outside the group found so far is checked
-    against the set itself, with early exit, and the group is closed
-    under XOR.
+    automorphism of the canonical BF(r) (see the module notes).  Each
+    bit is checked against the set itself, with early exit, and the
+    group grows by doubling, so group[i] is the XOR of the passing bits
+    picked by i's binary digits and group[i] ^ group[j] == group[i ^ j].
+    A c != 0 pairs the members off, so a set of odd size gets (0,) at
+    once, as do the empty set and any set on a table graph.  This is
+    the single-bit part of the set's stabilizer: all of it on the
+    closed-form set, whose two fixed row bits leave the other r - 2
+    free, and a subgroup on a set that only a multi-bit XOR fixes, such
+    as {(1, 0), (1, 3)} on BF(3) and c = 3.  Any group of automorphisms
+    fixing the set serves `first_collinear`.
     """
     ids = set(members)
-    if not dm.shift or not ids:
+    if not dm.shift or not ids or len(ids) & 1:
         return (0,)
-    r, ms = dm.shift, sorted(ids)
-    ends = [bisect_left(ms, l << r) for l in range(r + 2)]
-    levels = [ms[a:b] for a, b in zip(ends, ends[1:]) if a < b]
-    if any(len(level) & 1 for level in levels):
-        return (0,)
-    level = min(levels, key=len)
-    group = {0}
-    for m in level:
-        c = level[0] ^ m
+    group = [0]
+    for k in range(dm.shift):
+        c = 1 << k
         # C-speed membership test, stopping at the first miss
-        if c not in group and all(map(ids.__contains__, map(c.__xor__, ids))):
-            group |= {h ^ c for h in group}
-    return tuple(sorted(group))
+        if all(map(ids.__contains__, map(c.__xor__, ids))):
+            group += [h ^ c for h in group]
+    return tuple(group)
 
 
 def collinear_through(dm: DistanceMatrix, members: list[int], heads) -> bool:
@@ -365,13 +362,12 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
     With coset > 1 a coset's first row is gathered whole, and every other
     made by block swaps.  Then coset is the order of a row-XOR group,
     ascending, and ms comes in its cosets, ms[t * coset + i] = ms[t *
-    coset] ^ group[i].  In ascending order group[i] ^ group[j] ==
-    group[i ^ j]: the reduced echelon basis is group[2^b], and comparing
-    two sums of it comes down to the top bit of i ^ j.  Row-XOR is an
-    automorphism, so the row of o ^ group[i] holds, in field (t, j), the
-    row of o's field (t, i ^ j).  Thus the row of ms[k] is the row of
-    ms[k & (k - 1)] with fields k' and k' ^ 2^b swapped, b the lowest set
-    bit of k: aligned blocks of 2^b fields trade places.
+    coset] ^ group[i].  group[i] is the XOR of the group's bits picked
+    by i's binary digits, so group[i] ^ group[j] == group[i ^ j].
+    Row-XOR is an automorphism, so the row of o ^ group[i] holds, in
+    field (t, j), the row of o's field (t, i ^ j).  Thus the row of ms[k]
+    is the row of ms[k & (k - 1)] with fields k' and k' ^ 2^b swapped, b
+    the lowest set bit of k: aligned blocks of 2^b fields trade places.
     """
     n = len(ms)
     if n < 3:

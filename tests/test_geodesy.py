@@ -206,6 +206,48 @@ def test_closed_form_stabilizer(r):
     assert row_xor_stabilizer(dm, ()) == (0,)
 
 
+def _stabilizer_cases(r, n):
+    """The closed-form set, then seeded random sets, some closed under one or two XORs."""
+    yield construct_butterfly_gp_set(r).members
+    rng = random.Random(r)
+    for _ in range(60):
+        members = set(rng.sample(range(n), rng.randint(1, min(n, 10))))
+        for c in rng.sample(range(1, 1 << r), rng.randint(0, 2)):
+            members |= {v ^ c for v in members}
+        yield tuple(sorted(members))
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_stabilizer_is_the_span_of_the_single_bits_that_fix_the_set(r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    multi_bit = 0
+    for members in _stabilizer_cases(r, g.n):
+        fixes = lambda c: {v ^ c for v in members} == set(members)
+        span = [0]
+        for c in (1 << k for k in range(r)):
+            if fixes(c):
+                span += [h ^ c for h in span]
+        group = row_xor_stabilizer(dm, members)
+        assert all(fixes(c) for c in group), members
+        assert group == tuple(sorted(span)), members
+        brute = tuple(c for c in range(1 << r) if fixes(c))
+        if all(fixes(1 << k) for c in brute for k in range(r) if c >> k & 1):
+            assert group == brute, members  # the whole stabilizer
+        else:
+            multi_bit += 1
+            assert set(group) < set(brute), members
+        assert first_collinear(dm, members) == next(iter_collinear(dm, members), None), members
+    assert multi_bit  # some sets are fixed by a multi-bit XOR alone
+
+
+def test_stabilizer_leaves_out_a_multi_bit_symmetry():
+    # {(1, 0), (1, 3)} on BF(3) is fixed by 3 but by neither of its bits
+    dm = all_pairs_distances(build_butterfly(3))
+    assert tuple(c for c in range(8) if {8 ^ c, 11 ^ c} == {8, 11}) == (0, 3)
+    assert row_xor_stabilizer(dm, (8, 11)) == (0,)
+
+
 def test_relabelled_butterfly_takes_the_full_scan(monkeypatch):
     bf4 = build_butterfly(4)
     perm = list(range(bf4.n))
@@ -374,7 +416,7 @@ def test_twin_edits_of_the_closed_form_give_the_full_scan_witness(monkeypatch, r
             assert first is not None and {s[2] for s in scans} == {1}, (r, name)
 
 
-@pytest.mark.parametrize("r", range(3, 9))
+@pytest.mark.parametrize("r", range(3, 10))
 def test_orbit_of_a_non_member_gives_the_full_scan_witness(r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)

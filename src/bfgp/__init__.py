@@ -6,7 +6,6 @@ from .cycle_cover import (
     CycleCover,
     construct_bf_cycle_cover,
     gp_upper_bounds,
-    verify_bf_cover,
     verify_cover,
 )
 from .genpos import (
@@ -29,12 +28,10 @@ from .geodesy import (
 )
 from .graph_io import export_graph, import_graph
 from .graphs import (
-    ButterflyLabel,
     Graph,
     build_butterfly,
     build_cycle,
     build_path,
-    label_of,
 )
 
 __version__ = "0.1.0"

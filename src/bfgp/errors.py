@@ -9,10 +9,6 @@ class InvalidParameterError(BfgpError, ValueError):
     """A precondition on an argument was violated."""
 
 
-class UnsupportedFamilyError(BfgpError):
-    """Operation requires a butterfly-family graph."""
-
-
 class NotConnectedError(BfgpError):
     """Vertices involved are not mutually reachable."""
 

@@ -4,7 +4,8 @@ JSON is the round-trip format: an object with `family`, an optional
 `r`/`n` parameter, `num_vertices` and `edges` as [u, v] pairs with
 u < v; an unknown key, such as an older file's `labels`, is ignored.
 DOT export is one-way and render-ready; on the canonical BF(r),
-whatever its tag, vertices are named L<level>_<row>.
+whatever its tag, vertex v = level * 2^r + row is named L<level>_<row>,
+the row written as r bits, straight from v.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import reprlib
 
 from .errors import GraphParseError, InvalidParameterError
-from .graphs import FAMILY_BUTTERFLY, FAMILY_CUSTOM, Graph, label_of
+from .graphs import FAMILY_BUTTERFLY, FAMILY_CUSTOM, Graph
 
 
 def graph_to_dict(g: Graph) -> dict:
@@ -33,15 +34,15 @@ def export_graph(g: Graph) -> bytes:
 
 
 def export_dot(g: Graph) -> str:
-    if g.butterfly_r is not None:
-        names = {v: f"L{lbl.level}_{lbl.row}" for v in range(g.n)
-                 for lbl in (label_of(g, v),)}
+    r = g.butterfly_r
+    if r is not None:
+        names = [f"L{v >> r}_{v & (1 << r) - 1:0{r}b}" for v in range(g.n)]
     else:
-        names = {v: str(v) for v in range(g.n)}
+        names = list(map(str, range(g.n)))
     tag = g.family if g.family_param is None else f"{g.family}_{g.family_param}"
     lines = [f"graph {tag} {{"]
-    for v in range(g.n):
-        lines.append(f"  {names[v]};")
+    for name in names:
+        lines.append(f"  {name};")
     for u, v in g.edges:
         lines.append(f"  {names[u]} -- {names[v]};")
     lines.append("}")

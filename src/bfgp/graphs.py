@@ -29,8 +29,7 @@ import hashlib
 import reprlib
 from itertools import pairwise, starmap
 
-from .errors import InvalidParameterError, TooLargeError, UnsupportedFamilyError
-from .records import Record
+from .errors import InvalidParameterError, TooLargeError
 
 FAMILY_BUTTERFLY = "butterfly"
 FAMILY_CYCLE = "cycle"
@@ -56,16 +55,6 @@ BUTTERFLY_HASHES = (
     "681d9a6bee3a", "8b03daa02b9d", "9565289a2a8a", "a12e3dec8c4f",
     "7446b9e51733", "0c91cc3f4862",
 )
-
-
-class ButterflyLabel(Record):
-    """(level, row) name of a butterfly vertex; row is a bitstring of length r."""
-
-    __slots__ = ("level", "row")
-
-    def __init__(self, level: int, row: str):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "row", row)
 
 
 class Graph:
@@ -267,12 +256,3 @@ def build_path(n: int) -> Graph:
         raise InvalidParameterError(f"path order must be >= 1, got {n}")
     return Graph(n, _ring_edges(n, False), FAMILY_PATH, n)
 
-
-def label_of(g: Graph, v: int) -> ButterflyLabel:
-    r = g.butterfly_r
-    if r is None:
-        raise UnsupportedFamilyError(f"butterfly graph required, got {g!r}")
-    if not 0 <= v < g.n:
-        raise InvalidParameterError(f"vertex id {v} out of range for n={g.n}")
-    nrows = 1 << r
-    return ButterflyLabel(level=v // nrows, row=format(v % nrows, f"0{r}b"))

@@ -10,7 +10,6 @@ from bfgp.errors import (
     GraphParseError,
     InvalidParameterError,
     TooLargeError,
-    UnsupportedFamilyError,
 )
 from bfgp import cli, cycle_cover, genpos, graphs
 from bfgp.graph_io import export_dot, export_graph, graph_to_dict, import_graph
@@ -22,14 +21,12 @@ from bfgp.graphs import (
     FAMILY_PATH,
     MAX_BUTTERFLY_R,
     MAX_VERTICES,
-    ButterflyLabel,
     Graph,
     build_butterfly,
     build_cycle,
     build_path,
     butterfly_edges,
     butterfly_ref,
-    label_of,
 )
 from corpus import bfs_dist, named_corpus, random_connected_graph
 
@@ -220,34 +217,15 @@ def test_graph_immutable():
         g.n = 7
 
 
-def label_id(r, label):
-    """Inverse of label_of: id = level * 2^r + row, a_1 most significant."""
-    return (label.level << r) + int(label.row, 2)
+def test_negative_vertex_count_is_refused():
+    with pytest.raises(InvalidParameterError, match="vertex count must be >= 0, got -1"):
+        Graph(-1, [])
 
 
-def test_label_golden_values():
-    g = build_butterfly(2)
-    assert label_of(g, 0) == ButterflyLabel(0, "00")
-    assert label_of(g, 7) == ButterflyLabel(1, "11")
-    assert label_id(2, ButterflyLabel(1, "11")) == 7
-
-
-@given(st.integers(min_value=1, max_value=6))
-def test_label_bijection(r):
-    g = build_butterfly(r)
-    labels = [label_of(g, v) for v in range(g.n)]
-    assert all(len(lbl.row) == r and 0 <= lbl.level <= r for lbl in labels)
-    assert [label_id(r, lbl) for lbl in labels] == list(range(g.n))
-
-
-def test_label_errors():
-    g = build_butterfly(2)
-    with pytest.raises(InvalidParameterError):
-        label_of(g, 99)
-    with pytest.raises(InvalidParameterError):
-        label_of(g, -1)
-    with pytest.raises(UnsupportedFamilyError):
-        label_of(build_cycle(5), 0)
+def test_graph_equality_defers_to_other_types():
+    g = build_cycle(4)
+    assert g.__eq__(g.edges) is NotImplemented
+    assert g != g.edges
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -291,16 +269,34 @@ def test_single_vertex_round_trip():
     assert import_graph(export_graph(g)).n == 1
 
 
+def _dot_names(dot: str) -> list[str]:
+    """The vertex names a DOT file declares, in order."""
+    return [line.strip().rstrip(";") for line in dot.splitlines()[1:-1] if "--" not in line]
+
+
 def test_dot_export():
     dot = export_dot(build_butterfly(2))
-    assert "graph butterfly_2 {" in dot
-    assert "L0_00" in dot
-    assert "--" in dot
+    assert dot.startswith("graph butterfly_2 {\n")
+    assert _dot_names(dot) == ["L0_00", "L0_01", "L0_10", "L0_11", "L1_00", "L1_01",
+                               "L1_10", "L1_11", "L2_00", "L2_01", "L2_10", "L2_11"]
+    assert "  L0_00 -- L1_00;\n" in dot
     plain = export_dot(build_cycle(3))
     assert "0 -- 1;" in plain
-    # the names follow the edges, not the tag
-    untagged = export_dot(Graph(12, build_butterfly(2).edges))
-    assert untagged.startswith("graph custom {") and "L0_00 -- L1_00;" in untagged
+    # the names follow the edges, not the tag: only the header differs
+    bf3 = build_butterfly(3)
+    tagged, untagged = export_dot(bf3), export_dot(Graph(bf3.n, bf3.edges))
+    assert untagged.startswith("graph custom {\n")
+    assert untagged.replace("graph custom {", "graph butterfly_3 {", 1) == tagged
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_dot_names_decode_to_the_vertex_id(r):
+    # L<level>_<row>, the row as r bits with a_1 leftmost: id = level * 2^r + row
+    names = _dot_names(export_dot(build_butterfly(r)))
+    assert len(set(names)) == len(names) == (r + 1) << r
+    for v, name in enumerate(names):
+        level, row = name[1:].split("_")
+        assert len(row) == r and (int(level) << r) + int(row, 2) == v
 
 
 def test_vertex_count_is_capped():

@@ -2,8 +2,9 @@
 
 Every import in a module or a test module must be used there, every
 module-level private function or class must be referenced somewhere in
-the package, and every module-level function somewhere in the package
-or the benchmark;
+the package, every module-level function somewhere in the package
+or the benchmark, and every error class but the base in some `raise` of
+the package;
 otherwise a removal left something dead behind.  A test calling a
 function does not keep it: what only tests need lives in `tests/`, as an
 oracle.  `__init__.py` is skipped: its imports are the package's public
@@ -115,6 +116,18 @@ def test_no_clock_or_randomness_outside_cli(name):
             imported.add(node.module.split(".")[0])
     banned = imported & {"time", "datetime", "random"}
     assert not banned, f"{name} imports {sorted(banned)}"
+
+
+def test_every_error_class_is_raised():
+    raised = set()
+    for tree in TREES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _used_names(node.exc)
+    classes = [node.name for node in TREES["errors.py"].body
+               if isinstance(node, ast.ClassDef) and node.name != "BfgpError"]
+    unraised = [c for c in classes if c not in raised]
+    assert not unraised, f"errors.py defines classes nothing raises: {unraised}"
 
 
 def test_only_graphs_reads_the_butterfly_edge_list():

@@ -12,7 +12,6 @@ import pytest
 
 from bfgp import (
     Budget,
-    ButterflyLabel,
     CoverReport,
     CycleCover,
     GpWitness,
@@ -23,8 +22,6 @@ from bfgp.budget import DEFAULT_SOLVER_NODES
 
 CASES = {
     "Budget": (Budget, (7,), 0, (DEFAULT_SOLVER_NODES,), (8,), "Budget(node_limit=7)"),
-    "ButterflyLabel": (ButterflyLabel, (2, "01"), 2, (), (2, "10"),
-                       "ButterflyLabel(level=2, row='01')"),
     "VertexSet": (VertexSet, ((1, 5), "construction", "bf:3"), 1, ("user", ""),
                   ((1, 6), "construction", "bf:3"),
                   "VertexSet(members=(1, 5), provenance='construction', graph_ref='bf:3')"),

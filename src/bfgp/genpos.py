@@ -15,10 +15,18 @@ is what the branch-and-bound solver below works on.  It numbers the
 triples once and keeps its triple state as integer bitsets over those
 numbers (the triples still alive, the triples through a chosen vertex,
 and per vertex the triples through it), so a node costs a few
-word-parallel operations per pool vertex, not scans of a triple list.
-It keeps its pending branches on its own stack, so its depth is not
-bounded by Python's recursion limit, and it refuses a pool with more
-than MAX_SEARCH_TRIPLES collinear triples.  Everything is deterministic:
+word-parallel operations per packed constraint, not scans of a triple
+list.  The branch vertex is the free vertex in the most alive triples.
+Those counts never rise down the tree, because the alive triples only
+shrink, so the search carries them down its stack: a node that branches
+lowers its parent's counts by the triples through each vertex excluded
+since, from small per-pair vertex masks, instead of counting a triple
+bitset per free vertex; pruned nodes and leaves lower nothing.  A free
+vertex in no alive triple stays free until a leaf takes it, since no
+exclusion, bound or branch below can involve it.  The search keeps its
+pending branches on its own stack, so its depth is not bounded by
+Python's recursion limit, and it refuses a pool with more than
+MAX_SEARCH_TRIPLES collinear triples.  Everything is deterministic:
 ties break on smallest vertex id, and nothing reads a clock or a random
 source.
 """
@@ -156,18 +164,29 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
     triple in list order is the highest bit and `bit_length` finds it.
     inc[i] holds the triples through pool vertex i, and pair[i][j] the
     third members c of every collinear (i, j, c).  A stack entry is
-    (chosen, free, active, touch, last): vertex masks, the triples whose
-    members are all chosen or free, the triples through a chosen vertex,
-    and the vertex the include branch just took (-1 after an exclude).
-    A triple with two chosen members forces exclusion of the third, and
-    only a pair with `last` can be new; free vertices in no active triple
-    are always safe to take.  The bound is |chosen| + |free| minus a
-    greedy packing of disjoint constraint free-parts (the pairs, active &
-    touch, before the triples, each in list order), since each packed
-    constraint forces at least one exclusion.  Branching: include-first
-    on the free vertex in the most active triples, smallest id on ties.
-    The warm set is the first incumbent, and only a strictly larger set
-    replaces it.
+    (chosen, free, active, touch, last, dropped, counts): vertex masks,
+    the triples whose members are all chosen or free, the triples through
+    a chosen vertex, the vertex the include branch just took (-1 after an
+    exclude), the vertices excluded since the parent branched, and
+    counts[i], the number of active triples through free vertex i at the
+    parent's branching (at the root, its own).  A triple with two chosen
+    members forces exclusion of the third, and only a pair with `last`
+    can be new.  The bound is |chosen| + |free| minus a greedy packing of
+    disjoint constraint free-parts (the pairs, active & touch, before the
+    triples, each in list order), since each packed constraint forces at
+    least one exclusion.  Branching: include-first on the free vertex in
+    the most active triples, smallest id on ties.  The warm set is the
+    first incumbent, and only a strictly larger set replaces it.
+
+    The counts never rise down the tree, since active only shrinks.  Only
+    a branching node needs them, and it lowers its parent's counts by
+    each dropped vertex x in turn: count i loses |pair[x][i] & alive|,
+    alive being the chosen and free vertices plus the dropped vertices
+    still to come, so a triple through two dropped vertices comes off
+    once and the counts stay exact without a pass over the triple
+    bitsets.  A free vertex in no active triple stays free: it is in none
+    below either, so no triple forces it out, no packed constraint holds
+    it, it is never the branch vertex, and a leaf takes it with the rest.
 
     Returns (best members, nodes explored, stopped); stopped means the
     node limit cut the search short, so the members may not be optimal.
@@ -198,10 +217,11 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
         inc[i], rows[i] = int.from_bytes(rows[i], "little"), None
     # pending branches, last in first out: exclude is pushed before include,
     # so include is explored first
-    stack = [(0, (1 << k) - 1, (1 << (top + 1)) - 1, 0, -1)]
+    stack = [(0, (1 << k) - 1, (1 << (top + 1)) - 1, 0, -1, 0,
+              [x.bit_count() for x in inc])]
     nodes = 0
     while stack:
-        chosen, free, active, touch, last = stack.pop()
+        chosen, free, active, touch, last, dropped, counts = stack.pop()
         nodes += 1
         if nodes > node_limit:
             break
@@ -218,6 +238,7 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
                 rest ^= low
             forced &= free
             free ^= forced
+            dropped |= forced
             while forced:
                 low = forced & -forced
                 active ^= active & inc[low.bit_length() - 1]
@@ -234,12 +255,14 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
         # greedy packing bound on forced exclusions, pairs first, then triples;
         # a packed constraint blocks every triple through its free members, so
         # the first unblocked one is always the highest bit left; packing stops
-        # once the bound prunes
-        size = chosen.bit_count() + free.bit_count()
+        # once the bound prunes, or once too few free vertices are left outside
+        # the packed constraints for it to prune (each takes two or three)
+        left = free.bit_count()
+        need = chosen.bit_count() + left - best  # packed constraints that prune
         packed = 0
         avail = active
         group = active & touch
-        while size - packed > best:
+        while packed < need <= packed + left // 2:
             if not group:
                 if not avail:
                     break
@@ -247,33 +270,37 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
             a, b, c = triples[top + 1 - group.bit_length()]
             fp = (1 << index[a] | 1 << index[b] | 1 << index[c]) & free
             packed += 1
+            left -= fp.bit_count()
+            blocked = 0
             while fp:
                 low = fp & -fp
-                blocked = inc[low.bit_length() - 1]
-                group ^= group & blocked
-                avail ^= avail & blocked
+                blocked |= inc[low.bit_length() - 1]
                 fp ^= low
-        if size - packed <= best:
+            group ^= group & blocked
+            if avail:
+                avail ^= avail & blocked
+        if packed >= need:
             continue
 
-        # branch vertex: most active triples, smallest id on ties; free vertices
-        # outside every active triple are always safe to take
-        constrained = 0
-        branch = most = 0
-        rest = free
-        while rest:
-            low = rest & -rest
-            hits = (active & inc[low.bit_length() - 1]).bit_count()
-            if hits:
-                constrained |= low
-                if hits > most:
-                    branch, most = low, hits
-            rest ^= low
-        chosen |= free ^ constrained
-        free = constrained ^ branch
-        i = branch.bit_length() - 1
-        stack.append((chosen, free, active ^ (active & inc[i]), touch, -1))
-        stack.append((chosen | branch, free, active, touch | inc[i], i))
+        # branch vertex: most active triples, smallest id on ties (max returns
+        # the first maximum), once the dropped vertices are off the counts
+        idx = [i for i in range(k) if free >> i & 1]
+        if dropped:
+            counts = counts.copy()
+            alive = chosen | free | dropped
+            while dropped:
+                low = dropped & -dropped
+                alive ^= low
+                row = pair[low.bit_length() - 1]
+                for i in idx:
+                    counts[i] -= (row[i] & alive).bit_count()
+                dropped ^= low
+        branch = max(idx, key=counts.__getitem__)
+        free ^= 1 << branch
+        stack.append((chosen, free, active ^ (active & inc[branch]), touch, -1,
+                      1 << branch, counts))
+        stack.append((chosen | 1 << branch, free, active, touch | inc[branch], branch, 0,
+                      counts))
 
     members = tuple(sorted(v for i, v in enumerate(pool) if best_mask >> i & 1))
     return members, nodes, nodes > node_limit

@@ -259,6 +259,12 @@ def _deg2(g):
     return [v for v in range(g.n) if g.degree(v) == 2]
 
 
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 # (graph, pool, node limit) -> (size, optimal, nodes_explored, members); the node
 # counts pin the search tree itself, not only the optimum it reaches
 SEARCH_PINS = {
@@ -274,6 +280,23 @@ SEARCH_PINS = {
     "BF(4) 1500 nodes": ((build_butterfly(4), None, 1500),
                          (19, False, 1501, (2, 4, 6, 10, 12, 14, 16, 17, 19, 21, 23,
                                             72, 73, 74, 75, 76, 77, 78, 79))),
+    # the relabelled trees exact-small times (a relabelling keeps degrees, so
+    # the deg-2 pool is the image of BF(4)'s)
+    "BF(3) relabelled 0": ((_relabelled(build_butterfly(3), 0), None, None),
+                           (10, True, 517, (0, 1, 3, 8, 12, 15, 16, 19, 29, 30))),
+    "BF(3) relabelled 1": ((_relabelled(build_butterfly(3), 1), None, None),
+                           (10, True, 449, (1, 2, 3, 4, 10, 14, 17, 20, 24, 31))),
+    "BF(3) relabelled 2": ((_relabelled(build_butterfly(3), 2), None, None),
+                           (10, True, 421, (0, 2, 3, 7, 11, 16, 17, 18, 29, 30))),
+    "BF(4) relabelled 0 deg2": ((_relabelled(build_butterfly(4), 0), _deg2, None),
+                                (16, True, 305, (1, 5, 24, 33, 37, 38, 42, 49, 51, 53,
+                                                 56, 62, 65, 66, 68, 75))),
+    "BF(4) relabelled 1 deg2": ((_relabelled(build_butterfly(4), 1), _deg2, None),
+                                (16, True, 305, (0, 2, 3, 4, 7, 12, 19, 26, 30, 48, 49,
+                                                 55, 62, 69, 75, 77))),
+    "BF(4) relabelled 2 deg2": ((_relabelled(build_butterfly(4), 2), _deg2, None),
+                                (16, True, 791, (0, 3, 6, 9, 13, 17, 18, 25, 30, 36, 37,
+                                                 38, 52, 61, 66, 71))),
     "C_30": ((build_cycle(30), None, None), (3, True, 1505, (0, 3, 17))),
     "P_30": ((build_path(30), None, None), (2, True, 811, (0, 29))),
 }
@@ -336,6 +359,16 @@ def test_bitset_kernel_walks_the_list_scan_tree_on_relabelled_bf3(seed):
                              ([perm[v] for v in _deg2(bf3)], NODE_LIMITS[-1])):
         bitset, list_scan = _both_kernels(g, pool, node_limit)
         assert bitset == list_scan, (seed, node_limit)
+
+
+# a cycle is vertex-transitive, so every vertex ties at the root and the
+# smallest-id rule picks each branch vertex; relabelling moves which id that is
+@pytest.mark.parametrize("n, seed", [(n, None) for n in range(5, 17)] + [(12, 0), (12, 1)])
+def test_bitset_kernel_walks_the_list_scan_tree_when_every_count_ties(n, seed):
+    g = build_cycle(n) if seed is None else _relabelled(build_cycle(n), seed)
+    for node_limit in NODE_LIMITS:
+        bitset, list_scan = _both_kernels(g, range(g.n), node_limit)
+        assert bitset == list_scan, node_limit
 
 
 def test_triple_ceiling_is_exact(bf2, monkeypatch):

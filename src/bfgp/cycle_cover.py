@@ -160,17 +160,25 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     """Edge partition of BF(r) into 2^(r-1) isometric cycles of length 4r.
 
     Closed form: cycle k is candidate_cycle(r, 2k, k), joining level-0
-    pair 2k with level-r pair k, for k < 2^(r-1).  Nothing is checked
-    here; a claim resting on the cover must first pass verify_cover.
+    pair 2k with level-r pair k, for k < 2^(r-1).  Each is built from
+    cycle 0 = candidate_cycle(r, 0, 0): for even uc and vc < 2^(r-1),
+    candidate_cycle(r, uc, vc) is cycle 0 with each level-l vertex XOR-ed
+    by (vc & ~low[l]) | (uc & low[l]).  Cycle 0's rows use bits 1 and r
+    alone, which such uc and vc leave clear, so OR-ing their bits into the
+    corners is this XOR.  Nothing is checked here; a claim resting on the
+    cover must first pass verify_cover.
     """
     if r < 2:
         raise InvalidParameterError(f"cover construction needs r >= 2, got {r}")
     ref = butterfly_ref(r)  # refuses r above the cap before any cycle is built
-    return CycleCover(
-        kind=KIND_CYCLE,
-        cycles=tuple(candidate_cycle(r, 2 * k, k) for k in range(1 << (r - 1))),
-        graph_ref=ref,
-    )
+    low = [((1 << r) - 1) >> lev for lev in range(r + 1)]
+    cycle0 = candidate_cycle(r, 0, 0)
+    levels = [v >> r for v in cycle0]
+    cycles = []
+    for k in range(1 << (r - 1)):
+        offset = [(k & ~m) | (2 * k & m) for m in low]
+        cycles.append(tuple([v ^ offset[lev] for v, lev in zip(cycle0, levels)]))
+    return CycleCover(kind=KIND_CYCLE, cycles=tuple(cycles), graph_ref=ref)
 
 
 def gp_upper_bounds(cover: CycleCover, verified: CoverReport) -> dict[str, int]:

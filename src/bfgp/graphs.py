@@ -14,6 +14,13 @@ files, golden outputs), are stable across runs:
 
 Level-0 and level-r vertices have degree 2, all others degree 4.
 
+Graph() checks everything it is given, since graph files and custom
+graphs come from outside; a file tagged `butterfly` still has its edges
+checked one by one against the encoding.  build_butterfly skips those
+checks: it fills the slots from the closed form, where every answer is
+known in advance, and the tests (r <= 10) and CI (r = 11..14) compare it
+slot by slot with the checked construction.
+
 A graph's ref, the content reference stamped on set and cover files, is
 its tag and 12 hex digits of a sha256 over n and the sorted edges.  For
 BF(r) those digits are read from BUTTERFLY_HASHES, not hashed from its
@@ -60,8 +67,10 @@ BUTTERFLY_HASHES = (
 class Graph:
     """Immutable simple undirected graph.
 
-    A family tag is a claim checked here, once: the edges must be exactly
-    those build_butterfly(r), build_cycle(n) or build_path(n) gives.
+    A family tag given to Graph() is a claim checked here, once: the edges
+    must be exactly those build_butterfly(r), build_cycle(n) or
+    build_path(n) gives.  build_butterfly itself fills the slots of a
+    new Graph from the closed form, without these checks.
 
     Attributes:
         n: vertex count, at most MAX_VERTICES; ids are exactly 0..n-1.
@@ -101,8 +110,8 @@ class Graph:
             if not in_range:
                 raise InvalidParameterError(f"edge {reprlib.repr(e)} out of range for n={n}")
             if u < v:
-                # an oriented tuple is kept, not copied, to spare BF(14)'s
-                # 458,752 edges a second set of pairs in memory
+                # an oriented tuple is kept, not copied, to spare a graph
+                # file's edges (458,752 at BF(14)) a second set of pairs
                 pairs.append(e if type(e) is tuple else (u, v))
             elif u > v:
                 pairs.append((v, u))
@@ -128,18 +137,22 @@ class Graph:
                 raise InvalidParameterError(f"edges do not match the {family} on {n} vertices")
         elif family != FAMILY_CUSTOM:
             raise InvalidParameterError(f"unknown family {reprlib.repr(family)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
         # sorted edges list each vertex's smaller neighbours, then its larger
         # ones, in ascending order
         nbrs = [[] for _ in range(n)]
         for u, v in edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "adj", tuple(map(tuple, nbrs)))
+        self._fill(n, edges, tuple(map(tuple, nbrs)), family, family_param, r)
+
+    def _fill(self, n, edges, adj, family, family_param, butterfly_r) -> None:
+        """Set every slot as given; the caller has checked or derived each value."""
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "family_param", family_param)
-        object.__setattr__(self, "butterfly_r", r)
+        object.__setattr__(self, "butterfly_r", butterfly_r)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -240,9 +253,33 @@ def butterfly_ref(r: int) -> str:
 
 
 def build_butterfly(r: int) -> Graph:
-    """r-dimensional butterfly: (r+1)*2^r vertices, r*2^(r+1) edges."""
+    """r-dimensional butterfly: (r+1)*2^r vertices, r*2^(r+1) edges.
+
+    Filled from the closed form, with none of Graph()'s checks: vertex u
+    below level r has its upper neighbours at edges[2u][1] < edges[2u + 1][1],
+    and vertex (l, y) above level 0 its lower neighbours at edges[2u][0]
+    for u = (l-1, y) and u = (l-1, y ^ 2^(r-l)).  adj holds the edge
+    tuples' own int objects, and no ids of its own.
+    """
     edges = butterfly_edges(r)
-    return Graph((r + 1) << r, edges, FAMILY_BUTTERFLY, r)
+    nrows = 1 << r
+    adj = []
+    below = None  # the ids of level lev - 1
+    for lev in range(r + 1):
+        # level lev's upward edges, two per vertex in id order; none at level r
+        block = edges[2 * lev * nrows:2 * (lev + 1) * nrows]
+        firsts = block[::2]
+        ups = ([e[1] for e in firsts], [e[1] for e in block[1::2]])
+        down = ()
+        if lev:
+            flip = nrows >> lev  # the cross edges between levels lev - 1 and lev flip bit lev
+            down = ([below[y & ~flip] for y in range(nrows)],
+                    [below[y | flip] for y in range(nrows)])
+        adj += zip(*down, *ups) if lev < r else zip(*down)
+        below = [e[0] for e in firsts]
+    g = Graph.__new__(Graph)
+    g._fill((r + 1) << r, edges, tuple(adj), FAMILY_BUTTERFLY, r, r)
+    return g
 
 
 def build_cycle(n: int) -> Graph:

@@ -202,6 +202,14 @@ def test_constructor_rejects_r_below_2():
         construct_bf_cycle_cover(1)
 
 
+@pytest.mark.parametrize("r", range(2, 11))
+def test_cover_is_cycle_zero_shifted_by_level(r):
+    # construct_bf_cycle_cover XORs cycle 0 level by level; candidate_cycle
+    # builds each cycle from its corners
+    assert construct_bf_cycle_cover(r).cycles == tuple(
+        candidate_cycle(r, 2 * k, k) for k in range(2 ** (r - 1)))
+
+
 def test_candidate_cycle_shape():
     seq = candidate_cycle(3, 0, 0)
     assert len(seq) == 12

@@ -66,11 +66,31 @@ def test_adjacency_symmetry_everywhere():
                 assert v in g.adj[w]
 
 
-@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("r", range(1, 11))
 def test_butterfly_edges_and_ref_without_a_graph(r):
+    # build_butterfly fills its slots unchecked; the checked Graph() of the
+    # same edges must agree slot by slot (CI does r = 11..14)
     g = build_butterfly(r)
-    assert butterfly_edges(r) == g.edges
+    checked = Graph((r + 1) << r, butterfly_edges(r), FAMILY_BUTTERFLY, r)
+    assert g == checked
+    assert g.edges == checked.edges == butterfly_edges(r)
+    assert g.adj == checked.adj
+    assert g.butterfly_r == checked.butterfly_r == r
+    assert g.ref() == checked.ref()
     assert butterfly_ref(r) == graphs._content_ref(g.n, g.edges, FAMILY_BUTTERFLY, r)
+
+
+def test_build_butterfly_skips_the_input_checks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_butterfly ran an input check")
+
+    expected = {r: Graph((r + 1) << r, butterfly_edges(r), FAMILY_BUTTERFLY, r)
+                for r in range(1, 9)}
+    monkeypatch.setattr(graphs, "_butterfly_dim_of", refuse)
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    for r, checked in expected.items():
+        g = build_butterfly(r)
+        assert (g, g.adj, g.butterfly_r) == (checked, checked.adj, r)
 
 
 def test_butterfly_hashes_are_the_one_string_hash():

@@ -5,30 +5,35 @@ between two others.  That rule, the distances it reads and the checks
 its vertices need belong to `geodesy`: every set or pool a caller passes
 in goes through `checked_members` (in range, distinct, mutually
 reachable), and every test asks `first_collinear`, `collinear_through`,
-`iter_collinear` or `lies_between`, never the distance table.  A
-verification names the first collinear triple of the sorted members in
-combinations order; geodesy may use the set's row-XOR symmetry on BF(r)
-to accept it, but a violation is always named by the full scan.  Finding
-a maximum set is equivalent to a maximum independent set in the
-3-uniform hypergraph whose hyperedges are the collinear triples, which
-is what the branch-and-bound solver below works on.  It numbers the
-triples once and keeps its triple state as integer bitsets over those
-numbers (the triples still alive, the triples through a chosen vertex,
-and per vertex the triples through it), so a node costs a few
-word-parallel operations per packed constraint, not scans of a triple
-list.  The branch vertex is the free vertex in the most alive triples.
-Those counts never rise down the tree, because the alive triples only
-shrink, so the search carries them down its stack: a node that branches
-lowers its parent's counts by the triples through each vertex excluded
-since, from small per-pair vertex masks, instead of counting a triple
-bitset per free vertex; pruned nodes and leaves lower nothing.  A free
-vertex in no alive triple stays free until a leaf takes it, since no
-exclusion, bound or branch below can involve it.  The search keeps its
-pending branches on its own stack, so its depth is not bounded by
-Python's recursion limit, and it refuses a pool with more than
-MAX_SEARCH_TRIPLES collinear triples.  Everything is deterministic:
-ties break on smallest vertex id, and nothing reads a clock or a random
-source.
+`iter_collinear`, `collinear_positions` or `lies_between`, never the
+distance table.  A verification names the first collinear triple of the
+sorted members in combinations order; geodesy may use the set's row-XOR
+symmetry on BF(r) to accept it, but a violation is always named by the
+full scan.  Finding a maximum set is equivalent to a maximum independent
+set in the 3-uniform hypergraph whose hyperedges are the collinear
+triples, which is what the branch-and-bound solver below works on.  It
+numbers the triples in the order geodesy's one scan yields them, as
+positions into the pool, and fills its tables from those positions,
+with no vertex id to look up.  It keeps its triple state as integer
+bitsets over those numbers (the triples still alive, the triples through
+a chosen vertex, and per vertex the triples through it), so a node
+costs a few word-parallel operations per packed constraint, not scans
+of a triple list.  The branch vertex is the free vertex in the most
+alive triples.  Those counts never rise down the tree, because the
+alive triples only shrink, so the search carries them down its stack: a
+node that branches lowers its parent's counts by the triples through
+each vertex excluded since, from small per-pair vertex masks, instead of
+counting a triple bitset per free vertex; pruned nodes and leaves lower
+nothing.  A free vertex in no alive triple stays free until a leaf takes
+it, since no exclusion, bound or branch below can involve it.
+
+False twins, pool vertices with one `g.adj` neighbourhood, are taken in
+order: swapping two is an automorphism fixing every other vertex, so
+some maximum set holds each twin's earlier class members too, and the
+search visits only such sets.  The search keeps its pending branches on its own stack, so its depth is not bounded by Python's
+recursion limit, and it refuses a pool with more than MAX_SEARCH_TRIPLES
+collinear triples.  Everything is deterministic: ties break on smallest
+vertex id, and nothing reads a clock or a random source.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .errors import GraphParseError, InvalidParameterError, TooLargeError
 from .geodesy import (
     DistanceMatrix,
     checked_members,
+    collinear_positions,
     collinear_through,
     first_collinear,
     iter_collinear,
@@ -156,27 +162,96 @@ def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, pool=None) -> VertexSet:
                      provenance=PROVENANCE_LOWER_BOUND, graph_ref=g.ref())
 
 
-def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
+def _search_tables(dm: DistanceMatrix, pool: tuple[int, ...]):
+    """(inc, pair, masks, top): the search's triple tables, from one scan of pool.
+
+    Triple t of the T, in scan order, is bit top - t of a triple mask,
+    top = T - 1, so the first is the highest bit and `bit_length` finds it.
+    masks[t] holds its pool positions as a vertex mask, inc[i] the triples
+    through position i and pair[i][j] the thirds c of every collinear
+    (i, j, c).  More than MAX_SEARCH_TRIPLES triples are refused as the
+    scan passes it, before any table is sized by the pool.
+    """
+    k = len(pool)
+    found = []
+    led = [0] * k
+    top = -1
+    for found_pair in collinear_positions(dm, pool):
+        m = len(found_pair[2])
+        top += m
+        if top >= MAX_SEARCH_TRIPLES:
+            raise TooLargeError(f"pool has more than {MAX_SEARCH_TRIPLES} collinear triples")
+        led[found_pair[0]] += m
+        found.append(found_pair)
+    bits = [1 << i for i in range(k)]
+    # one pass over the triples: bytes per vertex, not ints that grow bit by bit
+    rows = [bytearray((top >> 3) + 1) for _ in range(k)]
+    pair = [[0] * k for _ in range(k)]
+    masks: list[int] = []
+    pos = top
+    for i, j, ks in found:
+        mi, mj = bits[i], bits[j]
+        rj, pi, pj = rows[j], pair[i], pair[j]
+        third = 0
+        for h in ks:
+            byte, bit = pos >> 3, 1 << (pos & 7)
+            rj[byte] |= bit
+            rows[h][byte] |= bit
+            third |= bits[h]
+            pi[h] |= mj
+            pj[h] |= mi
+            pos -= 1
+        pi[j] |= third
+        mij = mi | mj
+        masks += [mij | bits[h] for h in ks]
+    for i in range(k):
+        for j in range(i):
+            pair[i][j] = pair[j][i]
+    inc = [0] * k
+    end = top + 1
+    for i in range(k):  # free each row as soon as it is converted
+        end -= led[i]  # the triples i leads: one run of bits
+        inc[i], rows[i] = int.from_bytes(rows[i], "little") | (1 << led[i]) - 1 << end, None
+    return inc, pair, masks, top
+
+
+def _twin_later(g: Graph, pool: tuple[int, ...]) -> list[int]:
+    """later[i]: the pool positions after i whose vertices share pool[i]'s neighbourhood."""
+    later = [0] * len(pool)
+    held: dict[tuple[int, ...], int] = {}  # neighbourhood -> positions seen, from the end
+    for i in reversed(range(len(pool))):
+        nbrs = g.adj[pool[i]]
+        later[i] = held.get(nbrs, 0)
+        held[nbrs] = later[i] | 1 << i
+    return later
+
+
+def _branch_and_bound(pool: tuple[int, ...], tables, later, warm, node_limit: int):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
-    Vertices are bits of pool index.  Triples are bits of a second kind
-    of mask: triple t of the T `triples` is bit T - 1 - t, so the first
-    triple in list order is the highest bit and `bit_length` finds it.
-    inc[i] holds the triples through pool vertex i, and pair[i][j] the
-    third members c of every collinear (i, j, c).  A stack entry is
-    (chosen, free, active, touch, last, dropped, counts): vertex masks,
-    the triples whose members are all chosen or free, the triples through
-    a chosen vertex, the vertex the include branch just took (-1 after an
-    exclude), the vertices excluded since the parent branched, and
-    counts[i], the number of active triples through free vertex i at the
-    parent's branching (at the root, its own).  A triple with two chosen
-    members forces exclusion of the third, and only a pair with `last`
-    can be new.  The bound is |chosen| + |free| minus a greedy packing of
-    disjoint constraint free-parts (the pairs, active & touch, before the
-    triples, each in list order), since each packed constraint forces at
-    least one exclusion.  Branching: include-first on the free vertex in
-    the most active triples, smallest id on ties.  The warm set is the
-    first incumbent, and only a strictly larger set replaces it.
+    Vertices are bits of pool index, and triples bits of a second kind of
+    mask; `tables` are `_search_tables`' inc, pair, masks and top.  A stack
+    entry is (chosen, free, active, touch, last, dropped, counts): vertex
+    masks, the triples whose members are all chosen or free, the triples
+    through a chosen vertex, the vertex the include branch just took (-1
+    after an exclude), the vertices excluded since the parent branched,
+    and counts[i], the number of active triples through free vertex i at
+    the parent's branching (at the root, its own).  A triple with two
+    chosen members forces exclusion of the third, and only a pair with
+    `last` can be new.  The bound is |chosen| + |free| minus a greedy
+    packing of disjoint constraint free-parts (the pairs, active & touch,
+    before the triples, each in list order), since each packed constraint
+    forces at least one exclusion.  Branching: include-first on the free
+    vertex in the most active triples, smallest id on ties.  The warm set
+    is the first incumbent, and only a strictly larger set replaces it.
+
+    Twin cut: later[i] holds the pool positions after i in i's false-twin
+    class, and the exclude branch of u also drops u's later members still
+    free, so x_u >= x_u' for u before u'.  Swapping u and u' is an
+    automorphism fixing every other vertex, so some optimum keeps the cut.
+    Nothing else breaks it: while both are free the node is symmetric in
+    them, so u, counted as often and smaller, is branched on first, and
+    u' is chosen only after u, so what forces u out forces u' out too.
 
     The counts never rise down the tree, since active only shrinks.  Only
     a branching node needs them, and it lowers its parent's counts by
@@ -191,30 +266,11 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
     Returns (best members, nodes explored, stopped); stopped means the
     node limit cut the search short, so the members may not be optimal.
     """
+    inc, pair, masks, top = tables
     k = len(pool)
     index = {v: i for i, v in enumerate(pool)}
     best_mask = sum(1 << index[v] for v in warm)
     best = best_mask.bit_count()
-    top = len(triples) - 1
-    # one pass over the triples: bytes per vertex, not ints that grow bit by bit
-    rows = [bytearray((top >> 3) + 1) for _ in range(k)]
-    pair = [[0] * k for _ in range(k)]
-    for t, (a, b, c) in enumerate(triples):
-        i, j, h = index[a], index[b], index[c]
-        pos = top - t
-        byte, mask = pos >> 3, 1 << (pos & 7)
-        rows[i][byte] |= mask
-        rows[j][byte] |= mask
-        rows[h][byte] |= mask
-        pair[i][j] |= 1 << h
-        pair[i][h] |= 1 << j
-        pair[j][h] |= 1 << i
-    for i in range(k):
-        for j in range(i):
-            pair[i][j] = pair[j][i] = pair[i][j] | pair[j][i]
-    inc = [0] * k
-    for i in range(k):  # free each row as soon as it is converted
-        inc[i], rows[i] = int.from_bytes(rows[i], "little"), None
     # pending branches, last in first out: exclude is pushed before include,
     # so include is explored first
     stack = [(0, (1 << k) - 1, (1 << (top + 1)) - 1, 0, -1, 0,
@@ -267,8 +323,7 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
                 if not avail:
                     break
                 group, avail = avail, 0  # every pair is blocked: on to the triples
-            a, b, c = triples[top + 1 - group.bit_length()]
-            fp = (1 << index[a] | 1 << index[b] | 1 << index[c]) & free
+            fp = masks[top + 1 - group.bit_length()] & free
             packed += 1
             left -= fp.bit_count()
             blocked = 0
@@ -297,8 +352,15 @@ def _branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
                 dropped ^= low
         branch = max(idx, key=counts.__getitem__)
         free ^= 1 << branch
-        stack.append((chosen, free, active ^ (active & inc[branch]), touch, -1,
-                      1 << branch, counts))
+        # the exclude branch drops the branch vertex and its later twins
+        dropped = 1 << branch | later[branch] & free
+        out = active
+        rest = dropped
+        while rest:
+            low = rest & -rest
+            out ^= out & inc[low.bit_length() - 1]
+            rest ^= low
+        stack.append((chosen, free & ~dropped, out, touch, -1, dropped, counts))
         stack.append((chosen | 1 << branch, free, active, touch | inc[branch], branch, 0,
                       counts))
 
@@ -311,7 +373,8 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     """Exact maximum general position set restricted to pool (default: all).
 
     Runs branch and bound over the collinear-triple hypergraph, warm
-    started from the degree-order greedy set.  If the node budget runs
+    started from the degree-order greedy set, with the pool's false twins
+    (one `g.adj` neighbourhood) kept in order.  If the node budget runs
     out the best set found so far is returned with optimal = False.
     """
     if g.n == 0:
@@ -319,10 +382,10 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     budget = budget or Budget()
     pool_ids = checked_members(dm, range(g.n) if pool is None else pool, "pool members")
 
-    triples = collinear_triples(dm, pool_ids)
+    tables = _search_tables(dm, pool_ids)
     warm = greedy_gp_lower_bound(g, dm, pool=pool_ids)
-    members, nodes, stopped = _branch_and_bound(pool_ids, triples, warm.members,
-                                                budget.node_limit)
+    members, nodes, stopped = _branch_and_bound(pool_ids, tables, _twin_later(g, pool_ids),
+                                                warm.members, budget.node_limit)
     optimal = not stopped
     provenance = PROVENANCE_EXACT if optimal else PROVENANCE_LOWER_BOUND
     best = VertexSet(members=members, provenance=provenance, graph_ref=g.ref())

@@ -32,10 +32,12 @@ distances to all members are the fields of one Python int, 8 bits wide
 on BF(r) and 16 on a table graph, so that a sum of two distances stays
 below each field's guard bit, and one member pair is tested against
 every later member in a dozen big-int operations.  One scan, `_scan`,
-runs it, yielding in combinations order the triples whose first member
-sits at one of the given lead positions: `iter_collinear` leads with
-every member, `collinear_through` with its heads, listed first, and
-`first_collinear` with the first member of each orbit of a reduced set.
+runs it, yielding in combinations order the positions of the triples
+whose first member sits at one of the given lead positions, a pair and
+its third members at a time: `iter_collinear` and `collinear_positions`
+lead with every member, `collinear_through` with its heads, listed
+first, and `first_collinear` with the first member of each orbit of a
+reduced set.
 The scan reads each member's row from its own position on, the tail,
 and gathers no more of it unless a block swap needs the whole row.  On
 BF(r) with 2^r <= 256 a row label fits a byte, and a row is gathered as
@@ -90,7 +92,7 @@ from __future__ import annotations
 import reprlib
 import struct
 from collections import deque
-from itertools import count, groupby, repeat
+from itertools import compress, count, groupby, repeat
 
 from .errors import InvalidParameterError, NotConnectedError, TooLargeError
 from .graphs import Graph
@@ -226,6 +228,16 @@ def iter_collinear(dm: DistanceMatrix, members):
     A triple is collinear when one of its vertices lies on a geodesic of
     the other two.  Members must have passed `checked_members`, since an
     out-of-range, repeated or unreachable vertex would corrupt the sums.
+    """
+    ms = list(members)
+    return ((ms[i], ms[j], ms[k]) for i, j, ks in collinear_positions(dm, ms) for k in ks)
+
+
+def collinear_positions(dm: DistanceMatrix, members):
+    """`iter_collinear` as positions into members: (i, j, ks) for each pair with a third.
+
+    ks lists, ascending, every k > j with (i, j, k) collinear; the pairs
+    come in combinations order, so the triples do as in `iter_collinear`.
     This is `_scan` led by every member.
     """
     ms = list(members)
@@ -339,7 +351,7 @@ def collinear_through(dm: DistanceMatrix, members: list[int], heads) -> bool:
 
 
 def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
-    """Yield the collinear triples of ms whose first member sits at a lead, in combinations order.
+    """Yield (i, j, ks) for the collinear triples (ms[i], ms[j], ms[k]), k in ks, i at a lead.
 
     ms must be distinct members (checked, see iter_collinear) and leads
     ascending positions.  A row packs d(u, ms[k]) as the w-bit field k of
@@ -347,7 +359,9 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
     of two distances stays below a field's top bit, its guard, and no
     fieldwise sum carries into the next field.  For each pair (ms[i],
     ms[j]), i in leads, one `_collinear_fields` call tests every later
-    member at once, and its set bits come out in ascending order of k.
+    member at once.  Its guard bits, shifted to the low byte of their
+    fields, make one flag byte per later member, and `compress` lists the
+    flagged ones, ascending, as ks; a pair with no third is skipped.
 
     The rows are built in position order, each when the scan first
     needs it, and only their tails, the fields after their own, are
@@ -373,8 +387,9 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
     if n < 3:
         return  # before packing: two unreachable members read UNREACHABLE
     w = 8 if 2 * dm.bound < 1 << 7 else 16
+    step = w >> 3  # bytes per field
     field = (1 << w) - 1
-    ones = int.from_bytes(b"\x01".ljust(w >> 3, b"\0") * n, "little")
+    ones = int.from_bytes(b"\x01".ljust(step, b"\0") * n, "little")
     low, high = ones * (field >> 1), ones << (w - 1)
     # halves[b] selects the fields k' with bit b clear, which the swap raises
     halves = [int.from_bytes((b"\xff" * (w << b >> 3) + bytes(w << b >> 3)) * (n >> b + 1),
@@ -434,10 +449,9 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
             dxy = rest & field
             rest >>= w
             hits = _collinear_fields(rest, tails[j], dxy * ones, low, high)
-            while hits:
-                bit = hits & -hits
-                yield (ms[i], ms[j], ms[j + bit.bit_length() // w])
-                hits ^= bit
+            if hits:
+                flags = (hits >> w - 1).to_bytes((n - j - 1) * step, "little")
+                yield i, j, list(compress(range(j + 1, n), flags[::step]))
 
 
 def _collinear_fields(x: int, y: int, xy: int, low: int, high: int) -> int:

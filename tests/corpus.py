@@ -294,9 +294,33 @@ def min_cover(n: int, members) -> int | None:
     return None
 
 
+def reference_search_tables(pool: tuple[int, ...], triples):
+    """(inc, pair, masks) of the search, from the listed triples of pool, one triple at a time.
+
+    Triple t of the T is bit T - 1 - t of inc[i] for each of its pool
+    positions i, pair[i][j] holds the third members of every collinear
+    (i, j, c) in both orders, and masks[t] its three positions.
+    """
+    index = {v: i for i, v in enumerate(pool)}
+    k, top = len(pool), len(triples) - 1
+    inc = [0] * k
+    pair = [[0] * k for _ in range(k)]
+    masks = []
+    for t, triple in enumerate(triples):
+        a, b, c = (index[v] for v in triple)
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            pair[x][y] |= 1 << z
+            pair[y][x] |= 1 << z
+        for x in (a, b, c):
+            inc[x] |= 1 << top - t
+        masks.append(1 << a | 1 << b | 1 << c)
+    return inc, pair, masks
+
+
 # The search kernel as it was before it kept its triple state in bitsets,
-# kept verbatim: the bitset kernel must walk the very same tree.
-def list_scan_branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit: int):
+# kept verbatim but for the twin cut: the bitset kernel must walk the very
+# same tree.
+def list_scan_branch_and_bound(pool: tuple[int, ...], triples, classes, warm, node_limit: int):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
     A node is (chosen, free) vertex masks plus the list of still-active
@@ -307,12 +331,19 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit:
     triples), since each packed constraint forces at least one exclusion.
     Branching: include-first on the free vertex hitting the most active
     triples, smallest id on ties.  The warm set is the first incumbent,
-    and only a strictly larger set replaces it.
+    and only a strictly larger set replaces it.  Twin cut: the exclude
+    branch of a vertex also excludes the members after it in its class of
+    `classes` (see `twin_classes`) that the pool holds.
 
     Returns (best members, nodes explored, stopped); stopped means the
     node limit cut the search short, so the members may not be optimal.
     """
     index = {v: i for i, v in enumerate(pool)}
+    later = {}
+    for cls in classes:
+        held = [1 << index[v] for v in cls if v in index]
+        for a, bit in enumerate(held):
+            later[bit] = sum(held[a + 1:])
     best_mask = sum(1 << index[v] for v in warm)
     tmasks = [(1 << index[a]) | (1 << index[b]) | (1 << index[c]) for a, b, c in triples]
     # pending branches, last in first out: exclude is pushed before include,
@@ -381,7 +412,7 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, warm, node_limit:
                 counts[b] = counts.get(b, 0) + 1
                 fp ^= b
         branch = max(counts.items(), key=lambda kv: (kv[1], -kv[0].bit_length()))[0]
-        stack.append((chosen, free & ~branch, active))
+        stack.append((chosen, free & ~branch & ~later.get(branch, 0), active))
         stack.append((chosen | branch, free & ~branch, active))
 
     members = tuple(sorted(v for i, v in enumerate(pool) if best_mask >> i & 1))

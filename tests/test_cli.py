@@ -561,7 +561,7 @@ PINNED_STDOUT_SHA256 = {
     ("report", "--r-max", "5"):
         "9a228d5b70ba658e6cbd7a4f79b4a6d68a1788740019ac1b2d89ba9c39acdb94",
     ("gpset", "max", "--r", "3"):
-        "00dc5ba4cddbcb19f99e6ba40e134b2f5172aebeaf8965452de3fca0525cfea7",
+        "cfd3d9453a5643197ea2f2c16c086352ad2fe1e108544b5da38728e5082fb70f",
     ("cover", "construct", "--r", "6"):
         "a0a7debd5e9473e86024f8c5debc4d1b3987d9425aa43639d64d505d02a47d94",
     ("gpset", "max", "--r", "4", "--node-budget", "300"):

@@ -37,6 +37,8 @@ from corpus import (
     named_corpus,
     oracle_collinear,
     random_connected_graph,
+    reference_search_tables,
+    twin_classes,
 )
 
 
@@ -269,34 +271,37 @@ def _relabelled(g, seed):
 # counts pin the search tree itself, not only the optimum it reaches
 SEARCH_PINS = {
     "BF(3)": ((build_butterfly(3), None, None),
-              (10, True, 647, (1, 3, 5, 7, 8, 10, 28, 29, 30, 31))),
+              (10, True, 477, (1, 3, 5, 7, 8, 10, 28, 29, 30, 31))),
     "BF(3) deg2": ((build_butterfly(3), _deg2, None),
-                   (8, True, 49, (0, 1, 2, 3, 4, 5, 6, 7))),
+                   (8, True, 15, (0, 1, 2, 3, 4, 5, 6, 7))),
     "BF(4) 300 nodes": ((build_butterfly(4), None, 300),
                         (16, False, 301, tuple(range(16)))),
     # the two searches the exact-small benchmark times
     "BF(4) deg2": ((build_butterfly(4), _deg2, None),
-                   (16, True, 1169, tuple(range(16)))),
+                   (16, True, 157, tuple(range(16)))),
     "BF(4) 1500 nodes": ((build_butterfly(4), None, 1500),
-                         (19, False, 1501, (2, 4, 6, 10, 12, 14, 16, 17, 19, 21, 23,
+                         (20, False, 1501, (1, 3, 5, 7, 9, 11, 13, 15, 16, 18, 20, 22,
                                             72, 73, 74, 75, 76, 77, 78, 79))),
     # the relabelled trees exact-small times (a relabelling keeps degrees, so
     # the deg-2 pool is the image of BF(4)'s)
     "BF(3) relabelled 0": ((_relabelled(build_butterfly(3), 0), None, None),
-                           (10, True, 517, (0, 1, 3, 8, 12, 15, 16, 19, 29, 30))),
+                           (10, True, 359, (0, 1, 3, 8, 12, 15, 16, 19, 29, 30))),
     "BF(3) relabelled 1": ((_relabelled(build_butterfly(3), 1), None, None),
-                           (10, True, 449, (1, 2, 3, 4, 10, 14, 17, 20, 24, 31))),
+                           (10, True, 327, (1, 2, 3, 4, 10, 14, 17, 20, 24, 31))),
     "BF(3) relabelled 2": ((_relabelled(build_butterfly(3), 2), None, None),
-                           (10, True, 421, (0, 2, 3, 7, 11, 16, 17, 18, 29, 30))),
+                           (10, True, 309, (0, 2, 3, 7, 11, 16, 17, 18, 29, 30))),
     "BF(4) relabelled 0 deg2": ((_relabelled(build_butterfly(4), 0), _deg2, None),
-                                (16, True, 305, (1, 5, 24, 33, 37, 38, 42, 49, 51, 53,
-                                                 56, 62, 65, 66, 68, 75))),
+                                (16, True, 47, (1, 5, 24, 33, 37, 38, 42, 49, 51, 53,
+                                                56, 62, 65, 66, 68, 75))),
     "BF(4) relabelled 1 deg2": ((_relabelled(build_butterfly(4), 1), _deg2, None),
-                                (16, True, 305, (0, 2, 3, 4, 7, 12, 19, 26, 30, 48, 49,
-                                                 55, 62, 69, 75, 77))),
+                                (16, True, 43, (0, 2, 3, 4, 7, 12, 19, 26, 30, 48, 49,
+                                                55, 62, 69, 75, 77))),
     "BF(4) relabelled 2 deg2": ((_relabelled(build_butterfly(4), 2), _deg2, None),
-                                (16, True, 791, (0, 3, 6, 9, 13, 17, 18, 25, 30, 36, 37,
+                                (16, True, 101, (0, 3, 6, 9, 13, 17, 18, 25, 30, 36, 37,
                                                  38, 52, 61, 66, 71))),
+    # the frontier the twin cut opened: not proven after 200,000 nodes without it
+    "BF(5) deg2": ((build_butterfly(5), _deg2, None),
+                   (32, True, 20793, tuple(range(32)))),
     "C_30": ((build_cycle(30), None, None), (3, True, 1505, (0, 3, 17))),
     "P_30": ((build_path(30), None, None), (2, True, 811, (0, 29))),
 }
@@ -330,9 +335,12 @@ def test_search_depth_is_not_bounded_by_recursion_limit(name):
 def _both_kernels(g, pool, node_limit):
     dm = all_pairs_distances(g)
     pool_ids = tuple(sorted(pool))
-    args = (pool_ids, collinear_triples(dm, pool_ids),
-            greedy_gp_lower_bound(g, dm, pool=pool_ids).members, node_limit)
-    return genpos._branch_and_bound(*args), list_scan_branch_and_bound(*args)
+    warm = greedy_gp_lower_bound(g, dm, pool=pool_ids).members
+    bitset = genpos._branch_and_bound(pool_ids, genpos._search_tables(dm, pool_ids),
+                                      genpos._twin_later(g, pool_ids), warm, node_limit)
+    list_scan = list_scan_branch_and_bound(pool_ids, collinear_triples(dm, pool_ids),
+                                           twin_classes(g), warm, node_limit)
+    return bitset, list_scan
 
 
 NODE_LIMITS = [1, 5, 50, Budget().node_limit]
@@ -384,6 +392,83 @@ def test_triple_ceiling_is_exact(bf2, monkeypatch):
         max_general_position(g, dm)
 
 
+@pytest.mark.parametrize("g, pool", [
+    (build_butterfly(3), range(32)),
+    (build_butterfly(4), _deg2(build_butterfly(4))),
+    (_relabelled(build_butterfly(3), 0), range(32)),
+    (build_cycle(3), range(3)),
+], ids=["BF(3)", "BF(4) deg2", "BF(3) relabelled", "C_3"])
+def test_one_pass_tables_equal_the_listed_triples(g, pool):
+    dm = all_pairs_distances(g)
+    pool = tuple(pool)
+    triples = collinear_triples(dm, pool)
+    assert genpos._search_tables(dm, pool) == (
+        *reference_search_tables(pool, triples), len(triples) - 1)
+
+
+# each side of a complete bipartite graph is one false-twin class
+TWIN_GRAPHS = {
+    "K_{1,4}": Graph(5, [(0, i) for i in range(1, 5)]),
+    "K_{2,3}": Graph(5, [(i, j) for i in range(2) for j in range(2, 5)]),
+    "K_{3,3}": Graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", list(TWIN_GRAPHS))
+def test_twin_cut_matches_brute_force_on_every_pool(name):
+    g = TWIN_GRAPHS[name]
+    dm = all_pairs_distances(g)
+    assert max(map(len, twin_classes(g))) >= 3
+    for size in range(1, g.n + 1):
+        for pool in combinations(range(g.n), size):
+            expect = brute_force_max_gp(g, dm, pool=pool)[0]
+            res = max_general_position(g, dm, pool=pool)
+            assert res.optimal
+            assert res.size == expect, pool
+            assert set(res.best_set.members) <= set(pool)
+            assert verify_general_position(g, dm, res.best_set).ok
+            # the greedy warm start is often optimal here: the search alone must be too
+            members, _, stopped = genpos._branch_and_bound(
+                pool, genpos._search_tables(dm, pool), genpos._twin_later(g, pool), (),
+                Budget().node_limit)
+            assert not stopped
+            assert len(members) == expect, pool
+            assert verify_general_position(g, dm, VertexSet(members)).ok
+
+
+@pytest.mark.parametrize("name,g", [(f"BF({r})", build_butterfly(r)) for r in range(2, 5)]
+                         + [("BF(3) relabelled", _relabelled(build_butterfly(3), 0))]
+                         + named_corpus() + list(TWIN_GRAPHS.items()))
+def test_twin_later_follows_the_twin_classes(name, g):
+    pool = tuple(v for v in range(g.n) if v % 3)  # drops one twin of some classes
+    index = {v: i for i, v in enumerate(pool)}
+    expected = [0] * len(pool)
+    for cls in twin_classes(g):
+        held = [index[v] for v in cls if v in index]
+        for a, i in enumerate(held):
+            expected[i] = sum(1 << x for x in held[a + 1:])
+    assert genpos._twin_later(g, pool) == expected, name
+
+
+def test_bf3_deg2_pool_matches_brute_force(bf3):
+    g, dm = bf3
+    pool = _deg2(g)
+    assert len(pool) == 16
+    res = max_general_position(g, dm, pool=pool)
+    assert res.optimal
+    assert res.size == brute_force_max_gp(g, dm, pool=pool)[0] == 8
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sets(st.integers(0, 31), max_size=12))
+def test_solver_matches_brute_force_on_bf3_pools(pool):
+    # a drawn pool often holds one twin of a level-0 or level-3 pair, not both
+    g, dm = BUTTERFLIES[3]
+    res = max_general_position(g, dm, pool=pool)
+    assert res.optimal
+    assert res.size == brute_force_max_gp(g, dm, pool=pool)[0]
+
+
 def test_brute_force_refuses_more_than_20_pool_vertices():
     g = build_butterfly(3)
     with pytest.raises(InvalidParameterError, match="limited to 20 pool vertices, got 21"):
@@ -403,14 +488,15 @@ def test_solver_matches_brute_force_on_sample():
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.integers(0, 10_000))
-def test_solver_matches_brute_force_random(seed):
+@given(st.integers(0, 10_000), st.sets(st.integers(0, 6), min_size=1))
+def test_solver_matches_brute_force_random(seed, pool):
     g = random_connected_graph(7, 0.4, seed)
     dm = all_pairs_distances(g)
-    expect, _ = brute_force_max_gp(g, dm)
-    res = max_general_position(g, dm)
-    assert res.optimal
-    assert res.size == expect
+    for p in (None, sorted(pool)):
+        expect, _ = brute_force_max_gp(g, dm, pool=p)
+        res = max_general_position(g, dm, pool=p)
+        assert res.optimal
+        assert res.size == expect, p
 
 
 @settings(deadline=None, max_examples=20)

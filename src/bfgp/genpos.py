@@ -30,10 +30,11 @@ it, since no exclusion, bound or branch below can involve it.
 False twins, pool vertices with one `g.adj` neighbourhood, are taken in
 order: swapping two is an automorphism fixing every other vertex, so
 some maximum set holds each twin's earlier class members too, and the
-search visits only such sets.  The search keeps its pending branches on its own stack, so its depth is not bounded by Python's
-recursion limit, and it refuses a pool with more than MAX_SEARCH_TRIPLES
-collinear triples.  Everything is deterministic: ties break on smallest
-vertex id, and nothing reads a clock or a random source.
+search visits only such sets.  Its pending branches sit on its own
+stack, so Python's recursion limit does not bound its depth, and it
+refuses a pool with more than MAX_SEARCH_TRIPLES collinear triples.
+Everything is deterministic: ties break on smallest vertex id, and
+nothing reads a clock or a random source.
 """
 
 from __future__ import annotations

@@ -40,11 +40,12 @@ first, and `first_collinear` with the first member of each orbit of a
 reduced set.
 The scan reads each member's row from its own position on, the tail,
 and gathers no more of it unless a block swap needs the whole row.  On
-BF(r) with 2^r <= 256 a row label fits a byte, and a row is gathered as
-bytes: the members' labels XOR-ed with the source's, each run of
-same-level members translated through the source level's 256-byte
-block for that level (`DistanceMatrix.blocks`).  On BF(r > 8) and table
-graphs a list comprehension reads `rows`.
+BF(r) a row is gathered as bytes through `DistanceMatrix.blocks`, each
+row cut into 256-byte translate tables of 2^c ids, c = min(r, 8), one
+per level up to r = 8.  As d((l, a), v) = rows[l][v ^ a], a member's
+byte is its id's low c bits XOR-ed with a's, and each maximal run of
+members in one chunk b translates through blocks[l][b ^ (a >> c)].  On
+a table graph, shift and mask 0, a list comprehension reads `rows[u]`.
 
 `first_collinear` decides general position with the set's false twins
 and its symmetry.  Vertices u and u' are false twins when N(u) = N(u').
@@ -115,9 +116,9 @@ class DistanceMatrix:
     module notes).  On any other graph shift = mask = 0 and rows[u] is the
     BFS row from u.  No distance exceeds `bound`: n - 1 bounds every BFS
     distance, and BF(r) has diameter 2r.  The collinearity kernel sizes
-    its fields by it.  When the row labels fit a byte, 2^r <= 256,
-    blocks[l][m] is rows[l]'s level-m block, d((l, 0), (m, y)) at byte y,
-    padded to the 256-byte table `bytes.translate` takes; else None.
+    its fields by it.  On BF(r) blocks[l][b] is chunk b of rows[l], entries
+    b * 2^c to (b + 1) * 2^c - 1, c = min(r, 8), padded to the 256-byte
+    table `bytes.translate` takes (level b for r <= 8); else None.
     """
 
     __slots__ = ("n", "rows", "shift", "mask", "bound", "blocks")
@@ -131,10 +132,6 @@ class DistanceMatrix:
         self.bound = 2 * shift if shift else max(n - 1, 0)
         if 2 * self.bound >= 1 << 15:  # a 16-bit field holds two distances
             raise TooLargeError(f"distances up to {self.bound} do not fit the collinearity kernel")
-
-    def source(self, u: int) -> tuple[bytes | list[int], int]:
-        """(row, a) such that d(u, v) == row[v ^ a] for every vertex v."""
-        return self.rows[u >> self.shift], u & self.mask
 
     def dist(self, u: int, v: int) -> int:
         return self.rows[u >> self.shift][v ^ (u & self.mask)]
@@ -180,15 +177,14 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
          for h in range(r + 1)]
     Q = [length.translate(bytes(r + 2 * min(o, r - c) - o for c in range(r + 1)).ljust(256))
          for o in range(r + 1)]
-    rows, blocks = [], []
+    rows, blocks, c = [], [], min(r, 8)
     for l in range(r + 1):
         p = int.from_bytes(b"".join(P[max(l, m)] for m in range(r + 1)), "little")
         q = int.from_bytes(b"".join(Q[min(l, m)] for m in range(r + 1)), "little")
         row = (p - q).to_bytes(g.n, "little")
         rows.append(row)
-        if nrows <= 256:
-            blocks.append([row[m << r:m + 1 << r].ljust(256) for m in range(r + 1)])
-    return DistanceMatrix(g.n, rows, r, blocks or None)
+        blocks.append([row[b << c:b + 1 << c].ljust(256) for b in range(g.n >> c)])
+    return DistanceMatrix(g.n, rows, r, blocks)
 
 
 def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
@@ -218,8 +214,7 @@ def checked_members(dm: DistanceMatrix, ids, what: str) -> tuple[int, ...]:
 def lies_between(dm: DistanceMatrix, x: int, y: int, z: int) -> bool:
     """True iff y is on some shortest x-z path, i.e. d(x,y) + d(y,z) = d(x,z)."""
     checked_members(dm, (x, y, z), "vertices")
-    row, a = dm.source(y)
-    return row[x ^ a] + row[z ^ a] == dm.dist(x, z)
+    return dm.dist(y, x) + dm.dist(y, z) == dm.dist(x, z)
 
 
 def iter_collinear(dm: DistanceMatrix, members):
@@ -365,13 +360,13 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
 
     The rows are built in position order, each when the scan first
     needs it, and only their tails, the fields after their own, are
-    kept.  With coset = 1 only the tail is gathered.  On BF(r) with
-    `dm.blocks`, the gather is bytes throughout: the members' row labels
-    are one int of bytes, XOR-ed with the source's label times 0x0101..,
-    and each maximal run of same-level members is one `bytes.translate`
-    through the source level's block for that level.  Elsewhere, on a
-    table graph or BF(r > 8), whose labels do not fit a byte, a list
-    comprehension reads `dm.rows`.
+    kept.  With coset = 1 only the tail is gathered.  On BF(r) the
+    gather is bytes throughout: the low c bits of the members' ids, c =
+    min(r, 8), are one int of bytes, XOR-ed with those of the source's
+    row label a times 0x0101.., and each maximal run of members in one
+    chunk b is one `bytes.translate` through the source level's chunk
+    table b ^ (a >> c) (see `DistanceMatrix`).  On a table graph, where
+    shift and mask are 0, a list comprehension reads the source's row.
 
     With coset > 1 a coset's first row is gathered whole, and every other
     made by block swaps.  Then coset is the order of a row-XOR group,
@@ -395,24 +390,27 @@ def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
     halves = [int.from_bytes((b"\xff" * (w << b >> 3) + bytes(w << b >> 3)) * (n >> b + 1),
                              "little") for b in range(coset.bit_length() - 1)]
 
-    blocks, r, mask = dm.blocks, dm.shift, dm.mask
+    blocks, rows, r, mask = dm.blocks, dm.rows, dm.shift, dm.mask
     if blocks:
-        labels = int.from_bytes(bytes([v & mask for v in ms]), "little")
-        runs, end = [], 0  # (start, end, level) of each maximal same-level run
-        for m, run in groupby(v >> r for v in ms):
+        c = min(r, 8)  # chunk b holds the ids b * 2^c to (b + 1) * 2^c - 1
+        cmask = (1 << c) - 1
+        labels = int.from_bytes(bytes([v & cmask for v in ms]), "little")
+        runs, end = [], 0  # (start, end, chunk) of each maximal same-chunk run
+        for b, run in groupby(v >> c for v in ms):
             start, end = end, end + len(list(run))
-            runs.append((start, end, m))
+            runs.append((start, end, b))
 
     def gather(k: int, lo: int) -> int:
         """d(ms[k], ms[k']) for k' >= lo, as field k' - lo."""
         u = ms[k]
         if blocks:
-            tables = blocks[u >> r]
-            xs = (labels ^ (u & mask) * ones).to_bytes(n, "little")
-            return int.from_bytes(b"".join([xs[lo if start < lo else start:end].translate(tables[m])
-                                            for start, end, m in runs if end > lo]), "little")
-        src, a = dm.source(u)
-        vals = [src[v ^ a] for v in ms[lo:]]
+            tables, hi = blocks[u >> r], (u & mask) >> c
+            xs = (labels ^ (u & cmask) * ones).to_bytes(n, "little")
+            parts = [xs[lo if start < lo else start:end].translate(tables[b ^ hi])
+                     for start, end, b in runs if end > lo]
+            return int.from_bytes(b"".join(parts), "little")
+        row = rows[u]
+        vals = [row[v] for v in ms[lo:]]
         return int.from_bytes(bytes(vals) if w == 8 else struct.pack(f"<{len(vals)}H", *vals),
                               "little")
 

@@ -114,6 +114,20 @@ def test_butterfly_rows_match_the_bfs_rows(r):
         assert type(rows[l]) is bytes and list(rows[l]) == expected[l], (r, l)
 
 
+@pytest.mark.parametrize("r", range(1, 13))
+def test_chunk_tables_are_the_rows_cut_every_256_ids(r):
+    # one table per 2^c consecutive ids, c = min(r, 8): up to r = 8 a chunk
+    # is a level, above it a level holds 2^(r-8) chunks
+    dm = all_pairs_distances(build_butterfly(r))
+    c = min(r, 8)
+    assert len(dm.blocks) == r + 1
+    for l, row in enumerate(dm.rows):
+        assert len(dm.blocks[l]) == len(row) >> c, (r, l)
+        for b, table in enumerate(dm.blocks[l]):
+            assert len(table) == 256 and table[:1 << c] == row[b << c:b + 1 << c], (r, l, b)
+    assert all_pairs_distances(build_cycle(5)).blocks is None
+
+
 @pytest.mark.parametrize("r", range(1, 15))
 def test_butterfly_distances_match_the_closed_form(r):
     # the two reads of a pair come from different rows unless u and v share
@@ -167,10 +181,10 @@ def _kernel_cases():
     for g in (build_path(200), build_cycle(150)):
         yield f"n={g.n}", g, sorted(rng.sample(range(g.n), 60))
         yield f"n={g.n}-shuffled", g, rng.sample(range(g.n), 40)
-    # BF(7) and BF(8) take the byte gather, BF(9) the list comprehension
-    # just above it; shuffled members break the levels into many runs
+    # BF(7) and BF(8) gather a level per chunk table, BF(9) and BF(10) 2 and 4;
+    # shuffled members break the chunks into many runs
     rng = random.Random(8)
-    for r in range(7, 10):
+    for r in range(7, 11):
         g = build_butterfly(r)
         yield f"BF{r}-sample", g, sorted(rng.sample(range(g.n), 64))
     for r in range(3, 9):
@@ -280,7 +294,7 @@ def _record_scans(monkeypatch):
     return scans, full
 
 
-@pytest.mark.parametrize("r", range(2, 10))
+@pytest.mark.parametrize("r", range(2, 11))
 def test_closed_form_set_is_accepted_without_the_full_scan(monkeypatch, r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)
@@ -416,7 +430,7 @@ def test_twin_edits_of_the_closed_form_give_the_full_scan_witness(monkeypatch, r
             assert first is not None and {s[2] for s in scans} == {1}, (r, name)
 
 
-@pytest.mark.parametrize("r", range(3, 10))
+@pytest.mark.parametrize("r", range(3, 11))
 def test_orbit_of_a_non_member_gives_the_full_scan_witness(r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)
@@ -441,6 +455,38 @@ def test_orbit_of_a_non_member_gives_the_full_scan_witness(r):
         leads = range(0, len(order), len(group))
         assert (list(geodesy._scan(dm, order, leads, len(group)))
                 == list(geodesy._scan(dm, order, leads))), (r, level)
+
+
+class _UnreadRows:
+    """A stand-in for dm.rows that fails the test on any access."""
+
+    def __getitem__(self, i):
+        raise AssertionError(f"dm.rows[{i!r}] read")
+
+    def __len__(self):
+        raise AssertionError("len(dm.rows) read")
+
+
+@pytest.mark.parametrize("r", [9, 10])
+def test_butterfly_scans_read_the_chunk_tables_alone(r):
+    # above r = 8 a source's row label has bits past the byte, which pick
+    # the chunk table; dm.rows itself is never read by a scan
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    closed = construct_butterfly_gp_set(r).members
+    rng = random.Random(r)
+    v = rng.choice([v for v in range(g.n) if v not in closed])
+    sample = sorted(rng.sample(range(g.n), 64))
+    d = {(x, y): butterfly_distance(r, x, y) for x, y in combinations(sample, 2)}
+    expected = [(x, y, z) for x, y, z in combinations(sample, 3)
+                if 2 * max(d[x, y], d[y, z], d[x, z]) == d[x, y] + d[y, z] + d[x, z]]
+    plus_one = sorted(closed + (v,))
+    cases = [(plus_one, next(iter_collinear(dm, plus_one))), (sample, expected[0])]
+    assert v in cases[0][1]
+    dm.rows = _UnreadRows()
+    assert list(iter_collinear(dm, sample)) == expected
+    for ms, first in cases:
+        assert first_collinear(dm, ms) == next(iter_collinear(dm, ms)) == first, (r, len(ms))
 
 
 def test_known_distances():

@@ -15,7 +15,6 @@ from .genpos import (
     brute_force_max_gp,
     collinear_triples,
     construct_butterfly_gp_set,
-    greedy_gp_lower_bound,
     max_general_position,
     verify_general_position,
 )

@@ -4,17 +4,18 @@ A vertex set is in general position when no member lies on a geodesic
 between two others.  That rule, the distances it reads and the checks
 its vertices need belong to `geodesy`: every set or pool a caller passes
 in goes through `checked_members` (in range, distinct, mutually
-reachable), and every test asks `first_collinear`, `collinear_through`,
-`iter_collinear`, `collinear_positions` or `lies_between`, never the
-distance table.  A verification names the first collinear triple of the
-sorted members in combinations order; geodesy may use the set's row-XOR
-symmetry on BF(r) to accept it, but a violation is always named by the
-full scan.  Finding a maximum set is equivalent to a maximum independent
-set in the 3-uniform hypergraph whose hyperedges are the collinear
-triples, which is what the branch-and-bound solver below works on.  It
-numbers the triples in the order geodesy's one scan yields them, as
-positions into the pool, and fills its tables from those positions,
-with no vertex id to look up.  It keeps its triple state as integer
+reachable), and every test asks `first_collinear`, `iter_collinear`,
+`collinear_positions` or `lies_between`, never the distance table.  A
+verification names the first collinear triple of the sorted members in
+combinations order; geodesy may use the set's row-XOR symmetry on BF(r)
+to accept it, but a violation is always named by the full scan.
+Finding a maximum set is equivalent to a maximum independent set in the
+3-uniform hypergraph whose hyperedges are the collinear triples, which
+is what the branch-and-bound solver below works on.  It numbers the
+triples in the order geodesy's one scan yields them, as positions into
+the pool, and fills its tables from those positions, with no vertex id
+to look up; its greedy warm start reads the same tables, so a search
+scans its pool once.  It keeps its triple state as integer
 bitsets over those numbers (the triples still alive, the triples through
 a chosen vertex, and per vertex the triples through it), so a node
 costs a few word-parallel operations per packed constraint, not scans
@@ -47,7 +48,6 @@ from .geodesy import (
     DistanceMatrix,
     checked_members,
     collinear_positions,
-    collinear_through,
     first_collinear,
     iter_collinear,
     lies_between,
@@ -149,17 +149,24 @@ def collinear_triples(dm: DistanceMatrix, pool) -> list[tuple[int, int, int]]:
     return triples
 
 
-def greedy_gp_lower_bound(g: Graph, dm: DistanceMatrix, pool=None) -> VertexSet:
-    """Inclusion-maximal general position set from one scan in (degree, id) order."""
-    vertices = sorted(checked_members(dm, range(g.n) if pool is None else pool,
-                                      "pool members"),
-                      key=lambda v: (g.degree(v), v))
+def greedy_gp_lower_bound(g: Graph, pool: tuple[int, ...], pair) -> VertexSet:
+    """Inclusion-maximal general position set from one pass in (degree, id) order.
+
+    pool is a checked pool and pair its `_search_tables` pair table, so
+    pair[i][a] holds every third c of a collinear (i, a, c).  The chosen
+    set stays in general position, so a collinear triple that position i
+    would close must hold i and two chosen members: i joins unless it is
+    in `blocked`, the thirds of every chosen pair.
+    """
     chosen: list[int] = []
-    for v in vertices:
-        # chosen is in general position, so a collinear triple must hold v
-        if not collinear_through(dm, [*chosen, v], (v,)):
-            chosen.append(v)
-    return VertexSet(members=tuple(sorted(chosen)),
+    blocked = 0
+    for i in sorted(range(len(pool)), key=lambda i: (g.degree(pool[i]), pool[i])):
+        if not blocked >> i & 1:
+            row = pair[i]
+            for a in chosen:
+                blocked |= row[a]
+            chosen.append(i)
+    return VertexSet(members=tuple(sorted(pool[i] for i in chosen)),
                      provenance=PROVENANCE_LOWER_BOUND, graph_ref=g.ref())
 
 
@@ -374,7 +381,8 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     """Exact maximum general position set restricted to pool (default: all).
 
     Runs branch and bound over the collinear-triple hypergraph, warm
-    started from the degree-order greedy set, with the pool's false twins
+    started from the degree-order greedy set read off the same triple
+    tables, with the pool's false twins
     (one `g.adj` neighbourhood) kept in order.  If the node budget runs
     out the best set found so far is returned with optimal = False.
     """
@@ -384,7 +392,7 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     pool_ids = checked_members(dm, range(g.n) if pool is None else pool, "pool members")
 
     tables = _search_tables(dm, pool_ids)
-    warm = greedy_gp_lower_bound(g, dm, pool=pool_ids)
+    warm = greedy_gp_lower_bound(g, pool_ids, tables[1])
     members, nodes, stopped = _branch_and_bound(pool_ids, tables, _twin_later(g, pool_ids),
                                                 warm.members, budget.node_limit)
     optimal = not stopped

@@ -35,9 +35,10 @@ every later member in a dozen big-int operations.  One scan, `_scan`,
 runs it, yielding in combinations order the positions of the triples
 whose first member sits at one of the given lead positions, a pair and
 its third members at a time: `iter_collinear` and `collinear_positions`
-lead with every member, `collinear_through` with its heads, listed
-first, and `first_collinear` with the first member of each orbit of a
-reduced set.
+lead with every member, and `first_collinear` with the first member of
+each orbit of a reduced set.  An exact search lists its pool's triples
+with one `collinear_positions` scan, and its greedy warm start reads
+them from the search's tables, so it scans nothing again.
 The scan reads each member's row from its own position on, the tail,
 and gathers no more of it unless a block swap needs the whole row.  On
 BF(r) a row is gathered as bytes through `DistanceMatrix.blocks`, each
@@ -334,29 +335,20 @@ def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:
     return tuple(group)
 
 
-def collinear_through(dm: DistanceMatrix, members: list[int], heads) -> bool:
-    """True iff a collinear triple of members (checked, see iter_collinear) holds one of heads.
-
-    Heads must be members.  They lead the scan, each once, and the other
-    members follow, so every triple holding a head starts with one: a
-    head listed twice would meet itself at distance 0, so repeats go.
-    """
-    lead = dict.fromkeys(heads)
-    return any(_scan(dm, [*lead, *(v for v in members if v not in lead)], range(len(lead))))
-
-
 def _scan(dm: DistanceMatrix, ms: list[int], leads, coset: int = 1):
     """Yield (i, j, ks) for the collinear triples (ms[i], ms[j], ms[k]), k in ks, i at a lead.
 
     ms must be distinct members (checked, see iter_collinear) and leads
-    ascending positions.  A row packs d(u, ms[k]) as the w-bit field k of
-    one int: 8 bits when twice `dm.bound` is below 2^7, else 16, so a sum
-    of two distances stays below a field's top bit, its guard, and no
-    fieldwise sum carries into the next field.  For each pair (ms[i],
-    ms[j]), i in leads, one `_collinear_fields` call tests every later
-    member at once.  Its guard bits, shifted to the low byte of their
-    fields, make one flag byte per later member, and `compress` lists the
-    flagged ones, ascending, as ks; a pair with no third is skipped.
+    ascending positions: every position for `collinear_positions`, each
+    orbit's first for `first_collinear`'s coset scan.  A row packs d(u,
+    ms[k]) as the w-bit field k of one int: 8 bits when twice `dm.bound`
+    is below 2^7, else 16, so a sum of two distances stays below a
+    field's top bit, its guard, and no fieldwise sum carries into the
+    next field.  For each pair (ms[i], ms[j]), i in leads, one
+    `_collinear_fields` call tests every later member at once.  Its
+    guard bits, shifted to the low byte of their fields, make one flag
+    byte per later member, and `compress` lists the flagged ones,
+    ascending, as ks; a pair with no third is skipped.
 
     The rows are built in position order, each when the scan first
     needs it, and only their tails, the fields after their own, are

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bfgp.budget import Budget
-from bfgp import genpos
+from bfgp import genpos, geodesy
 from bfgp.errors import GraphParseError, InvalidParameterError, NotConnectedError, TooLargeError
 from bfgp.genpos import (
     PROVENANCE_CONSTRUCTION,
@@ -27,11 +27,13 @@ from bfgp.genpos import (
 )
 from bfgp.geodesy import (
     all_pairs_distances,
+    checked_members,
     iter_collinear,
     row_xor_stabilizer,
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
+    _star,
     connected,
     list_scan_branch_and_bound,
     named_corpus,
@@ -332,10 +334,16 @@ def test_search_depth_is_not_bounded_by_recursion_limit(name):
     assert got == SEARCH_PINS[name][1]
 
 
+def _greedy(g, dm, pool=None):
+    # the warm start as the search builds it: the checked pool and its pair table
+    pool_ids = checked_members(dm, range(g.n) if pool is None else pool, "pool members")
+    return greedy_gp_lower_bound(g, pool_ids, genpos._search_tables(dm, pool_ids)[1])
+
+
 def _both_kernels(g, pool, node_limit):
     dm = all_pairs_distances(g)
     pool_ids = tuple(sorted(pool))
-    warm = greedy_gp_lower_bound(g, dm, pool=pool_ids).members
+    warm = _greedy(g, dm, pool_ids).members
     bitset = genpos._branch_and_bound(pool_ids, genpos._search_tables(dm, pool_ids),
                                       genpos._twin_later(g, pool_ids), warm, node_limit)
     list_scan = list_scan_branch_and_bound(pool_ids, collinear_triples(dm, pool_ids),
@@ -512,24 +520,38 @@ def test_pool_monotonicity(seed, sub):
 def test_greedy_p2_takes_both():
     g = build_path(2)
     dm = all_pairs_distances(g)
-    assert greedy_gp_lower_bound(g, dm).members == (0, 1)
+    assert _greedy(g, dm).members == (0, 1)
 
 
+# the greedy reads a pool the search has checked, so the search's entry is its gate
 def test_greedy_rejects_disconnected_graph():
     disc = Graph(4, [(0, 1), (2, 3)])
     dm = all_pairs_distances(disc)
     with pytest.raises(NotConnectedError):
-        greedy_gp_lower_bound(disc, dm)
+        max_general_position(disc, dm)
     with pytest.raises(NotConnectedError):
-        greedy_gp_lower_bound(disc, dm, pool=[0, 1, 2])
+        max_general_position(disc, dm, pool=[0, 1, 2])
     # two vertices form no triple, so nothing is tested
-    assert greedy_gp_lower_bound(disc, dm, pool=[0, 2]).members == (0, 2)
+    assert max_general_position(disc, dm, pool=[0, 2]).size == 2
 
 
 def test_greedy_rejects_repeated_pool_ids(bf2):
     g, dm = bf2
     with pytest.raises(InvalidParameterError):
-        greedy_gp_lower_bound(g, dm, pool=[0, 1, 1])
+        max_general_position(g, dm, pool=[0, 1, 1])
+
+
+@pytest.mark.parametrize("g,pool", [(build_butterfly(3), None),
+                                    (build_butterfly(4), _deg2(build_butterfly(4))),
+                                    (_star(40), None)],
+                         ids=["BF(3)", "BF(4)-deg2", "star40"])
+def test_one_scan_per_search(monkeypatch, g, pool):
+    # the warm start reads the search's triple tables instead of scanning again
+    calls = []
+    scan = geodesy._scan
+    monkeypatch.setattr(geodesy, "_scan", lambda *args: calls.append(args) or scan(*args))
+    max_general_position(g, all_pairs_distances(g), pool=pool)
+    assert len(calls) == 1
 
 
 @settings(deadline=None, max_examples=25)
@@ -541,7 +563,7 @@ def test_greedy_matches_pairwise_scan(seed):
     for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
         if not any(oracle_collinear(g, a, b, v) for a, b in combinations(chosen, 2)):
             chosen.append(v)
-    assert greedy_gp_lower_bound(g, dm).members == tuple(sorted(chosen))
+    assert _greedy(g, dm).members == tuple(sorted(chosen))
 
 
 def _greedy_by_full_scan(g, dm, pool):
@@ -559,7 +581,7 @@ def test_greedy_matches_the_full_scan_rule(name, g):
     dm = all_pairs_distances(g)
     for pool in (range(g.n), _deg2(g)):
         expected = _greedy_by_full_scan(g, dm, pool)
-        assert greedy_gp_lower_bound(g, dm, pool=list(pool)).members == expected, name
+        assert _greedy(g, dm, list(pool)).members == expected, name
 
 
 @settings(deadline=None, max_examples=25)
@@ -567,7 +589,7 @@ def test_greedy_matches_the_full_scan_rule(name, g):
 def test_greedy_is_verified_and_below_optimum(seed):
     g = random_connected_graph(7, 0.45, seed)
     dm = all_pairs_distances(g)
-    s = greedy_gp_lower_bound(g, dm)
+    s = _greedy(g, dm)
     assert verify_general_position(g, dm, s).ok
     assert len(s) <= max_general_position(g, dm).size
 

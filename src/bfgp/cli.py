@@ -62,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -94,7 +90,7 @@ class Run:
     def write_product(self, result: dict, product) -> None:
         """Write the product, text or a JSON document, to --out; result names it as path."""
         path = self.args.out
-        data = (product if isinstance(product, str) else _dumps(product)).encode()
+        data = (product if isinstance(product, str) else graph_io.json_text(product)).encode()
         with open(path, "wb") as f:
             f.write(data)
         self.outputs[path] = _sha256(data)
@@ -133,7 +129,7 @@ class Run:
         elif target:
             try:
                 with open(target, "w") as f:
-                    f.write(_dumps(manifest))
+                    f.write(graph_io.json_text(manifest))
             except OSError as e:
                 error = {"error": str(e), "kind": "io"}
         if error:
@@ -427,7 +423,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as e:
-        sys.stdout.write(_dumps({"error": str(e), "kind": "usage"}))
+        sys.stdout.write(graph_io.json_text({"error": str(e), "kind": "usage"}))
         return EXIT_USAGE
     run = Run(argv, args)
     try:
@@ -449,7 +445,7 @@ def main(argv=None) -> int:
         result = {"error": str(e) or type(e).__name__, "kind": type(e).__name__}
         code = EXIT_USAGE
     result, code = run.finish(result, code)
-    sys.stdout.write(_dumps(result))
+    sys.stdout.write(graph_io.json_text(result))
     return code
 
 

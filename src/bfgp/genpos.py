@@ -28,12 +28,12 @@ counting a triple bitset per free vertex; pruned nodes and leaves lower
 nothing.  A free vertex in no alive triple stays free until a leaf takes
 it, since no exclusion, bound or branch below can involve it.
 
-False twins, pool vertices with one `g.adj` neighbourhood, are taken in
-order: swapping two is an automorphism fixing every other vertex, so
-some maximum set holds each twin's earlier class members too, and the
-search visits only such sets.  Its pending branches sit on its own
-stack, so Python's recursion limit does not bound its depth, and it
-refuses a pool with more than MAX_SEARCH_TRIPLES collinear triples.
+False twins, found by geodesy's one rule (`false_twin_firsts`; its
+module notes give the lemma), are taken in order: some maximum set
+holds each twin's earlier class members too, and the search visits
+only such sets.  Its pending branches sit on its own stack, so Python's
+recursion limit does not bound its depth, and it refuses a pool with
+more than MAX_SEARCH_TRIPLES collinear triples.
 Everything is deterministic: ties break on smallest vertex id, and
 nothing reads a clock or a random source.
 """
@@ -48,6 +48,7 @@ from .geodesy import (
     DistanceMatrix,
     checked_members,
     collinear_positions,
+    false_twin_firsts,
     first_collinear,
     iter_collinear,
     lies_between,
@@ -108,7 +109,7 @@ class SolveResult(Record):
 
 def verify_general_position(g: Graph, dm: DistanceMatrix, s: VertexSet) -> GpWitness:
     """Check s; report its lexicographically first violation, if any."""
-    triple = first_collinear(dm, checked_members(dm, s.members, "set members"))
+    triple = first_collinear(g, dm, checked_members(dm, s.members, "set members"))
     if triple is None:
         return GpWitness(status=VERIFIED)
     x, y, z = triple
@@ -223,18 +224,7 @@ def _search_tables(dm: DistanceMatrix, pool: tuple[int, ...]):
     return inc, pair, masks, top
 
 
-def _twin_later(g: Graph, pool: tuple[int, ...]) -> list[int]:
-    """later[i]: the pool positions after i whose vertices share pool[i]'s neighbourhood."""
-    later = [0] * len(pool)
-    held: dict[tuple[int, ...], int] = {}  # neighbourhood -> positions seen, from the end
-    for i in reversed(range(len(pool))):
-        nbrs = g.adj[pool[i]]
-        later[i] = held.get(nbrs, 0)
-        held[nbrs] = later[i] | 1 << i
-    return later
-
-
-def _branch_and_bound(pool: tuple[int, ...], tables, later, warm, node_limit: int):
+def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: int):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
     Vertices are bits of pool index, and triples bits of a second kind of
@@ -253,10 +243,12 @@ def _branch_and_bound(pool: tuple[int, ...], tables, later, warm, node_limit: in
     vertex in the most active triples, smallest id on ties.  The warm set
     is the first incumbent, and only a strictly larger set replaces it.
 
-    Twin cut: later[i] holds the pool positions after i in i's false-twin
-    class, and the exclude branch of u also drops u's later members still
-    free, so x_u >= x_u' for u before u'.  Swapping u and u' is an
-    automorphism fixing every other vertex, so some optimum keeps the cut.
+    Twin cut: twins is the pool's `false_twin_firsts`, from which later[i]
+    holds the pool positions after i in i's false-twin class, and the
+    exclude branch of u also drops u's later members still free, so x_u
+    >= x_u' for u before u'.  Swapping u and u' is an automorphism fixing
+    every other vertex (geodesy's module notes), so some optimum keeps
+    the cut.
     Nothing else breaks it: while both are free the node is symmetric in
     them, so u, counted as often and smaller, is branched on first, and
     u' is chosen only after u, so what forces u out forces u' out too.
@@ -276,6 +268,12 @@ def _branch_and_bound(pool: tuple[int, ...], tables, later, warm, node_limit: in
     """
     inc, pair, masks, top = tables
     k = len(pool)
+    later = [0] * k
+    for i in reversed(range(k)):
+        f = twins[i]
+        if f != i:  # later[f] gathers its class from the end, and is done at f
+            later[i] = later[f]
+            later[f] |= 1 << i
     index = {v: i for i, v in enumerate(pool)}
     best_mask = sum(1 << index[v] for v in warm)
     best = best_mask.bit_count()
@@ -382,9 +380,9 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
 
     Runs branch and bound over the collinear-triple hypergraph, warm
     started from the degree-order greedy set read off the same triple
-    tables, with the pool's false twins
-    (one `g.adj` neighbourhood) kept in order.  If the node budget runs
-    out the best set found so far is returned with optimal = False.
+    tables, with the pool's false twins (`false_twin_firsts`) kept in
+    order.  If the node budget runs out the best set found so far is
+    returned with optimal = False.
     """
     if g.n == 0:
         raise InvalidParameterError("graph has no vertices")
@@ -393,7 +391,7 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
 
     tables = _search_tables(dm, pool_ids)
     warm = greedy_gp_lower_bound(g, pool_ids, tables[1])
-    members, nodes, stopped = _branch_and_bound(pool_ids, tables, _twin_later(g, pool_ids),
+    members, nodes, stopped = _branch_and_bound(pool_ids, tables, false_twin_firsts(g, pool_ids),
                                                 warm.members, budget.node_limit)
     optimal = not stopped
     provenance = PROVENANCE_EXACT if optimal else PROVENANCE_LOWER_BOUND

@@ -26,19 +26,20 @@ from l out to both ends and on to m, in 2 (hi - lo) - |l - m| steps.
 This module is the only reader of the rows, through `DistanceMatrix`
 and the predicates below.  It owns the collinearity rule that defines
 general position, and `checked_members`, the one gate a caller's
-vertices pass first.  The rule, one vertex of three on a geodesic of
-the other two, is tested in bulk by `_collinear_fields`: a member's
+vertices pass first.  The rule, one vertex of three on a geodesic of the
+other two, is tested in bulk by `_collinear_fields`: a member's
 distances to all members are the fields of one Python int, 8 bits wide
-on BF(r) and 16 on a table graph, so that a sum of two distances stays
-below each field's guard bit, and one member pair is tested against
-every later member in a dozen big-int operations.  One scan, `_scan`,
-runs it, yielding in combinations order the positions of the triples
-whose first member sits at one of the given lead positions, a pair and
-its third members at a time: `iter_collinear` and `collinear_positions`
-lead with every member, and `first_collinear` with the first member of
-each orbit of a reduced set.  An exact search lists its pool's triples
-with one `collinear_positions` scan, and its greedy warm start reads
-them from the search's tables, so it scans nothing again.
+when the diameter is below 64, as on every BF(r), and 16 otherwise, so
+that a sum of two distances stays below each field's guard bit, and one
+member pair is tested against every later member in a dozen big-int
+operations.  One scan, `_scan`, runs it, yielding in combinations order
+the positions of the triples whose first member sits at one of the
+given lead positions, a pair and its third members at a time:
+`iter_collinear` and `collinear_positions` lead with every member, and
+`first_collinear` with the first member of each orbit of a reduced
+set.  An exact search lists its pool's triples with one
+`collinear_positions` scan, and its greedy warm start reads them from
+the search's tables, so it scans nothing again.
 The scan reads each member's row from its own position on, the tail,
 and gathers no more of it unless a block swap needs the whole row.  On
 BF(r) a row is gathered as bytes through `DistanceMatrix.blocks`, each
@@ -48,39 +49,45 @@ byte is its id's low c bits XOR-ed with a's, and each maximal run of
 members in one chunk b translates through blocks[l][b ^ (a >> c)].  On
 a table graph, shift and mask 0, a list comprehension reads `rows[u]`.
 
-`first_collinear` decides general position with the set's false twins
-and its symmetry.  Vertices u and u' are false twins when N(u) = N(u').
-They are not adjacent (u' in N(u) = N(u') would be its own neighbour),
-so d(u, u') = 2, and every other w has d(u, w) = d(u', w), a shortest
-path from u to w starting at a neighbour that u' shares.  Hence
-(u, u', w) is collinear iff w is a common neighbour (2 = k + k means
-k = 1, and k = 2 + k is impossible), three members of one class are
-pairwise 2 apart, and a triple of distinct classes has the distances of
-the triple of their representatives.  So S is in general position iff
-S', one member of S per twin class, is, and no member of S is a common
-neighbour of a twin pair that S holds whole.
-On BF(r) the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both
+False twins are vertices u and u' with N(u) = N(u'), and
+`false_twin_firsts` is the one rule that finds them: it keys members by
+`g.adj`, giving each the position of the first member with its
+neighbourhood.  Twins are not adjacent (u' in N(u) = N(u') would be its
+own neighbour), so d(u, u') = 2, and every other w has d(u, w) = d(u',
+w), a shortest path from u to w starting at a neighbour that u' shares.
+Hence (u, u', w) is collinear iff w is a common neighbour (2 = k + k
+means k = 1, and k = 2 + k is impossible), three members of one class
+are pairwise 2 apart, and a triple of distinct classes has the
+distances of the triple of their representatives.  So S is in general
+position iff S', the first member of S in each twin class, is, and no
+member of S is a common neighbour of a class that S holds two of.  And
+swapping two twins is an automorphism fixing every other vertex, so an
+exact search may take each class's members in order.  On BF(r), for
+example, the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both
 joined to (1, x) and (1, x ^ 2^(r-1)), and (r, y) and (r, y ^ 1), both
-joined to (r - 1, y) and (r - 1, y ^ 1).  One pass, `_twin_reduced`,
-drops the larger member of each whole pair and tests its two common
-neighbours.  Then `row_xor_stabilizer` tests each row bit 2^k, k < r,
-against S' itself, and H is every XOR of the bits c with S' ^ c = S'.
-Each element of H is an automorphism fixing S'.  The scan takes S'
-orbit by orbit, o ^ H for each orbit's leader o, the member with none
-of H's bits set, and leads with each o alone: a collinear triple whose
-first member in that order is o ^ h goes, under h, to one whose first
-member is o.  The closed-form set holds both members of every twin
-pair or neither, so S' is its level-0 rows with a_r = 1 and a_1 = 0,
-its level-1 rows and its level-r rows with a_1 = 1 and a_r = 0: two
-row bits fixed, so H is spanned by the other r - 2, of order 2^(r-2),
-and 3 leads, one per level, at every r >= 3, against 5 leads over all
-5 * 2^(r-2) members of S.  In that order the scan also gathers only
-the rows of the o: as d(o ^ h, v) = d(o, v ^ h), the row of o ^ h is
-the row of o with its fields permuted by XOR with h, a few block swaps
-of one int.  The witness never depends on twins or on H: when a member
-is a common neighbour of a whole pair, when H is trivial, when that
-scan finds a violation, or on a table graph, the full `iter_collinear`
-scan of S names the first triple in combinations order.
+joined to (r - 1, y) and (r - 1, y ^ 1).
+
+`first_collinear` decides general position with the set's false twins
+and its symmetry.  It cuts S to S' and sends S to the full scan when a
+member is such a common neighbour.  Then `row_xor_stabilizer` tests each
+row bit 2^k, k < r, against S' itself, and H is every XOR of the bits c
+with S' ^ c = S'.  Each element of H is an automorphism fixing S'.  The
+scan takes S' orbit by orbit, o ^ H for each orbit's leader o, the
+member with none of H's bits set, and leads with each o alone: a
+collinear triple whose first member in that order is o ^ h goes, under
+h, to one whose first member is o.  The closed-form set holds both
+members of every twin pair or neither, so S' is its level-0 rows with
+a_r = 1 and a_1 = 0, its level-1 rows and its level-r rows with a_1 = 1
+and a_r = 0: two row bits fixed, so H is spanned by the other r - 2, of
+order 2^(r-2), and 3 leads, one per level, at every r >= 3, against 5
+leads over all 5 * 2^(r-2) members of S.  In that order the scan also
+gathers only the rows of the o: as d(o ^ h, v) = d(o, v ^ h), the row
+of o ^ h is the row of o with its fields permuted by XOR with h, a few
+block swaps of one int.  The witness never depends on twins or on H:
+when a member is a common neighbour of a class held two deep, when H is
+trivial, when that scan finds a violation, or on a table graph, where H
+is trivial and no twin is looked for, the full `iter_collinear` scan of
+S names the first triple in combinations order.
 
 A cycle is a closed walk and a path an open one: `walk_defect` checks
 either against the graph, and `walk_violation` tests either for isometry
@@ -95,6 +102,7 @@ import reprlib
 import struct
 from collections import deque
 from itertools import compress, count, groupby, repeat
+from operator import eq, ne
 
 from .errors import InvalidParameterError, NotConnectedError, TooLargeError
 from .graphs import Graph
@@ -115,11 +123,12 @@ class DistanceMatrix:
     (m, y) = 2 (max(l, m, t) - min(l, m, s - 1)) - |l - m| with s and t
     the first and last step whose bit is in y, |l - m| for y = 0 (see the
     module notes).  On any other graph shift = mask = 0 and rows[u] is the
-    BFS row from u.  No distance exceeds `bound`: n - 1 bounds every BFS
-    distance, and BF(r) has diameter 2r.  The collinearity kernel sizes
-    its fields by it.  On BF(r) blocks[l][b] is chunk b of rows[l], entries
-    b * 2^c to (b + 1) * 2^c - 1, c = min(r, 8), padded to the 256-byte
-    table `bytes.translate` takes (level b for r <= 8); else None.
+    BFS row from u.  No distance exceeds `bound`: BF(r) has diameter 2r,
+    and on a table graph it is the largest distance the rows hold.  The
+    collinearity kernel sizes its fields by it.  On BF(r) blocks[l][b] is
+    chunk b of rows[l], entries b * 2^c to (b + 1) * 2^c - 1, c = min(r,
+    8), padded to the 256-byte table `bytes.translate` takes (level b for
+    r <= 8); else None.
     """
 
     __slots__ = ("n", "rows", "shift", "mask", "bound", "blocks")
@@ -130,7 +139,7 @@ class DistanceMatrix:
         self.blocks = blocks
         self.shift = shift
         self.mask = (1 << shift) - 1
-        self.bound = 2 * shift if shift else max(n - 1, 0)
+        self.bound = 2 * shift if shift else max(map(max, rows), default=0)
         if 2 * self.bound >= 1 << 15:  # a 16-bit field holds two distances
             raise TooLargeError(f"distances up to {self.bound} do not fit the collinearity kernel")
 
@@ -240,13 +249,14 @@ def collinear_positions(dm: DistanceMatrix, members):
     return _scan(dm, ms, range(len(ms)))
 
 
-def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
+def first_collinear(g: Graph, dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
     """The first collinear triple of members in combinations order, or None.
 
-    On BF(r) the members S are first cut to S', one per false-twin
-    class (see `_twin_reduced`): S is in general position iff S' is and
-    no member is a common neighbour of a twin pair held whole.  Let H be
-    `row_xor_stabilizer(dm, S')`, spanned by the row bits that fix S'.
+    On BF(r) the members S are first cut to S', the first of each
+    false-twin class (`false_twin_firsts`): S is in general position
+    iff S' is and no member is a common neighbour of a class held two
+    deep (see the module notes).  Let H be `row_xor_stabilizer(dm, S')`,
+    spanned by the row bits that fix S'.
     Each h in H is an automorphism with h(S') = S'.  When H is not
     trivial, S' is scanned in coset order, each orbit o ^ H after the
     last, and only the triples led by an orbit's first member o, the
@@ -259,8 +269,15 @@ def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
     never depends on twins or H.
     """
     ms = list(members)
-    reduced = _twin_reduced(dm, ms)
-    group = (0,) if reduced is None else row_xor_stabilizer(dm, reduced)
+    group = (0,)
+    if dm.shift:  # a table graph's row-XOR group is trivial
+        first = false_twin_firsts(g, ms)
+        ids, adj = set(ms), g.adj
+        # a member next to a later twin is next to its class's first too, so
+        # the three are collinear
+        if all(ids.isdisjoint(adj[v]) for v in compress(ms, map(ne, first, count()))):
+            reduced = list(compress(ms, map(eq, first, count())))
+            group = row_xor_stabilizer(dm, reduced)
     if len(group) > 1:
         # an orbit's leader, its least member, has none of the group's bits,
         # which group[-1] holds all of
@@ -270,41 +287,15 @@ def first_collinear(dm: DistanceMatrix, members) -> tuple[int, int, int] | None:
     return next(iter_collinear(dm, ms), None)
 
 
-def _twin_reduced(dm: DistanceMatrix, members) -> list[int] | None:
-    """Members less the larger of each false-twin pair they hold whole, on BF(r).
+def false_twin_firsts(g: Graph, members) -> list[int]:
+    """first[i]: the position of the first member with members[i]'s neighbourhood in g.
 
-    None when a member is a common neighbour of such a pair, which
-    makes the three collinear, and members unchanged on a table graph.
-    BF(r)'s false twins, the vertices with one neighbourhood, are the
-    level-0 pairs (0, x), (0, x ^ 2^(r-1)), both joined to (1, x) and
-    (1, x ^ 2^(r-1)), and the level-r pairs (r, y), (r, y ^ 1), both
-    joined to (r - 1, y) and (r - 1, y ^ 1).  Order is kept.  As BF(r)
-    is bipartite, such a neighbour w and the kept twin u are collinear
-    with any third kept member z, d(u, z) and d(w, z) differing by one,
-    so the reduced set would fail too: the test only sends these rejects
-    to the full scan before the group is built.
+    So first[i] == i on the first member of each false-twin class that
+    members hold, and the later members of its class point to it.
     """
-    r = dm.shift
-    if not r:
-        return members
-    ids = set(members)
-    rows, top, msb = 1 << r, r << r, 1 << (r - 1)
-    reduced = []
-    for v in members:
-        if v < rows:
-            twin, up = v ^ msb, rows  # the pair's common neighbours: v + up, twin + up
-        elif v >= top:
-            twin, up = v ^ 1, -rows
-        else:
-            reduced.append(v)
-            continue
-        if twin in ids:
-            if twin < v:
-                continue
-            if v + up in ids or twin + up in ids:
-                return None
-        reduced.append(v)
-    return reduced
+    first: dict[tuple[int, ...], int] = {}
+    adj = g.adj
+    return [first.setdefault(adj[v], i) for i, v in enumerate(members)]
 
 
 def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:

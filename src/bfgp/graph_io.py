@@ -28,9 +28,14 @@ def graph_to_dict(g: Graph) -> dict:
     return doc
 
 
+def json_text(doc) -> str:
+    """doc as every JSON file and result document is written: 2-space indent, final newline."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def export_graph(g: Graph) -> bytes:
     """The JSON graph file of g, which import_graph reads back to an equal Graph."""
-    return (json.dumps(graph_to_dict(g), indent=2) + "\n").encode()
+    return json_text(graph_to_dict(g)).encode()
 
 
 def export_dot(g: Graph) -> str:

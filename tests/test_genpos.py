@@ -28,6 +28,7 @@ from bfgp.genpos import (
 from bfgp.geodesy import (
     all_pairs_distances,
     checked_members,
+    false_twin_firsts,
     iter_collinear,
     row_xor_stabilizer,
 )
@@ -345,7 +346,7 @@ def _both_kernels(g, pool, node_limit):
     pool_ids = tuple(sorted(pool))
     warm = _greedy(g, dm, pool_ids).members
     bitset = genpos._branch_and_bound(pool_ids, genpos._search_tables(dm, pool_ids),
-                                      genpos._twin_later(g, pool_ids), warm, node_limit)
+                                      false_twin_firsts(g, pool_ids), warm, node_limit)
     list_scan = list_scan_branch_and_bound(pool_ids, collinear_triples(dm, pool_ids),
                                            twin_classes(g), warm, node_limit)
     return bitset, list_scan
@@ -437,7 +438,7 @@ def test_twin_cut_matches_brute_force_on_every_pool(name):
             assert verify_general_position(g, dm, res.best_set).ok
             # the greedy warm start is often optimal here: the search alone must be too
             members, _, stopped = genpos._branch_and_bound(
-                pool, genpos._search_tables(dm, pool), genpos._twin_later(g, pool), (),
+                pool, genpos._search_tables(dm, pool), false_twin_firsts(g, pool), (),
                 Budget().node_limit)
             assert not stopped
             assert len(members) == expect, pool
@@ -448,14 +449,15 @@ def test_twin_cut_matches_brute_force_on_every_pool(name):
                          + [("BF(3) relabelled", _relabelled(build_butterfly(3), 0))]
                          + named_corpus() + list(TWIN_GRAPHS.items()))
 def test_twin_later_follows_the_twin_classes(name, g):
+    # the search builds its twin cut's later masks from these positions
     pool = tuple(v for v in range(g.n) if v % 3)  # drops one twin of some classes
     index = {v: i for i, v in enumerate(pool)}
-    expected = [0] * len(pool)
+    expected = list(range(len(pool)))
     for cls in twin_classes(g):
         held = [index[v] for v in cls if v in index]
-        for a, i in enumerate(held):
-            expected[i] = sum(1 << x for x in held[a + 1:])
-    assert genpos._twin_later(g, pool) == expected, name
+        for i in held:
+            expected[i] = held[0]
+    assert false_twin_firsts(g, pool) == expected, name
 
 
 def test_bf3_deg2_pool_matches_brute_force(bf3):

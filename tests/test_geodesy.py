@@ -21,6 +21,7 @@ from bfgp.geodesy import (
     DistanceMatrix,
     all_pairs_distances,
     bfs_distances,
+    false_twin_firsts,
     first_collinear,
     iter_collinear,
     lies_between,
@@ -30,6 +31,8 @@ from bfgp.geodesy import (
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
+    _grid,
+    _star,
     bfs_dist,
     butterfly_distance,
     connected,
@@ -88,7 +91,7 @@ def test_distance_fill_follows_the_edges_not_the_tag():
 def test_distance_table_is_capped(monkeypatch):
     # rows are counted, not built, so no test here pays for a table
     sources = []
-    monkeypatch.setattr(geodesy, "bfs_distances", lambda g, s: sources.append(s))
+    monkeypatch.setattr(geodesy, "bfs_distances", lambda g, s: sources.append(s) or [0])
     with pytest.raises(TooLargeError):
         all_pairs_distances(Graph(MAX_TABLE_VERTICES + 1, []))
     assert sources == []
@@ -153,9 +156,19 @@ def test_level_reflection_is_an_automorphism(r):
 
 
 def test_kernel_fields_must_hold_two_distances():
-    assert DistanceMatrix(MAX_TABLE_VERTICES, []).bound == MAX_TABLE_VERTICES - 1
+    # a table graph's bound is the largest distance its rows hold
+    rows = [[0, MAX_TABLE_VERTICES - 1, UNREACHABLE]]
+    assert DistanceMatrix(MAX_TABLE_VERTICES, rows).bound == MAX_TABLE_VERTICES - 1
     with pytest.raises(TooLargeError):
-        DistanceMatrix(1 << 15, [])
+        DistanceMatrix(1 << 15, [[0, 1 << 14]])
+
+
+@pytest.mark.parametrize("g, diameter", [
+    (build_path(200), 199), (build_cycle(150), 75), (_star(600), 2),
+    (Graph(4, [(0, 1), (2, 3)]), 1), (Graph(0, []), 0),
+], ids=["P_200", "C_150", "K_{1,600}", "2K_2", "empty"])
+def test_table_bound_is_the_largest_finite_distance(g, diameter):
+    assert all_pairs_distances(g).bound == diameter
 
 
 def _plain_collinear(g, ms):
@@ -179,6 +192,8 @@ def _kernel_cases():
     for g in (build_path(200), build_cycle(150)):
         yield f"n={g.n}", g, sorted(rng.sample(range(g.n), 60))
         yield f"n={g.n}-shuffled", g, rng.sample(range(g.n), 40)
+    # a table graph of diameter below 64 takes 8-bit fields, whatever its size
+    yield "grid-12x12", _grid(12, 12), sorted(rng.sample(range(144), 60))
     # BF(7) and BF(8) gather a level per chunk table, BF(9) and BF(10) 2 and 4;
     # shuffled members break the chunks into many runs
     rng = random.Random(8)
@@ -196,7 +211,7 @@ def test_kernel_matches_plain_triple_loop(case):
     dm = all_pairs_distances(g)
     expected = _plain_collinear(g, ms)
     assert list(iter_collinear(dm, ms)) == expected, name
-    assert first_collinear(dm, ms) == next(iter(expected), None), name
+    assert first_collinear(g, dm, ms) == next(iter(expected), None), name
 
 
 @pytest.mark.parametrize("r", range(2, 9))
@@ -242,7 +257,7 @@ def test_stabilizer_is_the_span_of_the_single_bits_that_fix_the_set(r):
         else:
             multi_bit += 1
             assert set(group) < set(brute), members
-        assert first_collinear(dm, members) == next(iter_collinear(dm, members), None), members
+        assert first_collinear(g, dm, members) == next(iter_collinear(dm, members), None), members
     assert multi_bit  # some sets are fixed by a multi-bit XOR alone
 
 
@@ -309,6 +324,30 @@ def test_butterfly_false_twins_are_the_end_level_pairs(r):
     level0 = [[x, x ^ msb] for x in range(1 << r) if not x & msb]
     levelr = [[top + y, top + y + 1] for y in range(0, 1 << r, 2)]
     assert twin_classes(g) == sorted(level0 + levelr)
+    # the shared rule points each later twin at its class's first, on every vertex
+    first = list(range(g.n))
+    for cls in twin_classes(g):
+        for v in cls:
+            first[v] = cls[0]
+    assert false_twin_firsts(g, range(g.n)) == first
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_closed_form_set_reduces_to_the_module_notes_set(monkeypatch, r):
+    # S': level-0 rows with a_r = 1 and a_1 = 0, the level-1 rows, and
+    # level-r rows with a_1 = 1 and a_r = 0 (a_1 is row bit r - 1, a_r bit 0)
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    rows, msb = 1 << r, 1 << (r - 1)
+    level0 = [x for x in range(rows) if x & 1 and not x & msb]
+    levelr = [r * rows + y for y in range(rows) if y & msb and not y & 1]
+    level1 = [rows + x for x in range(rows) if not x & (msb | 1)]
+    reduced = []
+    real = geodesy.row_xor_stabilizer
+    monkeypatch.setattr(geodesy, "row_xor_stabilizer",
+                        lambda dm, ms: reduced.append(list(ms)) or real(dm, ms))
+    assert verify_general_position(g, dm, construct_butterfly_gp_set(r)).ok
+    assert reduced == [level0 + level1 + levelr]
 
 
 @st.composite
@@ -347,7 +386,7 @@ def test_twin_lemma_oracle_matches_the_full_scan(case):
     dm = all_pairs_distances(g)
     first = next(iter_collinear(dm, members), None)
     assert twin_reduced_general_position(g, members) == (first is None)
-    assert first_collinear(dm, members) == first
+    assert first_collinear(g, dm, members) == first
 
 
 SMALL_BUTTERFLIES = {r: (g, all_pairs_distances(g)) for r in range(1, 6) for g in (build_butterfly(r),)}
@@ -378,7 +417,7 @@ def test_butterfly_twin_sets_match_the_full_scan(case):
     r, members = case
     g, dm = SMALL_BUTTERFLIES[r]
     first = next(iter_collinear(dm, members), None)
-    assert first_collinear(dm, members) == first
+    assert first_collinear(g, dm, members) == first
     assert twin_reduced_general_position(g, members) == (first is None)
 
 
@@ -413,7 +452,7 @@ def test_twin_edits_of_the_closed_form_give_the_full_scan_witness(monkeypatch, r
         members = tuple(sorted(members))
         first = next(iter_collinear(dm, members), None)  # the unrecorded full scan
         scans.clear()
-        assert first_collinear(dm, members) == first, (r, name)
+        assert first_collinear(g, dm, members) == first, (r, name)
         w = verify_general_position(g, dm, VertexSet(members))
         assert (w.ok, w.triple) == (first is None, first), (r, name)
         if "neighbour" in name:
@@ -434,7 +473,7 @@ def test_orbit_of_a_non_member_gives_the_full_scan_witness(r):
         assert row_xor_stabilizer(dm, members) == group, (r, level)
         first = next(iter_collinear(dm, members), None)
         assert first is not None, (r, level)
-        assert first_collinear(dm, members) == first, (r, level)
+        assert first_collinear(g, dm, members) == first, (r, level)
         assert verify_general_position(g, dm, VertexSet(tuple(members))).triple == first
         # members orbit by orbit, each from its least member: rows built by
         # block swaps within each orbit are the rows gathered from dm
@@ -477,7 +516,7 @@ def test_butterfly_scans_read_the_chunk_tables_alone(r):
     dm.rows = _UnreadRows()
     assert list(iter_collinear(dm, sample)) == expected
     for ms, first in cases:
-        assert first_collinear(dm, ms) == next(iter_collinear(dm, ms)) == first, (r, len(ms))
+        assert first_collinear(g, dm, ms) == next(iter_collinear(dm, ms)) == first, (r, len(ms))
 
 
 def test_known_distances():

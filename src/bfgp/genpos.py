@@ -31,7 +31,14 @@ it, since no exclusion, bound or branch below can involve it.
 False twins, found by geodesy's one rule (`false_twin_firsts`; its
 module notes give the lemma), are taken in order: some maximum set
 holds each twin's earlier class members too, and the search visits
-only such sets.  Its pending branches sit on its own stack, so Python's
+only such sets.  On the canonical BF(r), with a pool of whole levels, it
+also branches by orbits (Ostrowski, Linderoth, Rossi and Smriglio,
+"Orbital branching", Math. Program. 126, 2011) under the level-wise
+row XORs that keep every twin class in order (`_level_xor_generators`;
+geodesy's module notes give the lemma): the exclude branch drops every
+vertex that the generators fixing the node map the branch vertex to.
+Any other graph or pool gets no generators, and the same tree as
+without them.  Its pending branches sit on its own stack, so Python's
 recursion limit does not bound its depth, and it refuses a pool with
 more than MAX_SEARCH_TRIPLES collinear triples.
 Everything is deterministic: ties break on smallest vertex id, and
@@ -224,7 +231,37 @@ def _search_tables(dm: DistanceMatrix, pool: tuple[int, ...]):
     return inc, pair, masks, top
 
 
-def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: int):
+def _level_xor_generators(g: Graph, pool: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(half, s) for each level-wise row XOR of BF(r) that the search may branch over.
+
+    For each row bit 2^j, j < r, P_j XORs it on the levels below r - j and
+    S_j on the rest (geodesy's module notes: both are automorphisms).
+    P_(r-1) and S_0 swap the level-0 and level-r false twins, so they are
+    left out, and the other 2r - 2 keep every twin class in order.  They
+    exist only when g is the canonical BF(r) and pool a union of whole
+    levels, whose k-th level takes positions k * 2^r + row; a generator
+    then XORs s = 2^j into the positions of its levels, and half holds
+    those with bit j clear, so it maps a position mask m to (m & half) <<
+    s | (m >> s) & half on those levels.  Any other graph or pool gets ().
+    """
+    r = g.butterfly_r
+    levels = sorted({v >> r for v in pool}) if r else None
+    if not levels or len(pool) != len(levels) << r:
+        return ()
+    gens = []
+    for j in range(r):
+        s = 1 << j
+        rows = ((1 << (1 << r)) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)  # bit j clear
+        for lower in (True, False):
+            if j == (r - 1 if lower else 0):
+                continue  # P_(r-1) or S_0
+            half = sum(rows << (k << r) for k, l in enumerate(levels) if (l < r - j) == lower)
+            if half:
+                gens.append((half, s))
+    return tuple(gens)
+
+
+def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: int, gens):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
     Vertices are bits of pool index, and triples bits of a second kind of
@@ -252,6 +289,19 @@ def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: in
     Nothing else breaks it: while both are free the node is symmetric in
     them, so u, counted as often and smaller, is branched on first, and
     u' is chosen only after u, so what forces u out forces u' out too.
+
+    Orbital branching: gens are `_level_xor_generators`' (half, s) pairs,
+    () for none.  A branching node keeps those that map chosen and free
+    onto themselves, and the exclude branch drops the branch vertex b's
+    orbit under them, with the later twins of each orbit member.  A kept
+    generator maps the node's subproblem onto itself: its fixings, and its
+    twin-order constraints, as it keeps each twin class in order.  So a
+    set of the subproblem that takes g(b), g a product of kept
+    generators, maps under g^-1 to one as large that takes b, which the
+    include branch searches.  The twin cut survives it: an orbit member
+    leaves with its later twins, as b does, and g^-1 keeps x_u >= x_u'.
+    The generators are commuting involutions, so the orbit is b's mask
+    closed under each kept generator once, in turn.
 
     The counts never rise down the tree, since active only shrinks.  Only
     a branching node needs them, and it lowers its parent's counts by
@@ -357,9 +407,19 @@ def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: in
                     counts[i] -= (row[i] & alive).bit_count()
                 dropped ^= low
         branch = max(idx, key=counts.__getitem__)
+        # the exclude branch drops the branch vertex's orbit under the generators
+        # that fix chosen and free, and the later twins of each orbit member
+        orbit = 1 << branch
+        for half, s in gens:
+            if not ((chosen ^ chosen >> s) | (free ^ free >> s)) & half:
+                orbit |= (orbit & half) << s | (orbit >> s) & half
+        dropped = 0
+        while orbit:
+            low = orbit & -orbit
+            dropped |= low | later[low.bit_length() - 1]
+            orbit ^= low
+        dropped &= free
         free ^= 1 << branch
-        # the exclude branch drops the branch vertex and its later twins
-        dropped = 1 << branch | later[branch] & free
         out = active
         rest = dropped
         while rest:
@@ -381,8 +441,9 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     Runs branch and bound over the collinear-triple hypergraph, warm
     started from the degree-order greedy set read off the same triple
     tables, with the pool's false twins (`false_twin_firsts`) kept in
-    order.  If the node budget runs out the best set found so far is
-    returned with optimal = False.
+    order and, on BF(r) with a pool of whole levels, orbital branching
+    over `_level_xor_generators`.  If the node budget runs out the best
+    set found so far is returned with optimal = False.
     """
     if g.n == 0:
         raise InvalidParameterError("graph has no vertices")
@@ -392,7 +453,8 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     tables = _search_tables(dm, pool_ids)
     warm = greedy_gp_lower_bound(g, pool_ids, tables[1])
     members, nodes, stopped = _branch_and_bound(pool_ids, tables, false_twin_firsts(g, pool_ids),
-                                                warm.members, budget.node_limit)
+                                                warm.members, budget.node_limit,
+                                                _level_xor_generators(g, pool_ids))
     optimal = not stopped
     provenance = PROVENANCE_EXACT if optimal else PROVENANCE_LOWER_BOUND
     best = VertexSet(members=members, provenance=provenance, graph_ref=g.ref())

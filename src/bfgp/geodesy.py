@@ -12,6 +12,17 @@ v = level * 2^r + row.  `butterfly_r` comes from checking that very edge
 shape, not from the family tag.  At r = 10 the rows hold 11 x 11,264
 entries, where a table would hold 11,264^2.
 
+Row-XOR is one case of a level-wise lemma: (l, x) -> (l, x ^ o_l) is an
+automorphism of BF(r) iff each o_l ^ o_(l+1) is 0 or the bit b that the
+step from level l to l + 1 flips.  An edge (l, x), (l + 1, y) has x ^ y
+in {0, b}, and its image has (x ^ y) ^ (o_l ^ o_(l+1)), in {0, b} for
+every such edge iff o_l ^ o_(l+1) is.  Row bit 2^j is flipped only by
+the step from level r - j - 1 to r - j, so the group is spanned, for
+each j < r, by P_j, XOR-ing 2^j on the levels below r - j, and S_j,
+XOR-ing it on the rest; row-XOR by 2^j is P_j S_j.  P_(r-1) moves level
+0 alone and S_0 level r alone: they are the false-twin swaps below.
+The exact search branches over the other 2r - 2 (`genpos`).
+
 BF(r)'s rows come from a closed form, with no search.  Take u = (l, x),
 v = (m, y) and D = x ^ y; the step from level i - 1 to i flips bit a_i,
 machine bit r - i.  If D = 0, d(u, v) = |l - m|.  Else let s = r -

@@ -317,10 +317,37 @@ def reference_search_tables(pool: tuple[int, ...], triples):
     return inc, pair, masks
 
 
+def level_xor_permutations(g: Graph, pool) -> list[dict[int, int]]:
+    """The level-wise row XORs of BF(r) that keep twin order, as maps on pool, or [].
+
+    XOR-ing the rows of levels < r - j, or of levels >= r - j, with 2^j
+    maps BF(r) onto itself, since only the step between levels r - j - 1
+    and r - j flips bit j.  On level 0 the first with j = r - 1, and on
+    level r the second with j = 0, swap each vertex with its false twin,
+    so both are left out.  Only the canonical BF(r) with a pool that
+    holds whole levels gets any.
+    """
+    r = g.butterfly_r
+    ids = set(pool)
+    if not r or any(l * 2 ** r + x not in ids
+                    for l in {v // 2 ** r for v in ids} for x in range(2 ** r)):
+        return []
+    perms = []
+    for j in range(r):
+        for below in (True, False):
+            if (below and j == r - 1) or (not below and j == 0):
+                continue
+            perm = {v: v ^ 2 ** j if (v // 2 ** r < r - j) == below else v for v in ids}
+            if any(perm[v] != v for v in ids):
+                perms.append(perm)
+    return perms
+
+
 # The search kernel as it was before it kept its triple state in bitsets,
-# kept verbatim but for the twin cut: the bitset kernel must walk the very
-# same tree.
-def list_scan_branch_and_bound(pool: tuple[int, ...], triples, classes, warm, node_limit: int):
+# kept verbatim but for the twin cut and the orbital exclusion: the bitset
+# kernel must walk the very same tree.
+def list_scan_branch_and_bound(pool: tuple[int, ...], triples, classes, perms, warm,
+                               node_limit: int):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
     A node is (chosen, free) vertex masks plus the list of still-active
@@ -333,7 +360,15 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, classes, warm, no
     triples, smallest id on ties.  The warm set is the first incumbent,
     and only a strictly larger set replaces it.  Twin cut: the exclude
     branch of a vertex also excludes the members after it in its class of
-    `classes` (see `twin_classes`) that the pool holds.
+    `classes` (see `twin_classes`) that the pool holds.  Orbital
+    exclusion: it also excludes every vertex that the permutations in
+    `perms` (maps on the pool's vertices, see `level_xor_permutations`)
+    fixing the node reach from the branch vertex, found by breadth-first
+    search, and their later class members.  A permutation fixes the node
+    when it maps onto themselves the vertices taken by include branches
+    and the rest of the chosen and free vertices: the free vertices in no
+    active triple, which this kernel moves to chosen, stay free in the
+    bitset kernel.
 
     Returns (best members, nodes explored, stopped); stopped means the
     node limit cut the search short, so the members may not be optimal.
@@ -346,12 +381,17 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, classes, warm, no
             later[bit] = sum(held[a + 1:])
     best_mask = sum(1 << index[v] for v in warm)
     tmasks = [(1 << index[a]) | (1 << index[b]) | (1 << index[c]) for a, b, c in triples]
+    bit_perms = [{1 << index[v]: 1 << index[w] for v, w in perm.items()} for perm in perms]
+
+    def fixes(perm, mask):
+        return sum(perm[1 << i] for i in range(len(pool)) if mask >> i & 1) == mask
+
     # pending branches, last in first out: exclude is pushed before include,
-    # so include is explored first
-    stack = [(0, (1 << len(pool)) - 1, tmasks)]
+    # so include is explored first; taken is the vertices include branches chose
+    stack = [(0, (1 << len(pool)) - 1, tmasks, 0)]
     nodes = 0
     while stack:
-        chosen, free, active = stack.pop()
+        chosen, free, active, taken = stack.pop()
         nodes += 1
         if nodes > node_limit:
             break
@@ -412,8 +452,20 @@ def list_scan_branch_and_bound(pool: tuple[int, ...], triples, classes, warm, no
                 counts[b] = counts.get(b, 0) + 1
                 fp ^= b
         branch = max(counts.items(), key=lambda kv: (kv[1], -kv[0].bit_length()))[0]
-        stack.append((chosen, free & ~branch & ~later.get(branch, 0), active))
-        stack.append((chosen | branch, free & ~branch, active))
+        kept = [perm for perm in bit_perms
+                if fixes(perm, taken) and fixes(perm, chosen & ~taken | free)]
+        orbit, queue = {branch}, deque([branch])
+        while queue:
+            v = queue.popleft()
+            for perm in kept:
+                if perm[v] not in orbit:
+                    orbit.add(perm[v])
+                    queue.append(perm[v])
+        out = 0
+        for v in orbit:
+            out |= v | later.get(v, 0)
+        stack.append((chosen, free & ~out, active, taken))
+        stack.append((chosen | branch, free & ~branch, active, taken | branch))
 
     members = tuple(sorted(v for i, v in enumerate(pool) if best_mask >> i & 1))
     return members, nodes, nodes > node_limit

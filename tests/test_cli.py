@@ -561,11 +561,11 @@ PINNED_STDOUT_SHA256 = {
     ("report", "--r-max", "5"):
         "9a228d5b70ba658e6cbd7a4f79b4a6d68a1788740019ac1b2d89ba9c39acdb94",
     ("gpset", "max", "--r", "3"):
-        "cfd3d9453a5643197ea2f2c16c086352ad2fe1e108544b5da38728e5082fb70f",
+        "50b58182d7b4bfbeeea73aef94668e85511edfa0c5cc4d596f0e40deef264249",
     ("cover", "construct", "--r", "6"):
         "a0a7debd5e9473e86024f8c5debc4d1b3987d9425aa43639d64d505d02a47d94",
     ("gpset", "max", "--r", "4", "--node-budget", "300"):
-        "6aa4adf3563988bb642ad0f96d68e754df1650c124fc60c6579842c7d00ade14",
+        "d77aedf4e8b3175bc7ce8f104877ef06578751b3bc01d7e5521e18b67cc9dde8",
 }
 
 

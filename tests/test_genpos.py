@@ -36,6 +36,7 @@ from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
     _star,
     connected,
+    level_xor_permutations,
     list_scan_branch_and_bound,
     named_corpus,
     oracle_collinear,
@@ -274,17 +275,18 @@ def _relabelled(g, seed):
 # counts pin the search tree itself, not only the optimum it reaches
 SEARCH_PINS = {
     "BF(3)": ((build_butterfly(3), None, None),
-              (10, True, 477, (1, 3, 5, 7, 8, 10, 28, 29, 30, 31))),
+              (10, True, 81, (1, 3, 5, 7, 8, 10, 28, 29, 30, 31))),
     "BF(3) deg2": ((build_butterfly(3), _deg2, None),
-                   (8, True, 15, (0, 1, 2, 3, 4, 5, 6, 7))),
+                   (8, True, 7, (0, 1, 2, 3, 4, 5, 6, 7))),
     "BF(4) 300 nodes": ((build_butterfly(4), None, 300),
-                        (16, False, 301, tuple(range(16)))),
+                        (19, False, 301, (2, 4, 6, 10, 12, 14, 16, 17, 19, 21, 23,
+                                          72, 73, 74, 75, 76, 77, 78, 79))),
     # the two searches the exact-small benchmark times
     "BF(4) deg2": ((build_butterfly(4), _deg2, None),
-                   (16, True, 157, tuple(range(16)))),
+                   (16, True, 11, tuple(range(16)))),
     "BF(4) 1500 nodes": ((build_butterfly(4), None, 1500),
-                         (20, False, 1501, (1, 3, 5, 7, 9, 11, 13, 15, 16, 18, 20, 22,
-                                            72, 73, 74, 75, 76, 77, 78, 79))),
+                         (20, True, 937, (1, 3, 5, 7, 9, 11, 13, 15, 16, 18, 20, 22,
+                                          72, 73, 74, 75, 76, 77, 78, 79))),
     # the relabelled trees exact-small times (a relabelling keeps degrees, so
     # the deg-2 pool is the image of BF(4)'s)
     "BF(3) relabelled 0": ((_relabelled(build_butterfly(3), 0), None, None),
@@ -302,9 +304,9 @@ SEARCH_PINS = {
     "BF(4) relabelled 2 deg2": ((_relabelled(build_butterfly(4), 2), _deg2, None),
                                 (16, True, 101, (0, 3, 6, 9, 13, 17, 18, 25, 30, 36, 37,
                                                  38, 52, 61, 66, 71))),
-    # the frontier the twin cut opened: not proven after 200,000 nodes without it
+    # 557,089 nodes with neither the twin cut nor the orbits, 20,793 without the orbits
     "BF(5) deg2": ((build_butterfly(5), _deg2, None),
-                   (32, True, 20793, tuple(range(32)))),
+                   (32, True, 19, tuple(range(32)))),
     "C_30": ((build_cycle(30), None, None), (3, True, 1505, (0, 3, 17))),
     "P_30": ((build_path(30), None, None), (2, True, 811, (0, 29))),
 }
@@ -346,9 +348,11 @@ def _both_kernels(g, pool, node_limit):
     pool_ids = tuple(sorted(pool))
     warm = _greedy(g, dm, pool_ids).members
     bitset = genpos._branch_and_bound(pool_ids, genpos._search_tables(dm, pool_ids),
-                                      false_twin_firsts(g, pool_ids), warm, node_limit)
+                                      false_twin_firsts(g, pool_ids), warm, node_limit,
+                                      genpos._level_xor_generators(g, pool_ids))
     list_scan = list_scan_branch_and_bound(pool_ids, collinear_triples(dm, pool_ids),
-                                           twin_classes(g), warm, node_limit)
+                                           twin_classes(g), level_xor_permutations(g, pool_ids),
+                                           warm, node_limit)
     return bitset, list_scan
 
 
@@ -386,6 +390,95 @@ def test_bitset_kernel_walks_the_list_scan_tree_when_every_count_ties(n, seed):
     for node_limit in NODE_LIMITS:
         bitset, list_scan = _both_kernels(g, range(g.n), node_limit)
         assert bitset == list_scan, node_limit
+
+
+def _whole_level_pools(r):
+    """Every nonempty union of whole levels of BF(r), as sorted ids."""
+    return [tuple(v for l in range(r + 1) if pick >> l & 1 for v in range(l << r, l + 1 << r))
+            for pick in range(1, 1 << r + 1)]
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_bitset_kernel_walks_the_list_scan_tree_on_whole_level_pools(r):
+    # the pools that get generators: both kernels branch over the same orbits
+    g = build_butterfly(r)
+    for pool in _whole_level_pools(r):
+        assert level_xor_permutations(g, pool)
+        for node_limit in NODE_LIMITS:
+            bitset, list_scan = _both_kernels(g, pool, node_limit)
+            assert bitset == list_scan, (pool, node_limit)
+
+
+@pytest.mark.parametrize("levels", [(0,), (2,), (0, 4), (0, 1), (1, 2, 3)])
+def test_bitset_kernel_walks_the_list_scan_tree_on_bf4_levels(levels):
+    g = build_butterfly(4)
+    pool = [v for v in range(g.n) if v >> 4 in levels]
+    for node_limit in NODE_LIMITS:
+        bitset, list_scan = _both_kernels(g, pool, node_limit)
+        assert bitset == list_scan, node_limit
+
+
+def _level_maps(r):
+    """{(kind, j): map} for P_j and S_j, j < r, from their definition, on BF(r)'s ids."""
+    return {(kind, j): [v ^ 1 << j if ((v >> r) < r - j) == (kind == "P") else v
+                        for v in range((r + 1) << r)]
+            for kind in "PS" for j in range(r)}
+
+
+def _as_map(gen, n):
+    half, s = gen
+    moved = half | half << s
+    return [v ^ s if moved >> v & 1 else v for v in range(n)]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_level_xor_generators_are_the_automorphisms_that_keep_twins(r):
+    g = build_butterfly(r)
+    edges = set(g.edges)
+    twins = false_twin_firsts(g, range(g.n))
+    maps = _level_maps(r)
+    swaps = set()
+    for name, f in maps.items():
+        assert {(min(f[u], f[v]), max(f[u], f[v])) for u, v in g.edges} == edges, name
+        if any(f[v] != v and twins[f[v]] == twins[v] for v in range(g.n)):
+            swaps.add(name)
+    assert swaps == {("P", r - 1), ("S", 0)}
+    # so each generator, one of the maps checked above, is an automorphism
+    gens = genpos._level_xor_generators(g, tuple(range(g.n)))
+    assert len(gens) == 2 * r - 2
+    assert (sorted(_as_map(gen, g.n) for gen in gens)
+            == sorted(f for name, f in maps.items() if name not in swaps))
+
+
+def test_generators_need_canonical_bf_and_whole_levels():
+    bf3 = build_butterfly(3)
+    assert genpos._level_xor_generators(bf3, tuple(_deg2(bf3)))  # levels 0 and 3
+    for g, pool in [(_relabelled(bf3, 0), range(32)),
+                    (bf3, range(31)),  # level 3 without its last row
+                    (bf3, range(4, 12)),  # eight ids, half of levels 0 and 1
+                    (bf3, ()),
+                    (build_cycle(8), range(8))]:
+        assert genpos._level_xor_generators(g, tuple(pool)) == ()
+        assert level_xor_permutations(g, pool) == []
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_orbits_keep_the_optimum_on_every_whole_level_pool(r):
+    g = build_butterfly(r)
+    dm = all_pairs_distances(g)
+    for pool in _whole_level_pools(r):
+        tables, twins = genpos._search_tables(dm, pool), false_twin_firsts(g, pool)
+        gens = genpos._level_xor_generators(g, pool)
+        assert gens
+        # no warm start, so the search alone finds the optimum
+        members, _, stopped = genpos._branch_and_bound(pool, tables, twins, (), 10 ** 6, gens)
+        plain, _, plain_stopped = genpos._branch_and_bound(pool, tables, twins, (), 10 ** 6, ())
+        assert not stopped and not plain_stopped
+        assert len(members) == len(plain), pool
+        assert set(members) <= set(pool)
+        assert verify_general_position(g, dm, VertexSet(members)).ok
+        if len(pool) <= 20:
+            assert len(members) == brute_force_max_gp(g, dm, pool=pool)[0], pool
 
 
 def test_triple_ceiling_is_exact(bf2, monkeypatch):
@@ -439,7 +532,7 @@ def test_twin_cut_matches_brute_force_on_every_pool(name):
             # the greedy warm start is often optimal here: the search alone must be too
             members, _, stopped = genpos._branch_and_bound(
                 pool, genpos._search_tables(dm, pool), false_twin_firsts(g, pool), (),
-                Budget().node_limit)
+                Budget().node_limit, ())
             assert not stopped
             assert len(members) == expect, pool
             assert verify_general_position(g, dm, VertexSet(members)).ok

@@ -28,19 +28,18 @@ counting a triple bitset per free vertex; pruned nodes and leaves lower
 nothing.  A free vertex in no alive triple stays free until a leaf takes
 it, since no exclusion, bound or branch below can involve it.
 
-False twins, found by geodesy's one rule (`false_twin_firsts`; its
-module notes give the lemma), are taken in order: some maximum set
-holds each twin's earlier class members too, and the search visits
-only such sets.  On the canonical BF(r), with a pool of whole levels, it
-also branches by orbits (Ostrowski, Linderoth, Rossi and Smriglio,
-"Orbital branching", Math. Program. 126, 2011) under the level-wise
-row XORs that keep every twin class in order (`_level_xor_generators`;
-geodesy's module notes give the lemma): the exclude branch drops every
-vertex that the generators fixing the node map the branch vertex to.
-Any other graph or pool gets no generators, and the same tree as
-without them.  Its pending branches sit on its own stack, so Python's
-recursion limit does not bound its depth, and it refuses a pool with
-more than MAX_SEARCH_TRIPLES collinear triples.
+It breaks symmetry by one rule, orbital branching (Ostrowski,
+Linderoth, Rossi and Smriglio, "Orbital branching", Math. Program. 126,
+2011): the exclude branch drops every vertex that the automorphisms
+fixing the node map the branch vertex to, as far as one pass over their
+generators finds them.  The generators are the swaps of consecutive
+false twins, found by geodesy's one rule (`false_twin_firsts`; its
+module notes give the lemma), on any graph, and on the canonical BF(r)
+with a pool of whole levels the level-wise row XORs too
+(`_level_xor_generators`; geodesy's module notes give the lemma).  Its
+pending branches sit on its own stack, so Python's recursion limit does
+not bound its depth, and it refuses a pool with more than
+MAX_SEARCH_TRIPLES collinear triples.
 Everything is deterministic: ties break on smallest vertex id, and
 nothing reads a clock or a random source.
 """
@@ -232,17 +231,16 @@ def _search_tables(dm: DistanceMatrix, pool: tuple[int, ...]):
 
 
 def _level_xor_generators(g: Graph, pool: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(half, s) for each level-wise row XOR of BF(r) that the search may branch over.
+    """(half, s) for each level-wise row XOR of BF(r), the search's block swaps.
 
     For each row bit 2^j, j < r, P_j XORs it on the levels below r - j and
     S_j on the rest (geodesy's module notes: both are automorphisms).
-    P_(r-1) and S_0 swap the level-0 and level-r false twins, so they are
-    left out, and the other 2r - 2 keep every twin class in order.  They
-    exist only when g is the canonical BF(r) and pool a union of whole
-    levels, whose k-th level takes positions k * 2^r + row; a generator
-    then XORs s = 2^j into the positions of its levels, and half holds
-    those with bit j clear, so it maps a position mask m to (m & half) <<
-    s | (m >> s) & half on those levels.  Any other graph or pool gets ().
+    They exist only when g is the canonical BF(r) and pool a union of
+    whole levels, whose k-th level takes positions k * 2^r + row; a
+    generator then XORs s = 2^j into the positions of its levels, and
+    half holds those with bit j clear, so it maps a position mask m to (m
+    & half) << s | (m >> s) & half on those levels.  Any other graph or
+    pool gets ().
     """
     r = g.butterfly_r
     levels = sorted({v >> r for v in pool}) if r else None
@@ -253,15 +251,31 @@ def _level_xor_generators(g: Graph, pool: tuple[int, ...]) -> tuple[tuple[int, i
         s = 1 << j
         rows = ((1 << (1 << r)) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)  # bit j clear
         for lower in (True, False):
-            if j == (r - 1 if lower else 0):
-                continue  # P_(r-1) or S_0
             half = sum(rows << (k << r) for k, l in enumerate(levels) if (l < r - j) == lower)
             if half:
                 gens.append((half, s))
     return tuple(gens)
 
 
-def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: int, gens):
+def _twin_swaps(twins) -> tuple[tuple[int, int], ...]:
+    """(1 << p, i - p) for each false twin i and the member p just before it in its class.
+
+    twins is a pool's `false_twin_firsts`.  Each pair is the block swap of
+    positions p and i, an automorphism fixing every other vertex
+    (geodesy's module notes).  They come in order of i, so one pass over
+    them carries a position on through the run of its later twins that
+    share its state.
+    """
+    prev: dict[int, int] = {}
+    swaps = []
+    for i, f in enumerate(twins):
+        if f != i:
+            swaps.append((1 << prev[f], i - prev[f]))
+        prev[f] = i
+    return tuple(swaps)
+
+
+def _branch_and_bound(pool: tuple[int, ...], tables, warm, node_limit: int, gens):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
     Vertices are bits of pool index, and triples bits of a second kind of
@@ -280,28 +294,24 @@ def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: in
     vertex in the most active triples, smallest id on ties.  The warm set
     is the first incumbent, and only a strictly larger set replaces it.
 
-    Twin cut: twins is the pool's `false_twin_firsts`, from which later[i]
-    holds the pool positions after i in i's false-twin class, and the
-    exclude branch of u also drops u's later members still free, so x_u
-    >= x_u' for u before u'.  Swapping u and u' is an automorphism fixing
-    every other vertex (geodesy's module notes), so some optimum keeps
-    the cut.
-    Nothing else breaks it: while both are free the node is symmetric in
-    them, so u, counted as often and smaller, is branched on first, and
-    u' is chosen only after u, so what forces u out forces u' out too.
-
-    Orbital branching: gens are `_level_xor_generators`' (half, s) pairs,
-    () for none.  A branching node keeps those that map chosen and free
-    onto themselves, and the exclude branch drops the branch vertex b's
-    orbit under them, with the later twins of each orbit member.  A kept
-    generator maps the node's subproblem onto itself: its fixings, and its
-    twin-order constraints, as it keeps each twin class in order.  So a
-    set of the subproblem that takes g(b), g a product of kept
-    generators, maps under g^-1 to one as large that takes b, which the
-    include branch searches.  The twin cut survives it: an orbit member
-    leaves with its later twins, as b does, and g^-1 keeps x_u >= x_u'.
-    The generators are commuting involutions, so the orbit is b's mask
-    closed under each kept generator once, in turn.
+    Orbital branching: gens are (half, s) block swaps, each an
+    automorphism of the graph that maps the pool onto itself, () for
+    none: `_level_xor_generators` and `_twin_swaps`.  A branching node
+    keeps those that map chosen and free onto themselves, and the
+    exclude branch drops the branch vertex b's images under them, from
+    one pass in list order.  A kept generator maps the node's subproblem,
+    which its fixings alone define, onto itself.  So a set of the
+    subproblem that takes g(b), g a product of kept generators, maps
+    under g^-1 to one as large that takes b, which the include branch
+    searches; any part of the orbit may go, and one pass finds part.
+    The level XORs come first and commute, so on BF(r) the pass finds the
+    whole orbit under the kept ones.  Each false-twin class holds, in
+    position order, its chosen members, then its free ones, then the
+    excluded: b is the first free member of its class, as its free twins
+    tie with it on counts and lose on id; a forced exclusion takes every
+    free member of a class at once; and a kept level XOR keeps each
+    class's states in order.  So the twin swaps, in order, carry each
+    orbit member on to exactly the free members after it in its class.
 
     The counts never rise down the tree, since active only shrinks.  Only
     a branching node needs them, and it lowers its parent's counts by
@@ -318,12 +328,8 @@ def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: in
     """
     inc, pair, masks, top = tables
     k = len(pool)
-    later = [0] * k
-    for i in reversed(range(k)):
-        f = twins[i]
-        if f != i:  # later[f] gathers its class from the end, and is done at f
-            later[i] = later[f]
-            later[f] |= 1 << i
+    # each generator with the positions it moves, so one that misses the orbit costs one AND
+    gens = [(half, s, half | half << s) for half, s in gens]
     index = {v: i for i, v in enumerate(pool)}
     best_mask = sum(1 << index[v] for v in warm)
     best = best_mask.bit_count()
@@ -408,17 +414,12 @@ def _branch_and_bound(pool: tuple[int, ...], tables, twins, warm, node_limit: in
                 dropped ^= low
         branch = max(idx, key=counts.__getitem__)
         # the exclude branch drops the branch vertex's orbit under the generators
-        # that fix chosen and free, and the later twins of each orbit member
+        # that fix chosen and free
         orbit = 1 << branch
-        for half, s in gens:
-            if not ((chosen ^ chosen >> s) | (free ^ free >> s)) & half:
+        for half, s, moved in gens:
+            if orbit & moved and not ((chosen ^ chosen >> s) | (free ^ free >> s)) & half:
                 orbit |= (orbit & half) << s | (orbit >> s) & half
-        dropped = 0
-        while orbit:
-            low = orbit & -orbit
-            dropped |= low | later[low.bit_length() - 1]
-            orbit ^= low
-        dropped &= free
+        dropped = orbit & free
         free ^= 1 << branch
         out = active
         rest = dropped
@@ -440,10 +441,10 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
 
     Runs branch and bound over the collinear-triple hypergraph, warm
     started from the degree-order greedy set read off the same triple
-    tables, with the pool's false twins (`false_twin_firsts`) kept in
-    order and, on BF(r) with a pool of whole levels, orbital branching
-    over `_level_xor_generators`.  If the node budget runs out the best
-    set found so far is returned with optimal = False.
+    tables, with orbital branching over the pool's false-twin swaps
+    (`_twin_swaps`) and, on BF(r) with a pool of whole levels, its
+    level-wise row XORs (`_level_xor_generators`).  If the node budget
+    runs out the best set found so far is returned with optimal = False.
     """
     if g.n == 0:
         raise InvalidParameterError("graph has no vertices")
@@ -452,9 +453,9 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
 
     tables = _search_tables(dm, pool_ids)
     warm = greedy_gp_lower_bound(g, pool_ids, tables[1])
-    members, nodes, stopped = _branch_and_bound(pool_ids, tables, false_twin_firsts(g, pool_ids),
-                                                warm.members, budget.node_limit,
-                                                _level_xor_generators(g, pool_ids))
+    gens = _level_xor_generators(g, pool_ids) + _twin_swaps(false_twin_firsts(g, pool_ids))
+    members, nodes, stopped = _branch_and_bound(pool_ids, tables, warm.members,
+                                                budget.node_limit, gens)
     optimal = not stopped
     provenance = PROVENANCE_EXACT if optimal else PROVENANCE_LOWER_BOUND
     best = VertexSet(members=members, provenance=provenance, graph_ref=g.ref())

@@ -20,8 +20,8 @@ every such edge iff o_l ^ o_(l+1) is.  Row bit 2^j is flipped only by
 the step from level r - j - 1 to r - j, so the group is spanned, for
 each j < r, by P_j, XOR-ing 2^j on the levels below r - j, and S_j,
 XOR-ing it on the rest; row-XOR by 2^j is P_j S_j.  P_(r-1) moves level
-0 alone and S_0 level r alone: they are the false-twin swaps below.
-The exact search branches over the other 2r - 2 (`genpos`).
+0 alone and S_0 level r alone: each swaps every false-twin pair (below)
+of its level.  The exact search branches over all 2r (`genpos`).
 
 BF(r)'s rows come from a closed form, with no search.  Take u = (l, x),
 v = (m, y) and D = x ^ y; the step from level i - 1 to i flips bit a_i,
@@ -72,9 +72,9 @@ are pairwise 2 apart, and a triple of distinct classes has the
 distances of the triple of their representatives.  So S is in general
 position iff S', the first member of S in each twin class, is, and no
 member of S is a common neighbour of a class that S holds two of.  And
-swapping two twins is an automorphism fixing every other vertex, so an
-exact search may take each class's members in order.  On BF(r), for
-example, the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both
+swapping two twins is an automorphism fixing every other vertex, so the
+exact search branches over twin swaps as over any automorphism.  On
+BF(r), for example, the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both
 joined to (1, x) and (1, x ^ 2^(r-1)), and (r, y) and (r, y ^ 1), both
 joined to (r - 1, y) and (r - 1, y ^ 1).
 

@@ -1,7 +1,7 @@
 import inspect
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -304,7 +304,7 @@ SEARCH_PINS = {
     "BF(4) relabelled 2 deg2": ((_relabelled(build_butterfly(4), 2), _deg2, None),
                                 (16, True, 101, (0, 3, 6, 9, 13, 17, 18, 25, 30, 36, 37,
                                                  38, 52, 61, 66, 71))),
-    # 557,089 nodes with neither the twin cut nor the orbits, 20,793 without the orbits
+    # 557,089 nodes with no generators, 20,793 with the twin swaps alone
     "BF(5) deg2": ((build_butterfly(5), _deg2, None),
                    (32, True, 19, tuple(range(32)))),
     "C_30": ((build_cycle(30), None, None), (3, True, 1505, (0, 3, 17))),
@@ -347,9 +347,10 @@ def _both_kernels(g, pool, node_limit):
     dm = all_pairs_distances(g)
     pool_ids = tuple(sorted(pool))
     warm = _greedy(g, dm, pool_ids).members
-    bitset = genpos._branch_and_bound(pool_ids, genpos._search_tables(dm, pool_ids),
-                                      false_twin_firsts(g, pool_ids), warm, node_limit,
-                                      genpos._level_xor_generators(g, pool_ids))
+    gens = (genpos._level_xor_generators(g, pool_ids)
+            + genpos._twin_swaps(false_twin_firsts(g, pool_ids)))
+    bitset = genpos._branch_and_bound(pool_ids, genpos._search_tables(dm, pool_ids), warm,
+                                      node_limit, gens)
     list_scan = list_scan_branch_and_bound(pool_ids, collinear_triples(dm, pool_ids),
                                            twin_classes(g), level_xor_permutations(g, pool_ids),
                                            warm, node_limit)
@@ -389,6 +390,38 @@ def test_bitset_kernel_walks_the_list_scan_tree_when_every_count_ties(n, seed):
     g = build_cycle(n) if seed is None else _relabelled(build_cycle(n), seed)
     for node_limit in NODE_LIMITS:
         bitset, list_scan = _both_kernels(g, range(g.n), node_limit)
+        assert bitset == list_scan, node_limit
+
+
+def _planted_twin_graph(seed):
+    """(g, pool): a seeded random graph with planted false-twin classes of 2 to 4 members.
+
+    Each planted class copies one vertex's neighbourhood one to three
+    times, and a shuffle spreads its ids.  Odd seeds draw a pool that
+    may hold only some of a class.
+    """
+    rng = random.Random(seed)
+    base = random_connected_graph(rng.randint(5, 10), rng.choice([0.2, 0.3, 0.5]), seed)
+    adj = [set(a) for a in base.adj]
+    for v in rng.sample(range(base.n), rng.randint(1, 3)):
+        for _ in range(rng.randint(1, 3)):
+            adj.append(set(adj[v]))
+            for w in adj[v]:
+                adj[w].add(len(adj) - 1)
+    perm = list(range(len(adj)))
+    rng.shuffle(perm)
+    g = Graph(len(adj), [(perm[u], perm[v]) for u in range(len(adj)) for v in adj[u] if u < v])
+    pool = range(g.n) if seed % 2 == 0 else rng.sample(range(g.n), rng.randint(g.n // 2, g.n))
+    return g, pool
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bitset_kernel_walks_the_list_scan_tree_on_planted_twin_classes(seed):
+    # the search's twin swaps and the reference's own twin cut: one tree
+    g, pool = _planted_twin_graph(seed)
+    assert twin_classes(g)
+    for node_limit in NODE_LIMITS:
+        bitset, list_scan = _both_kernels(g, pool, node_limit)
         assert bitset == list_scan, node_limit
 
 
@@ -432,7 +465,7 @@ def _as_map(gen, n):
 
 
 @pytest.mark.parametrize("r", range(1, 9))
-def test_level_xor_generators_are_the_automorphisms_that_keep_twins(r):
+def test_level_xor_generators_are_the_2r_level_wise_automorphisms(r):
     g = build_butterfly(r)
     edges = set(g.edges)
     twins = false_twin_firsts(g, range(g.n))
@@ -442,12 +475,12 @@ def test_level_xor_generators_are_the_automorphisms_that_keep_twins(r):
         assert {(min(f[u], f[v]), max(f[u], f[v])) for u, v in g.edges} == edges, name
         if any(f[v] != v and twins[f[v]] == twins[v] for v in range(g.n)):
             swaps.add(name)
+    # the two that swap end-level twins are generators like the rest
     assert swaps == {("P", r - 1), ("S", 0)}
     # so each generator, one of the maps checked above, is an automorphism
     gens = genpos._level_xor_generators(g, tuple(range(g.n)))
-    assert len(gens) == 2 * r - 2
-    assert (sorted(_as_map(gen, g.n) for gen in gens)
-            == sorted(f for name, f in maps.items() if name not in swaps))
+    assert len(gens) == 2 * r
+    assert sorted(_as_map(gen, g.n) for gen in gens) == sorted(maps.values())
 
 
 def test_generators_need_canonical_bf_and_whole_levels():
@@ -467,12 +500,14 @@ def test_orbits_keep_the_optimum_on_every_whole_level_pool(r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)
     for pool in _whole_level_pools(r):
-        tables, twins = genpos._search_tables(dm, pool), false_twin_firsts(g, pool)
+        tables = genpos._search_tables(dm, pool)
         gens = genpos._level_xor_generators(g, pool)
         assert gens
-        # no warm start, so the search alone finds the optimum
-        members, _, stopped = genpos._branch_and_bound(pool, tables, twins, (), 10 ** 6, gens)
-        plain, _, plain_stopped = genpos._branch_and_bound(pool, tables, twins, (), 10 ** 6, ())
+        gens += genpos._twin_swaps(false_twin_firsts(g, pool))
+        # no warm start, so the search alone finds the optimum; the plain side
+        # breaks no symmetry at all
+        members, _, stopped = genpos._branch_and_bound(pool, tables, (), 10 ** 6, gens)
+        plain, _, plain_stopped = genpos._branch_and_bound(pool, tables, (), 10 ** 6, ())
         assert not stopped and not plain_stopped
         assert len(members) == len(plain), pool
         assert set(members) <= set(pool)
@@ -531,8 +566,8 @@ def test_twin_cut_matches_brute_force_on_every_pool(name):
             assert verify_general_position(g, dm, res.best_set).ok
             # the greedy warm start is often optimal here: the search alone must be too
             members, _, stopped = genpos._branch_and_bound(
-                pool, genpos._search_tables(dm, pool), false_twin_firsts(g, pool), (),
-                Budget().node_limit, ())
+                pool, genpos._search_tables(dm, pool), (), Budget().node_limit,
+                genpos._twin_swaps(false_twin_firsts(g, pool)))
             assert not stopped
             assert len(members) == expect, pool
             assert verify_general_position(g, dm, VertexSet(members)).ok
@@ -542,7 +577,7 @@ def test_twin_cut_matches_brute_force_on_every_pool(name):
                          + [("BF(3) relabelled", _relabelled(build_butterfly(3), 0))]
                          + named_corpus() + list(TWIN_GRAPHS.items()))
 def test_twin_later_follows_the_twin_classes(name, g):
-    # the search builds its twin cut's later masks from these positions
+    # the search builds its twin swaps from these positions
     pool = tuple(v for v in range(g.n) if v % 3)  # drops one twin of some classes
     index = {v: i for i, v in enumerate(pool)}
     expected = list(range(len(pool)))
@@ -551,6 +586,28 @@ def test_twin_later_follows_the_twin_classes(name, g):
         for i in held:
             expected[i] = held[0]
     assert false_twin_firsts(g, pool) == expected, name
+
+
+@pytest.mark.parametrize("name,g", [(name, TWIN_GRAPHS[name]) for name in ("K_{1,4}", "K_{3,3}")]
+                         + [(f"BF({r})", build_butterfly(r)) for r in range(2, 7)])
+def test_twin_swaps_pair_each_class_member_with_the_one_before(name, g):
+    edges = set(g.edges)
+    for pool in (tuple(range(g.n)), tuple(v for v in range(g.n) if v % 3)):
+        index = {v: i for i, v in enumerate(pool)}
+        # in order of the later member, as the search's one pass needs
+        expected = sorted(((p, i) for cls in twin_classes(g)
+                           for p, i in pairwise([index[v] for v in cls if v in index])),
+                          key=lambda pi: pi[1])
+        got = []
+        for half, s in genpos._twin_swaps(false_twin_firsts(g, pool)):
+            p = half.bit_length() - 1
+            assert half == 1 << p
+            got.append((p, p + s))
+        assert got == expected, (name, pool)
+        for p, i in got:
+            f = {pool[p]: pool[i], pool[i]: pool[p]}
+            image = {tuple(sorted((f.get(u, u), f.get(v, v)))) for u, v in g.edges}
+            assert image == edges, (name, pool, p, i)
 
 
 def test_bf3_deg2_pool_matches_brute_force(bf3):

@@ -32,11 +32,8 @@ It breaks symmetry by one rule, orbital branching (Ostrowski,
 Linderoth, Rossi and Smriglio, "Orbital branching", Math. Program. 126,
 2011): the exclude branch drops every vertex that the automorphisms
 fixing the node map the branch vertex to, as far as one pass over their
-generators finds them.  The generators are the swaps of consecutive
-false twins, found by geodesy's one rule (`false_twin_firsts`; its
-module notes give the lemma), on any graph, and on the canonical BF(r)
-with a pool of whole levels the level-wise row XORs too
-(`_level_xor_generators`; geodesy's module notes give the lemma).  Its
+generators finds them.  geodesy's `pool_automorphisms` gives the
+generators, and its module notes prove them automorphisms.  Its
 pending branches sit on its own stack, so Python's recursion limit does
 not bound its depth, and it refuses a pool with more than
 MAX_SEARCH_TRIPLES collinear triples.
@@ -54,10 +51,10 @@ from .geodesy import (
     DistanceMatrix,
     checked_members,
     collinear_positions,
-    false_twin_firsts,
     first_collinear,
     iter_collinear,
     lies_between,
+    pool_automorphisms,
 )
 from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
@@ -230,51 +227,6 @@ def _search_tables(dm: DistanceMatrix, pool: tuple[int, ...]):
     return inc, pair, masks, top
 
 
-def _level_xor_generators(g: Graph, pool: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(half, s) for each level-wise row XOR of BF(r), the search's block swaps.
-
-    For each row bit 2^j, j < r, P_j XORs it on the levels below r - j and
-    S_j on the rest (geodesy's module notes: both are automorphisms).
-    They exist only when g is the canonical BF(r) and pool a union of
-    whole levels, whose k-th level takes positions k * 2^r + row; a
-    generator then XORs s = 2^j into the positions of its levels, and
-    half holds those with bit j clear, so it maps a position mask m to (m
-    & half) << s | (m >> s) & half on those levels.  Any other graph or
-    pool gets ().
-    """
-    r = g.butterfly_r
-    levels = sorted({v >> r for v in pool}) if r else None
-    if not levels or len(pool) != len(levels) << r:
-        return ()
-    gens = []
-    for j in range(r):
-        s = 1 << j
-        rows = ((1 << (1 << r)) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)  # bit j clear
-        for lower in (True, False):
-            half = sum(rows << (k << r) for k, l in enumerate(levels) if (l < r - j) == lower)
-            if half:
-                gens.append((half, s))
-    return tuple(gens)
-
-
-def _twin_swaps(twins) -> tuple[tuple[int, int], ...]:
-    """(1 << p, i - p) for each false twin i and the member p just before it in its class.
-
-    twins is a pool's `false_twin_firsts`.  Each pair is the block swap of
-    positions p and i, an automorphism fixing every other vertex
-    (geodesy's module notes).  They come in order of i, so one pass over
-    them carries a position on through the run of its later twins that
-    share its state.
-    """
-    prev: dict[int, int] = {}
-    swaps = []
-    for i, f in enumerate(twins):
-        if f != i:
-            swaps.append((1 << prev[f], i - prev[f]))
-        prev[f] = i
-    return tuple(swaps)
-
-
 def _branch_and_bound(pool: tuple[int, ...], tables, warm, node_limit: int, gens):
     """Bitmask branch and bound over one pool, on an explicit stack.
 
@@ -294,18 +246,17 @@ def _branch_and_bound(pool: tuple[int, ...], tables, warm, node_limit: int, gens
     vertex in the most active triples, smallest id on ties.  The warm set
     is the first incumbent, and only a strictly larger set replaces it.
 
-    Orbital branching: gens are (half, s) block swaps, each an
-    automorphism of the graph that maps the pool onto itself, () for
-    none: `_level_xor_generators` and `_twin_swaps`.  A branching node
-    keeps those that map chosen and free onto themselves, and the
-    exclude branch drops the branch vertex b's images under them, from
-    one pass in list order.  A kept generator maps the node's subproblem,
-    which its fixings alone define, onto itself.  So a set of the
-    subproblem that takes g(b), g a product of kept generators, maps
-    under g^-1 to one as large that takes b, which the include branch
-    searches; any part of the orbit may go, and one pass finds part.
-    The level XORs come first and commute, so on BF(r) the pass finds the
-    whole orbit under the kept ones.  Each false-twin class holds, in
+    Orbital branching: gens are geodesy's `pool_automorphisms`, which
+    map the pool onto itself, as block swaps of its positions; () for
+    none.  A branching node keeps those that map chosen and free onto
+    themselves, and the exclude branch drops the branch vertex b's
+    images under them, from one pass in list order.  A kept generator
+    maps the node's subproblem, which its fixings alone define, onto
+    itself.  So a set of the subproblem that takes g(b), g a product of
+    kept generators, maps under g^-1 to one as large that takes b, which
+    the include branch searches; any part of the orbit may go, and one
+    pass finds part.  The level XORs come first and commute, so on BF(r)
+    the pass finds the whole orbit under the kept ones.  Each false-twin class holds, in
     position order, its chosen members, then its free ones, then the
     excluded: b is the first free member of its class, as its free twins
     tie with it on counts and lose on id; a forced exclusion takes every
@@ -441,10 +392,9 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
 
     Runs branch and bound over the collinear-triple hypergraph, warm
     started from the degree-order greedy set read off the same triple
-    tables, with orbital branching over the pool's false-twin swaps
-    (`_twin_swaps`) and, on BF(r) with a pool of whole levels, its
-    level-wise row XORs (`_level_xor_generators`).  If the node budget
-    runs out the best set found so far is returned with optimal = False.
+    tables, with orbital branching over `pool_automorphisms`.  If the
+    node budget runs out the best set found so far is returned with
+    optimal = False.
     """
     if g.n == 0:
         raise InvalidParameterError("graph has no vertices")
@@ -453,7 +403,7 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
 
     tables = _search_tables(dm, pool_ids)
     warm = greedy_gp_lower_bound(g, pool_ids, tables[1])
-    gens = _level_xor_generators(g, pool_ids) + _twin_swaps(false_twin_firsts(g, pool_ids))
+    gens = pool_automorphisms(g, pool_ids)
     members, nodes, stopped = _branch_and_bound(pool_ids, tables, warm.members,
                                                 budget.node_limit, gens)
     optimal = not stopped

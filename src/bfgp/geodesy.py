@@ -21,7 +21,8 @@ the step from level r - j - 1 to r - j, so the group is spanned, for
 each j < r, by P_j, XOR-ing 2^j on the levels below r - j, and S_j,
 XOR-ing it on the rest; row-XOR by 2^j is P_j S_j.  P_(r-1) moves level
 0 alone and S_0 level r alone: each swaps every false-twin pair (below)
-of its level.  The exact search branches over all 2r (`genpos`).
+of its level.  `pool_automorphisms` hands all 2r to the exact search
+(`genpos`) when its pool is a union of whole levels.
 
 BF(r)'s rows come from a closed form, with no search.  Take u = (l, x),
 v = (m, y) and D = x ^ y; the step from level i - 1 to i flips bit a_i,
@@ -72,11 +73,12 @@ are pairwise 2 apart, and a triple of distinct classes has the
 distances of the triple of their representatives.  So S is in general
 position iff S', the first member of S in each twin class, is, and no
 member of S is a common neighbour of a class that S holds two of.  And
-swapping two twins is an automorphism fixing every other vertex, so the
-exact search branches over twin swaps as over any automorphism.  On
-BF(r), for example, the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both
-joined to (1, x) and (1, x ^ 2^(r-1)), and (r, y) and (r, y ^ 1), both
-joined to (r - 1, y) and (r - 1, y ^ 1).
+swapping two twins is an automorphism fixing every other vertex, so
+`pool_automorphisms` hands the exact search, on any graph, the swap of
+each twin with the one before it in its class.  On BF(r), for example,
+the classes are pairs: (0, x) and (0, x ^ 2^(r-1)), both joined to (1,
+x) and (1, x ^ 2^(r-1)), and (r, y) and (r, y ^ 1), both joined to
+(r - 1, y) and (r - 1, y ^ 1).
 
 `first_collinear` decides general position with the set's false twins
 and its symmetry.  It cuts S to S' and sends S to the full scan when a
@@ -307,6 +309,38 @@ def false_twin_firsts(g: Graph, members) -> list[int]:
     first: dict[tuple[int, ...], int] = {}
     adj = g.adj
     return [first.setdefault(adj[v], i) for i, v in enumerate(members)]
+
+
+def pool_automorphisms(g: Graph, pool: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Automorphisms of g mapping the checked pool onto itself, as (half, s) block swaps.
+
+    Each XORs s into the positions it moves, half | half << s, so it maps
+    a position mask m to (m & half) << s | (m >> s) & half on those.  On
+    the canonical BF(r) with a pool of whole levels, whose k-th level
+    takes positions k * 2^r + row, they are first P_j and S_j for j
+    ascending (the module notes), s = 2^j and half their levels'
+    positions with bit j clear.  Then, on any graph, for each false twin
+    i in order, its swap with the member p just before it in its class
+    (`false_twin_firsts`): half = 2^p and s = i - p.  Other graphs and
+    pools, a relabelled BF(r) among them, get the twin swaps alone.
+    """
+    gens = []
+    r = g.butterfly_r
+    levels = sorted({v >> r for v in pool}) if r else []
+    if levels and len(pool) == len(levels) << r:
+        for j in range(r):
+            s = 1 << j
+            rows = ((1 << (1 << r)) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1)  # bit j clear
+            for lower in (True, False):
+                half = sum(rows << (k << r) for k, l in enumerate(levels) if (l < r - j) == lower)
+                if half:
+                    gens.append((half, s))
+    prev: dict[int, int] = {}
+    for i, f in enumerate(false_twin_firsts(g, pool)):
+        if f != i:
+            gens.append((1 << prev[f], i - prev[f]))
+        prev[f] = i
+    return tuple(gens)
 
 
 def row_xor_stabilizer(dm: DistanceMatrix, members) -> tuple[int, ...]:

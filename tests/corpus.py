@@ -317,6 +317,12 @@ def reference_search_tables(pool: tuple[int, ...], triples):
     return inc, pair, masks
 
 
+def whole_level_pools(r: int) -> list[tuple[int, ...]]:
+    """Every nonempty union of whole levels of BF(r), as sorted ids."""
+    return [tuple(v for l in range(r + 1) if pick >> l & 1 for v in range(l << r, l + 1 << r))
+            for pick in range(1, 1 << r + 1)]
+
+
 def level_xor_permutations(g: Graph, pool) -> list[dict[int, int]]:
     """The level-wise row XORs of BF(r) that keep twin order, as maps on pool, or [].
 

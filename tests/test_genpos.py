@@ -1,7 +1,7 @@
 import inspect
 import random
 import sys
-from itertools import combinations, pairwise
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +43,7 @@ from corpus import (
     random_connected_graph,
     reference_search_tables,
     twin_classes,
+    whole_level_pools,
 )
 
 
@@ -347,10 +348,8 @@ def _both_kernels(g, pool, node_limit):
     dm = all_pairs_distances(g)
     pool_ids = tuple(sorted(pool))
     warm = _greedy(g, dm, pool_ids).members
-    gens = (genpos._level_xor_generators(g, pool_ids)
-            + genpos._twin_swaps(false_twin_firsts(g, pool_ids)))
     bitset = genpos._branch_and_bound(pool_ids, genpos._search_tables(dm, pool_ids), warm,
-                                      node_limit, gens)
+                                      node_limit, geodesy.pool_automorphisms(g, pool_ids))
     list_scan = list_scan_branch_and_bound(pool_ids, collinear_triples(dm, pool_ids),
                                            twin_classes(g), level_xor_permutations(g, pool_ids),
                                            warm, node_limit)
@@ -425,17 +424,11 @@ def test_bitset_kernel_walks_the_list_scan_tree_on_planted_twin_classes(seed):
         assert bitset == list_scan, node_limit
 
 
-def _whole_level_pools(r):
-    """Every nonempty union of whole levels of BF(r), as sorted ids."""
-    return [tuple(v for l in range(r + 1) if pick >> l & 1 for v in range(l << r, l + 1 << r))
-            for pick in range(1, 1 << r + 1)]
-
-
 @pytest.mark.parametrize("r", [2, 3])
 def test_bitset_kernel_walks_the_list_scan_tree_on_whole_level_pools(r):
     # the pools that get generators: both kernels branch over the same orbits
     g = build_butterfly(r)
-    for pool in _whole_level_pools(r):
+    for pool in whole_level_pools(r):
         assert level_xor_permutations(g, pool)
         for node_limit in NODE_LIMITS:
             bitset, list_scan = _both_kernels(g, pool, node_limit)
@@ -451,59 +444,15 @@ def test_bitset_kernel_walks_the_list_scan_tree_on_bf4_levels(levels):
         assert bitset == list_scan, node_limit
 
 
-def _level_maps(r):
-    """{(kind, j): map} for P_j and S_j, j < r, from their definition, on BF(r)'s ids."""
-    return {(kind, j): [v ^ 1 << j if ((v >> r) < r - j) == (kind == "P") else v
-                        for v in range((r + 1) << r)]
-            for kind in "PS" for j in range(r)}
-
-
-def _as_map(gen, n):
-    half, s = gen
-    moved = half | half << s
-    return [v ^ s if moved >> v & 1 else v for v in range(n)]
-
-
-@pytest.mark.parametrize("r", range(1, 9))
-def test_level_xor_generators_are_the_2r_level_wise_automorphisms(r):
-    g = build_butterfly(r)
-    edges = set(g.edges)
-    twins = false_twin_firsts(g, range(g.n))
-    maps = _level_maps(r)
-    swaps = set()
-    for name, f in maps.items():
-        assert {(min(f[u], f[v]), max(f[u], f[v])) for u, v in g.edges} == edges, name
-        if any(f[v] != v and twins[f[v]] == twins[v] for v in range(g.n)):
-            swaps.add(name)
-    # the two that swap end-level twins are generators like the rest
-    assert swaps == {("P", r - 1), ("S", 0)}
-    # so each generator, one of the maps checked above, is an automorphism
-    gens = genpos._level_xor_generators(g, tuple(range(g.n)))
-    assert len(gens) == 2 * r
-    assert sorted(_as_map(gen, g.n) for gen in gens) == sorted(maps.values())
-
-
-def test_generators_need_canonical_bf_and_whole_levels():
-    bf3 = build_butterfly(3)
-    assert genpos._level_xor_generators(bf3, tuple(_deg2(bf3)))  # levels 0 and 3
-    for g, pool in [(_relabelled(bf3, 0), range(32)),
-                    (bf3, range(31)),  # level 3 without its last row
-                    (bf3, range(4, 12)),  # eight ids, half of levels 0 and 1
-                    (bf3, ()),
-                    (build_cycle(8), range(8))]:
-        assert genpos._level_xor_generators(g, tuple(pool)) == ()
-        assert level_xor_permutations(g, pool) == []
-
-
 @pytest.mark.parametrize("r", [2, 3, 4])
 def test_orbits_keep_the_optimum_on_every_whole_level_pool(r):
     g = build_butterfly(r)
     dm = all_pairs_distances(g)
-    for pool in _whole_level_pools(r):
+    for pool in whole_level_pools(r):
         tables = genpos._search_tables(dm, pool)
-        gens = genpos._level_xor_generators(g, pool)
-        assert gens
-        gens += genpos._twin_swaps(false_twin_firsts(g, pool))
+        gens = geodesy.pool_automorphisms(g, pool)
+        # more generators than twin swaps: the level XORs are among them
+        assert len(gens) > sum(f != i for i, f in enumerate(false_twin_firsts(g, pool)))
         # no warm start, so the search alone finds the optimum; the plain side
         # breaks no symmetry at all
         members, _, stopped = genpos._branch_and_bound(pool, tables, (), 10 ** 6, gens)
@@ -567,7 +516,7 @@ def test_twin_cut_matches_brute_force_on_every_pool(name):
             # the greedy warm start is often optimal here: the search alone must be too
             members, _, stopped = genpos._branch_and_bound(
                 pool, genpos._search_tables(dm, pool), (), Budget().node_limit,
-                genpos._twin_swaps(false_twin_firsts(g, pool)))
+                geodesy.pool_automorphisms(g, pool))
             assert not stopped
             assert len(members) == expect, pool
             assert verify_general_position(g, dm, VertexSet(members)).ok
@@ -586,28 +535,6 @@ def test_twin_later_follows_the_twin_classes(name, g):
         for i in held:
             expected[i] = held[0]
     assert false_twin_firsts(g, pool) == expected, name
-
-
-@pytest.mark.parametrize("name,g", [(name, TWIN_GRAPHS[name]) for name in ("K_{1,4}", "K_{3,3}")]
-                         + [(f"BF({r})", build_butterfly(r)) for r in range(2, 7)])
-def test_twin_swaps_pair_each_class_member_with_the_one_before(name, g):
-    edges = set(g.edges)
-    for pool in (tuple(range(g.n)), tuple(v for v in range(g.n) if v % 3)):
-        index = {v: i for i, v in enumerate(pool)}
-        # in order of the later member, as the search's one pass needs
-        expected = sorted(((p, i) for cls in twin_classes(g)
-                           for p, i in pairwise([index[v] for v in cls if v in index])),
-                          key=lambda pi: pi[1])
-        got = []
-        for half, s in genpos._twin_swaps(false_twin_firsts(g, pool)):
-            p = half.bit_length() - 1
-            assert half == 1 << p
-            got.append((p, p + s))
-        assert got == expected, (name, pool)
-        for p, i in got:
-            f = {pool[p]: pool[i], pool[i]: pool[p]}
-            image = {tuple(sorted((f.get(u, u), f.get(v, v)))) for u, v in g.edges}
-            assert image == edges, (name, pool, p, i)
 
 
 def test_bf3_deg2_pool_matches_brute_force(bf3):

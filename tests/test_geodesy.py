@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -25,17 +25,20 @@ from bfgp.geodesy import (
     first_collinear,
     iter_collinear,
     lies_between,
+    pool_automorphisms,
     row_xor_stabilizer,
     walk_defect,
     walk_violation,
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
+    _complete_bipartite,
     _grid,
     _star,
     bfs_dist,
     butterfly_distance,
     connected,
+    level_xor_permutations,
     named_corpus,
     oracle_collinear,
     on_some_geodesic,
@@ -44,6 +47,7 @@ from corpus import (
     reference_walk_violation,
     twin_classes,
     twin_reduced_general_position,
+    whole_level_pools,
 )
 
 
@@ -330,6 +334,103 @@ def test_butterfly_false_twins_are_the_end_level_pairs(r):
         for v in cls:
             first[v] = cls[0]
     assert false_twin_firsts(g, range(g.n)) == first
+
+
+def _level_maps(r):
+    """[P_0, S_0, P_1, S_1, ...]: P_j XORs 2^j on the levels below r - j, S_j on the rest."""
+    return [[v ^ 1 << j if ((v >> r) < r - j) == below else v for v in range((r + 1) << r)]
+            for j in range(r) for below in (True, False)]
+
+
+def _swap_map(gen, pool):
+    """The block swap gen = (half, s) on pool's positions, as a map on its ids."""
+    half, s = gen
+    assert s > 0 and half and not half & half << s
+    assert (half | half << s) >> len(pool) == 0  # the pool onto itself
+    f = {}
+    for p in range(len(pool)):
+        if half >> p & 1:
+            f[pool[p]], f[pool[p + s]] = pool[p + s], pool[p]
+    return f
+
+
+def _maps_edges_onto_edges(g, f):
+    return {tuple(sorted((f.get(u, u), f.get(v, v)))) for u, v in g.edges} == set(g.edges)
+
+
+def _twin_swaps(g, pool):
+    """(2^p, i - p) for each false twin i of pool and the member p before it in its class, by i."""
+    index = {v: i for i, v in enumerate(pool)}
+    pairs = sorted(((p, i) for cls in twin_classes(g)
+                    for p, i in pairwise([index[v] for v in cls if v in index])),
+                   key=lambda pi: pi[1])
+    return [(1 << p, i - p) for p, i in pairs]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_bf_automorphisms_are_the_2r_level_xors_then_the_end_level_twin_swaps(r):
+    g = build_butterfly(r)
+    pool = tuple(range(g.n))
+    maps = _level_maps(r)
+    twins = false_twin_firsts(g, pool)
+    for k, f in enumerate(maps):
+        assert _maps_edges_onto_edges(g, dict(enumerate(f))), k
+    # P_(r-1) and S_0 swap end-level twins, and are generators like the rest
+    assert {k for k, f in enumerate(maps)
+            if any(f[v] != v and twins[f[v]] == twins[v] for v in pool)} == {2 * r - 2, 1}
+    gens = pool_automorphisms(g, pool)
+    assert len(gens) == 2 * r + (1 << r)
+    swapped = [_swap_map(gen, pool) for gen in gens[:2 * r]]
+    assert [[f.get(v, v) for v in pool] for f in swapped] == maps
+    assert list(gens[2 * r:]) == _twin_swaps(g, pool)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_automorphisms_of_whole_level_pools_map_edges_and_pool_onto_themselves(r):
+    # a level XOR moves levels outside a pool too: the generator is its action on the pool
+    g = build_butterfly(r)
+    maps = [dict(enumerate(f)) for f in _level_maps(r)]
+    for f in maps:
+        assert _maps_edges_onto_edges(g, f)
+    for pool in whole_level_pools(r):
+        gens = pool_automorphisms(g, pool)
+        # the level XORs that move some level of the pool, in order, then the twin swaps
+        moving = [f for f in maps if any(f[v] != v for v in pool)]
+        swaps = _twin_swaps(g, pool)
+        assert len(gens) == len(moving) + len(swaps) and list(gens[len(moving):]) == swaps
+        for gen, f in zip(gens, moving):
+            assert {f[v] for v in pool} == set(pool), pool
+            assert _swap_map(gen, pool) == {v: f[v] for v in pool if f[v] != v}, (pool, gen)
+        for gen in swaps:
+            assert _maps_edges_onto_edges(g, _swap_map(gen, pool)), (pool, gen)
+
+
+BF3 = build_butterfly(3)
+TWINS_ALONE = {
+    "BF(3) relabelled": (Graph(BF3.n, [(31 - u, 31 - v) for u, v in BF3.edges]), range(32)),
+    "BF(3) less a row": (BF3, range(31)),  # level 3 without its last row
+    "BF(3) half levels": (BF3, range(4, 12)),  # eight ids, half of levels 0 and 1
+    "BF(3) empty": (BF3, ()),
+    "C_8": (build_cycle(8), range(8)),
+    "K_{1,4}": (_star(4), range(5)),
+    "K_{1,4} v % 3": (_star(4), (1, 2, 4)),
+    "K_{3,3}": (_complete_bipartite(3, 3), range(6)),
+    "K_{3,3} v % 3": (_complete_bipartite(3, 3), (1, 2, 4, 5)),
+    # dropping every third id drops one twin of some classes
+    **{f"BF({r}) v % 3": (build_butterfly(r), [v for v in range((r + 1) << r) if v % 3])
+       for r in range(2, 7)},
+}
+
+
+@pytest.mark.parametrize("name", list(TWINS_ALONE))
+def test_other_graphs_and_partial_pools_get_the_twin_swaps_alone(name):
+    g, pool = TWINS_ALONE[name]
+    pool = tuple(pool)
+    gens = pool_automorphisms(g, pool)
+    assert list(gens) == _twin_swaps(g, pool)
+    assert level_xor_permutations(g, pool) == []
+    for gen in gens:
+        assert _maps_edges_onto_edges(g, _swap_map(gen, pool)), gen
 
 
 @pytest.mark.parametrize("r", range(2, 11))

@@ -12,9 +12,12 @@ names, not callers.  Only the command line may read a clock or a random
 source, so results are reproducible, and only `graphs.py` may read the
 canonical butterfly edge list, so one module decides whether a graph is
 BF(r); the modules that compute read that answer, `Graph.butterfly_r`,
-and never the family tag.  Only `geodesy.py` reads a distance matrix's
-rows and row-XOR encoding, so the symmetry it draws from them stays
-behind its functions, and one function there runs the packed
+and never the family tag.  `genpos.py` and `cycle_cover.py` do not read
+`butterfly_r` either: BF(r)'s id layout is read where distances and
+files are made, so the search gets its automorphisms from geodesy.
+Only `geodesy.py` reads a distance matrix's rows, row-XOR encoding,
+chunk tables and distance bound, so the symmetry it draws from them
+stays behind its functions, and one function there runs the packed
 collinearity kernel, so every collinearity answer comes from one scan.
 Only `cli.main` finishes a run or writes a product, so the `--out` rule
 lives in one place.
@@ -144,10 +147,15 @@ def test_computing_modules_ignore_the_family_tag(name):
     assert not read, f"{name} reads the family tag through {read}"
 
 
+@pytest.mark.parametrize("name", ["genpos.py", "cycle_cover.py"])
+def test_search_and_covers_read_no_butterfly_layout(name):
+    assert "butterfly_r" not in _used_names(TREES[name]), f"{name} reads Graph.butterfly_r"
+
+
 @pytest.mark.parametrize("name", [n for n in TREES if n != "geodesy.py"])
 def test_only_geodesy_reads_the_distance_rows(name):
     read = sorted({node.attr for node in ast.walk(TREES[name]) if isinstance(node, ast.Attribute)
-                   and node.attr in ("rows", "shift", "mask", "source")})
+                   and node.attr in ("rows", "shift", "mask", "source", "blocks", "bound")})
     assert not read, f"{name} reads the distance matrix through {read}"
 
 

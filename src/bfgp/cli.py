@@ -164,13 +164,18 @@ def _add_common(p: argparse.ArgumentParser, handler, product: str = "") -> None:
     p.add_argument("--quiet", action="store_true", help="suppress stderr chatter")
 
 
-def _node_budget(text: str) -> int:
+def _int(text: str) -> int:
+    """argparse's type=int, with a long value shortened by reprlib in its error."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(text)}") from None
+
+
+def _node_budget(text: str) -> int:
+    value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {reprlib.repr(value)}")
     return value
 
 
@@ -188,8 +193,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate a graph file")
     p.add_argument("family", choices=list(_GENERATE))
     param = p.add_mutually_exclusive_group()
-    param.add_argument("--r", type=int, help="butterfly dimension")
-    param.add_argument("--n", type=int, help="cycle/path order")
+    param.add_argument("--r", type=_int, help="butterfly dimension")
+    param.add_argument("--n", type=_int, help="cycle/path order")
     p.add_argument("--format", choices=["json", "dot"], default="json")
     _add_common(p, cmd_generate, "graph")
 
@@ -197,7 +202,7 @@ def build_parser() -> _Parser:
     gsub = p.add_subparsers(dest="action", required=True)
 
     q = gsub.add_parser("construct", help="write the built-in optimal butterfly set")
-    q.add_argument("--r", type=int, required=True)
+    q.add_argument("--r", type=_int, required=True)
     _add_common(q, cmd_gpset_construct, "set")
 
     q = gsub.add_parser("verify", help="check a set for general position")
@@ -208,7 +213,7 @@ def build_parser() -> _Parser:
     q = gsub.add_parser("max", help="exact maximum general position set")
     source = q.add_mutually_exclusive_group(required=True)
     source.add_argument("--graph")
-    source.add_argument("--r", type=int, help="solve on BF(r) without a graph file")
+    source.add_argument("--r", type=_int, help="solve on BF(r) without a graph file")
     q.add_argument("--pool", default="all",
                    help="'all', 'deg2', or 'file:PATH' with a vertex-set JSON")
     _add_common(q, cmd_gpset_max, "set")
@@ -218,7 +223,7 @@ def build_parser() -> _Parser:
     csub = p.add_subparsers(dest="action", required=True)
 
     q = csub.add_parser("construct", help="build the butterfly cycle cover")
-    q.add_argument("--r", type=int, required=True)
+    q.add_argument("--r", type=_int, required=True)
     _add_common(q, cmd_cover_construct, "cover")
 
     q = csub.add_parser("verify", help="verify a cover file")
@@ -232,9 +237,9 @@ def build_parser() -> _Parser:
     _add_common(q, cmd_cover_bounds)
 
     p = sub.add_parser("report", help="summary table across butterfly dimensions")
-    p.add_argument("--r-min", type=int, default=2)
-    p.add_argument("--r-max", type=int, default=4)
-    p.add_argument("--exact-max-r", type=int, default=3,
+    p.add_argument("--r-min", type=_int, default=2)
+    p.add_argument("--r-max", type=_int, default=4)
+    p.add_argument("--exact-max-r", type=_int, default=3,
                    help="run the exact solver for r up to this value")
     _add_common(p, cmd_report)
     _add_budget(p)
@@ -275,7 +280,7 @@ def _set_verdict(doc: dict, witness, code: int) -> int:
     """code if the set passed verify_general_position; else exit 1, the witness in doc."""
     if witness.ok:
         return code
-    doc.update(status="verify-failed", witness=genpos.witness_to_dict(witness))
+    doc.update(status="verify-failed", witness=graph_io.witness_to_dict(witness))
     return EXIT_VERIFY_FAILED
 
 
@@ -304,14 +309,14 @@ def cmd_gpset_construct(run: Run):
     s, witness, _ = _made(r, genpos.construct_butterfly_gp_set, genpos.verify_general_position)
     result = {"command": "gpset-construct", "r": r, "size": len(s)}
     run.note(f"BF({r}) general position set of size {len(s)}")
-    return result, _set_verdict(result, witness, EXIT_OK), ("set", genpos.vertex_set_to_dict(s))
+    return result, _set_verdict(result, witness, EXIT_OK), ("set", graph_io.vertex_set_to_dict(s))
 
 
 def cmd_gpset_verify(run: Run):
-    g, dm, s = _claim(run, run.args.set_path, genpos.vertex_set_from_dict)
+    g, dm, s = _claim(run, run.args.set_path, graph_io.vertex_set_from_dict)
     witness = genpos.verify_general_position(g, dm, s)
     result = {"command": "gpset-verify", "size": len(s), "status": witness.status,
-              "witness": genpos.witness_to_dict(witness)}
+              "witness": graph_io.witness_to_dict(witness)}
     run.note(f"set of size {len(s)}: {witness.status}")
     return result, EXIT_OK if witness.ok else EXIT_VERIFY_FAILED, None
 
@@ -324,9 +329,9 @@ def _resolve_pool(run: Run, g: graphs.Graph):
         return [v for v in range(g.n) if g.degree(v) == 2], "deg2"
     if spec.startswith("file:"):
         path = spec[len("file:"):]
-        s = _read_claim(run, path, g, genpos.vertex_set_from_dict)
+        s = _read_claim(run, path, g, graph_io.vertex_set_from_dict)
         return sorted(s.members), f"file:{path}"
-    raise _UsageError(f"unknown pool {spec!r}")
+    raise _UsageError(f"unknown pool {reprlib.repr(spec)}")
 
 
 def _solve(g: graphs.Graph, dm, pool, node_budget: int):
@@ -348,7 +353,7 @@ def cmd_gpset_max(run: Run):
     run.note(f"max general position on {ref} pool={pool_desc}: "
              f"size {res.size} optimal={res.optimal}")
     code = _set_verdict(doc, witness, EXIT_OK if res.optimal else EXIT_INCONCLUSIVE)
-    return doc, code, ("set", genpos.vertex_set_to_dict(res.best_set))
+    return doc, code, ("set", graph_io.vertex_set_to_dict(res.best_set))
 
 
 def cmd_cover_construct(run: Run):
@@ -361,30 +366,30 @@ def cmd_cover_construct(run: Run):
         "cycles": len(cover),
         "cycle_length": 4 * r,
         "passes": report.passes,
-        "report": cc.report_to_dict(report),
+        "report": graph_io.report_to_dict(report),
     }
     run.note(f"BF({r}) cover: {len(cover)} cycles of length {4 * r}, verified={report.passes}")
     return (result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED,
-            (None, cc.cover_to_dict(cover)))
+            (None, graph_io.cover_to_dict(cover)))
 
 
 def cmd_cover_verify(run: Run):
-    g, dm, cover = _claim(run, run.args.cover, cc.cover_from_dict)
+    g, dm, cover = _claim(run, run.args.cover, graph_io.cover_from_dict)
     report = cc.verify_cover(g, dm, cover)
     result = {"command": "cover-verify", "cycles": len(cover), "passes": report.passes,
-              "report": cc.report_to_dict(report)}
+              "report": graph_io.report_to_dict(report)}
     run.note(f"cover of {len(cover)} members: passes={report.passes}")
     return result, EXIT_OK if report.passes else EXIT_VERIFY_FAILED, None
 
 
 def cmd_cover_bounds(run: Run):
-    g, dm, cover = _claim(run, run.args.cover, cc.cover_from_dict)
+    g, dm, cover = _claim(run, run.args.cover, graph_io.cover_from_dict)
     report = cc.verify_cover(g, dm, cover)
     if report.bounds:
         result = {"command": "cover-bounds", "cover_size": len(cover), "bounds": report.bounds}
     else:
         result = {"command": "cover-bounds", "error": cc.UNVERIFIED}
-    result["report"] = cc.report_to_dict(report)
+    result["report"] = graph_io.report_to_dict(report)
     for name, value in report.bounds.items():
         run.note(f"gp <= {value}  ({name} from a verified cover of {len(cover)})")
     return result, EXIT_OK if report.bounds else EXIT_VERIFY_FAILED, None
@@ -395,7 +400,7 @@ def cmd_report(run: Run):
     if args.r_min < 2 or args.r_max < args.r_min:
         raise _UsageError("need 2 <= r-min <= r-max")
     if args.r_max > graphs.MAX_BUTTERFLY_R:
-        raise TooLargeError(f"--r-max {args.r_max} exceeds the butterfly cap "
+        raise TooLargeError(f"--r-max {reprlib.repr(args.r_max)} exceeds the butterfly cap "
                             f"r <= {graphs.MAX_BUTTERFLY_R}")
     rows, certified = [], True
     for r in range(args.r_min, args.r_max + 1):

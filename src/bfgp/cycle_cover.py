@@ -21,14 +21,8 @@ from __future__ import annotations
 
 import reprlib
 
-from .errors import (
-    GraphParseError,
-    InvalidCoverError,
-    InvalidParameterError,
-    UnverifiedCoverError,
-)
+from .errors import InvalidCoverError, InvalidParameterError, UnverifiedCoverError
 from .geodesy import DistanceMatrix, walk_defect, walk_violation
-from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
 from .records import Record
 
@@ -169,7 +163,7 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     cover must first pass verify_cover.
     """
     if r < 2:
-        raise InvalidParameterError(f"cover construction needs r >= 2, got {r}")
+        raise InvalidParameterError(f"cover construction needs r >= 2, got {reprlib.repr(r)}")
     ref = butterfly_ref(r)  # refuses r above the cap before any cycle is built
     low = [((1 << r) - 1) >> lev for lev in range(r + 1)]
     cycle0 = candidate_cycle(r, 0, 0)
@@ -191,33 +185,4 @@ def gp_upper_bounds(cover: CycleCover, verified: CoverReport) -> dict[str, int]:
     if verified.cover != cover or not verified.bounds:
         raise UnverifiedCoverError(UNVERIFIED)
     return dict(verified.bounds)
-
-
-def cover_to_dict(cover: CycleCover) -> dict:
-    return {
-        "graph_ref": cover.graph_ref,
-        "kind": cover.kind,
-        "cycles": [list(seq) for seq in cover.cycles],
-    }
-
-
-def cover_from_dict(doc: dict) -> CycleCover:
-    if not isinstance(doc, dict) or "cycles" not in doc:
-        raise GraphParseError("cover JSON needs a 'cycles' array")
-    kind = doc.get("kind", KIND_CYCLE)
-    if kind not in (KIND_CYCLE, KIND_PATH):
-        raise GraphParseError(f"unknown cover kind {reprlib.repr(kind)}")
-    cycles = doc["cycles"]
-    if not isinstance(cycles, list):
-        raise GraphParseError("'cycles' must be an array of id arrays")
-    parsed = tuple(tuple(int_array(seq, f"cycle #{i}")) for i, seq in enumerate(cycles))
-    return CycleCover(kind=kind, cycles=parsed, graph_ref=str_field(doc, "graph_ref", ""))
-
-
-def report_to_dict(report: CoverReport) -> dict:
-    return {
-        "passes": report.passes,
-        "flags": dict(report.flags),
-        "first_failure": report.first_failure,
-    }
 

@@ -43,10 +43,11 @@ nothing reads a clock or a random source.
 
 from __future__ import annotations
 
+import reprlib
 from itertools import islice
 
 from .budget import Budget
-from .errors import GraphParseError, InvalidParameterError, TooLargeError
+from .errors import InvalidParameterError, TooLargeError
 from .geodesy import (
     DistanceMatrix,
     checked_members,
@@ -56,7 +57,6 @@ from .geodesy import (
     lies_between,
     pool_automorphisms,
 )
-from .graph_io import int_array, str_field
 from .graphs import Graph, butterfly_ref
 from .records import Record
 
@@ -133,7 +133,7 @@ def construct_butterfly_gp_set(r: int) -> VertexSet:
     vertices with a_1 = 1, and level-1 vertices with a_1 = a_r = 0.
     """
     if r < 2:
-        raise InvalidParameterError(f"construction needs r >= 2, got {r}")
+        raise InvalidParameterError(f"construction needs r >= 2, got {reprlib.repr(r)}")
     ref = butterfly_ref(r)  # refuses r above the cap before any list is built
     nrows = 1 << r
     msb = 1 << (r - 1)
@@ -411,27 +411,6 @@ def max_general_position(g: Graph, dm: DistanceMatrix, pool=None,
     best = VertexSet(members=members, provenance=provenance, graph_ref=g.ref())
     return SolveResult(best_set=best, size=len(members), optimal=optimal,
                        nodes_explored=nodes)
-
-
-def vertex_set_to_dict(s: VertexSet) -> dict:
-    return {"graph_ref": s.graph_ref, "ids": list(s.members), "provenance": s.provenance}
-
-
-def vertex_set_from_dict(doc: dict) -> VertexSet:
-    if not isinstance(doc, dict) or "ids" not in doc:
-        raise GraphParseError("vertex set JSON needs an 'ids' array")
-    ids = int_array(doc["ids"], "'ids'")
-    return VertexSet(members=tuple(sorted(ids)),
-                     provenance=str_field(doc, "provenance", PROVENANCE_USER),
-                     graph_ref=str_field(doc, "graph_ref", ""))
-
-
-def witness_to_dict(w: GpWitness) -> dict:
-    return {
-        "status": w.status,
-        "triple": list(w.triple) if w.triple is not None else None,
-        "middle": w.middle,
-    }
 
 
 def brute_force_max_gp(g: Graph, dm: DistanceMatrix, pool=None) -> tuple[int, tuple[int, ...]]:

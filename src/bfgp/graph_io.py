@@ -1,11 +1,11 @@
-"""Graph serialization.
+"""Every file format: graph, vertex set, cover, witness and cover report.
 
-JSON is the round-trip format: an object with `family`, an optional
-`r`/`n` parameter, `num_vertices` and `edges` as [u, v] pairs with
-u < v; an unknown key, such as an older file's `labels`, is ignored.
-DOT export is one-way and render-ready; on the canonical BF(r),
-whatever its tag, vertex v = level * 2^r + row is named L<level>_<row>,
-the row written as r bits, straight from v.
+Graphs, sets and covers round-trip as JSON; witnesses and reports are
+only written.  A graph is an object with `family`, an optional `r`/`n`
+parameter, `num_vertices` and `edges` as [u, v] pairs with u < v; an
+unknown key, such as an older file's `labels`, is ignored.  DOT export is
+one-way and render-ready; on the canonical BF(r), whatever its tag, vertex
+v = level * 2^r + row is named L<level>_<row>, the row in r bits, from v.
 """
 
 from __future__ import annotations
@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import reprlib
 
+from .cycle_cover import KIND_CYCLE, KIND_PATH, CoverReport, CycleCover
 from .errors import GraphParseError, InvalidParameterError
+from .genpos import PROVENANCE_USER, GpWitness, VertexSet
 from .graphs import FAMILY_BUTTERFLY, FAMILY_CUSTOM, Graph
 
 
@@ -69,19 +71,19 @@ def parse_json(data: bytes | str):
         raise GraphParseError(f"invalid JSON: {e}") from e
 
 
-def is_json_int(x) -> bool:
+def _is_json_int(x) -> bool:
     """True for a JSON integer; true and false parse to bool, a subclass of int."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def int_array(value, what: str) -> list[int]:
+def _int_array(value, what: str) -> list[int]:
     """Return value if it is an array of JSON integers, else raise GraphParseError."""
-    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
+    if not isinstance(value, list) or not all(_is_json_int(v) for v in value):
         raise GraphParseError(f"{what} must be an array of integers")
     return value
 
 
-def str_field(doc: dict, key: str, default: str) -> str:
+def _str_field(doc: dict, key: str, default: str) -> str:
     """doc[key], or default when absent, if it is a string, else raise GraphParseError."""
     value = doc.get(key, default)
     if not isinstance(value, str):
@@ -99,7 +101,7 @@ def import_graph(data: bytes | str) -> Graph:
     if "num_vertices" not in doc:
         raise GraphParseError("missing num_vertices")
     n = doc["num_vertices"]
-    if not is_json_int(n) or n < 0:
+    if not _is_json_int(n) or n < 0:
         raise GraphParseError(
             f"num_vertices must be a non-negative integer, got {reprlib.repr(n)}")
     raw_edges = doc.get("edges", [])
@@ -109,3 +111,49 @@ def import_graph(data: bytes | str) -> Graph:
         return Graph(n, raw_edges, family, param)
     except InvalidParameterError as e:
         raise GraphParseError(f"inconsistent graph: {e}") from e
+
+
+def _claim_from_dict(doc, key: str, missing: str, record, fields):
+    """record(*fields(doc), graph_ref) if doc holds key, else missing; fields checked first."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise GraphParseError(missing)
+    return record(*fields(doc), graph_ref=_str_field(doc, "graph_ref", ""))
+
+
+def vertex_set_to_dict(s: VertexSet) -> dict:
+    return {"graph_ref": s.graph_ref, "ids": list(s.members), "provenance": s.provenance}
+
+
+def vertex_set_from_dict(doc: dict) -> VertexSet:
+    return _claim_from_dict(doc, "ids", "vertex set JSON needs an 'ids' array", VertexSet,
+                            lambda doc: (tuple(sorted(_int_array(doc["ids"], "'ids'"))),
+                                         _str_field(doc, "provenance", PROVENANCE_USER)))
+
+
+def witness_to_dict(w: GpWitness) -> dict:
+    triple = None if w.triple is None else list(w.triple)
+    return {"status": w.status, "triple": triple, "middle": w.middle}
+
+
+def cover_to_dict(cover: CycleCover) -> dict:
+    return {"graph_ref": cover.graph_ref, "kind": cover.kind,
+            "cycles": [list(seq) for seq in cover.cycles]}
+
+
+def _cover_fields(doc: dict) -> tuple:
+    kind, cycles = doc.get("kind", KIND_CYCLE), doc["cycles"]
+    if kind not in (KIND_CYCLE, KIND_PATH):
+        raise GraphParseError(f"unknown cover kind {reprlib.repr(kind)}")
+    if not isinstance(cycles, list):
+        raise GraphParseError("'cycles' must be an array of id arrays")
+    return kind, tuple(tuple(_int_array(seq, f"cycle #{i}")) for i, seq in enumerate(cycles))
+
+
+def cover_from_dict(doc: dict) -> CycleCover:
+    return _claim_from_dict(doc, "cycles", "cover JSON needs a 'cycles' array", CycleCover,
+                            _cover_fields)
+
+
+def report_to_dict(report: CoverReport) -> dict:
+    return {"passes": report.passes, "flags": dict(report.flags),
+            "first_failure": report.first_failure}

@@ -195,9 +195,10 @@ def _content_ref(n: int, edges, family: str, family_param: int | None) -> str:
 
 def _checked_dim(r: int) -> int:
     if r < 1:
-        raise InvalidParameterError(f"butterfly dimension must be >= 1, got {r}")
+        raise InvalidParameterError(f"butterfly dimension must be >= 1, got {reprlib.repr(r)}")
     if r > MAX_BUTTERFLY_R:
-        raise TooLargeError(f"butterfly dimension {r} exceeds the cap r <= {MAX_BUTTERFLY_R}")
+        raise TooLargeError(f"butterfly dimension {reprlib.repr(r)} exceeds the cap "
+                            f"r <= {MAX_BUTTERFLY_R}")
     return r
 
 
@@ -284,12 +285,12 @@ def build_butterfly(r: int) -> Graph:
 
 def build_cycle(n: int) -> Graph:
     if n < 3:
-        raise InvalidParameterError(f"cycle length must be >= 3, got {n}")
+        raise InvalidParameterError(f"cycle length must be >= 3, got {reprlib.repr(n)}")
     return Graph(n, _ring_edges(n, True), FAMILY_CYCLE, n)
 
 
 def build_path(n: int) -> Graph:
     if n < 1:
-        raise InvalidParameterError(f"path order must be >= 1, got {n}")
+        raise InvalidParameterError(f"path order must be >= 1, got {reprlib.repr(n)}")
     return Graph(n, _ring_edges(n, False), FAMILY_PATH, n)
 

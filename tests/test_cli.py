@@ -9,7 +9,7 @@ from bfgp import cycle_cover as cc
 from bfgp import cli, genpos, geodesy, graphs
 from bfgp.budget import DEFAULT_SOLVER_NODES
 from bfgp.cli import main
-from bfgp.graph_io import export_dot, export_graph
+from bfgp.graph_io import cover_to_dict, export_dot, export_graph, vertex_set_to_dict
 from bfgp.graphs import build_path
 
 
@@ -104,7 +104,7 @@ def test_gpset_construct_without_out_prints_the_set(capsys, tmp_path):
                         "--manifest", str(tmp_path / "m.json"))
     assert code == 0
     assert "path" not in doc
-    assert doc["set"] == genpos.vertex_set_to_dict(genpos.construct_butterfly_gp_set(3))
+    assert doc["set"] == vertex_set_to_dict(genpos.construct_butterfly_gp_set(3))
 
 
 def _corrupt_set(monkeypatch):
@@ -663,7 +663,7 @@ def test_exit_2_documents_name_the_location(capsys, tmp_path, role, content, err
     files = {name: tmp_path / f"{name}.json" for name in ("graph", "set", "cover")}
     files["graph"].write_bytes(export_graph(graphs.build_butterfly(2)))
     files["set"].write_text(json.dumps({"ids": [0, 1]}))
-    files["cover"].write_text(json.dumps(cc.cover_to_dict(cc.construct_bf_cycle_cover(2))))
+    files["cover"].write_text(json.dumps(cover_to_dict(cc.construct_bf_cycle_cover(2))))
     files[role].write_text(content if isinstance(content, str) else json.dumps(content))
     argv = (("gpset", "verify", "--set", str(files["set"])) if role != "cover"
             else ("cover", "verify", "--cover", str(files["cover"])))

@@ -11,10 +11,7 @@ from bfgp.cycle_cover import (
     CycleCover,
     candidate_cycle,
     construct_bf_cycle_cover,
-    cover_from_dict,
-    cover_to_dict,
     gp_upper_bounds,
-    report_to_dict,
     verify_cover,
 )
 from bfgp.errors import (
@@ -25,6 +22,7 @@ from bfgp.errors import (
 )
 from bfgp.genpos import max_general_position
 from bfgp.geodesy import all_pairs_distances, walk_violation
+from bfgp.graph_io import cover_from_dict, cover_to_dict, report_to_dict
 from bfgp.graphs import (
     Graph,
     build_butterfly,

@@ -1,8 +1,11 @@
-"""Fuzz the file boundary: random bytes and JSON values as every input file.
+"""Fuzz the file and flag boundaries: random bytes and JSON values as every
+input file, and thousands of digits as every integer flag and `--pool`.
 
 Whatever a graph, set, cover or pool file holds, a run prints exactly one
 JSON document and exits 0, 1, 2 or 3.  The other files of each command
-are valid BF(2) inputs, so the fuzzed one is what the run trips on.
+are valid BF(2) inputs, so the fuzzed one is what the run trips on.  An
+oversized file value or flag value is named in a short error, and a
+refused flag value exits 2.
 """
 
 import contextlib
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from bfgp import cycle_cover, genpos
 from bfgp.cli import main
-from bfgp.graph_io import export_graph
+from bfgp.graph_io import cover_to_dict, export_graph, vertex_set_to_dict
 from bfgp.graphs import MAX_VERTICES, build_butterfly
 
 # ids around BF(2)'s 12 vertices, plus values past every ceiling; no
@@ -66,9 +69,9 @@ def files(tmp_path_factory):
                                                       "manifest")}
     paths["graph"].write_bytes(export_graph(build_butterfly(2)))
     paths["set"].write_text(json.dumps(
-        genpos.vertex_set_to_dict(genpos.construct_butterfly_gp_set(2))))
+        vertex_set_to_dict(genpos.construct_butterfly_gp_set(2))))
     paths["cover"].write_text(json.dumps(
-        cycle_cover.cover_to_dict(cycle_cover.construct_bf_cycle_cover(2))))
+        cover_to_dict(cycle_cover.construct_bf_cycle_cover(2))))
     return paths
 
 
@@ -122,4 +125,38 @@ def test_oversized_values_give_a_short_error(files, template, doc):
     assert code == 2
     assert len(out.getvalue().encode()) < 4096
     assert isinstance(json.loads(out.getvalue()), dict)
+    assert err.getvalue() == ""
+
+
+# every integer flag, and --pool, whose unknown value is echoed too, with small
+# values for the command's other flags; {v} is the value tried
+FLAGS = [
+    "generate butterfly --r {v}",
+    "generate cycle --n {v}",
+    "generate path --n {v}",
+    "gpset construct --r {v}",
+    "gpset max --r {v}",
+    "gpset max --r 2 --node-budget {v}",
+    "cover construct --r {v}",
+    "report --r-min {v}",
+    "report --r-max {v}",
+    "report --r-max 2 --exact-max-r {v}",
+    "report --r-max 2 --node-budget {v}",
+    "gpset max --r 2 --pool {v}",
+]
+# plus and minus the longest integer int() parses, and one it refuses
+LONG_FLAG_VALUES = {"4299-nines": "9" * 4299, "minus-4299-nines": "-" + "9" * 4299,
+                    "20000-digits": "9" * 20_000}
+
+
+@pytest.mark.parametrize("value", list(LONG_FLAG_VALUES.values()), ids=list(LONG_FLAG_VALUES))
+@pytest.mark.parametrize("template", FLAGS)
+def test_oversized_flag_values_give_a_short_document(files, template, value):
+    argv = template.format(v=value).split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--quiet", "--manifest", str(files["manifest"])])
+    doc = json.loads(out.getvalue())
+    assert len(out.getvalue().encode()) < 4096
+    assert code == (2 if "error" in doc else 0), doc
     assert err.getvalue() == ""

@@ -21,9 +21,6 @@ from bfgp.genpos import (
     greedy_gp_lower_bound,
     max_general_position,
     verify_general_position,
-    vertex_set_from_dict,
-    vertex_set_to_dict,
-    witness_to_dict,
 )
 from bfgp.geodesy import (
     all_pairs_distances,
@@ -32,6 +29,7 @@ from bfgp.geodesy import (
     iter_collinear,
     row_xor_stabilizer,
 )
+from bfgp.graph_io import vertex_set_from_dict, vertex_set_to_dict, witness_to_dict
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
     _star,

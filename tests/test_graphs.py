@@ -12,7 +12,14 @@ from bfgp.errors import (
     TooLargeError,
 )
 from bfgp import cli, cycle_cover, genpos, graphs
-from bfgp.graph_io import export_dot, export_graph, graph_to_dict, import_graph
+from bfgp.graph_io import (
+    cover_from_dict,
+    export_dot,
+    export_graph,
+    graph_to_dict,
+    import_graph,
+    vertex_set_from_dict,
+)
 from bfgp.graphs import (
     BUTTERFLY_HASHES,
     FAMILY_BUTTERFLY,
@@ -521,3 +528,29 @@ def test_bad_field_error_is_short(key, value):
     with pytest.raises(GraphParseError) as e:
         import_graph(json.dumps({"family": "custom", "num_vertices": 2, key: value}))
     assert len(str(e.value)) < 200
+
+
+# set and cover documents with two or three bad fields each, and the one
+# error each must get: the first bad field in the order the reader checks
+MULTI_DEFECT = [
+    (vertex_set_from_dict, {"graph_ref": 5}, "vertex set JSON needs an 'ids' array"),
+    (vertex_set_from_dict, {"ids": "x", "provenance": 5, "graph_ref": 5},
+     "'ids' must be an array of integers"),
+    (vertex_set_from_dict, {"ids": [0], "provenance": 5, "graph_ref": 5},
+     "'provenance' must be a string"),
+    (cover_from_dict, {"kind": "weird", "graph_ref": 5}, "cover JSON needs a 'cycles' array"),
+    (cover_from_dict, {"cycles": "no", "kind": "weird"}, "unknown cover kind 'weird'"),
+    (cover_from_dict, {"cycles": "no", "graph_ref": 5}, "'cycles' must be an array of id arrays"),
+    (cover_from_dict, {"cycles": [[0, 1], [0, "a"]], "graph_ref": 5},
+     "cycle #1 must be an array of integers"),
+    (cover_from_dict, {"cycles": [[0, None]], "graph_ref": 5},
+     "cycle #0 must be an array of integers"),
+]
+
+
+@pytest.mark.parametrize("read, doc, error", MULTI_DEFECT,
+                         ids=[f"{case[0].__name__}-{i}" for i, case in enumerate(MULTI_DEFECT)])
+def test_a_claim_file_with_several_bad_fields_gets_the_first_error(read, doc, error):
+    with pytest.raises(GraphParseError) as e:
+        read(doc)
+    assert str(e.value) == error

@@ -21,6 +21,10 @@ stays behind its functions, and one function there runs the packed
 collinearity kernel, so every collinearity answer comes from one scan.
 Only `cli.main` finishes a run or writes a product, so the `--out` rule
 lives in one place.
+`graphs.py`, `geodesy.py`, `genpos.py` and `cycle_cover.py` import
+neither `graph_io` nor `json`: every file format is read and written in
+`graph_io`, and only it and `cli` (for the stderr manifest line) handle
+JSON.
 The start-up check runs a command in a child interpreter: it must not
 import `dataclasses` or `inspect`, whose import alone cost more than
 most commands' own work.
@@ -109,15 +113,22 @@ def test_every_function_is_referenced(name, referenced):
     assert not dead, f"{name} defines functions nothing references: {dead}"
 
 
-@pytest.mark.parametrize("name", [n for n in TREES if n != "cli.py"])
-def test_no_clock_or_randomness_outside_cli(name):
+def _imported(tree: ast.AST) -> set[str]:
+    """The modules a tree imports: top-level names, and package modules by their own name."""
     imported = set()
-    for node in ast.walk(TREES[name]):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
-    banned = imported & {"time", "datetime", "random"}
+        elif isinstance(node, ast.ImportFrom):  # from . import x
+            imported.update(a.name for a in node.names)
+    return imported
+
+
+@pytest.mark.parametrize("name", [n for n in TREES if n != "cli.py"])
+def test_no_clock_or_randomness_outside_cli(name):
+    banned = _imported(TREES[name]) & {"time", "datetime", "random"}
     assert not banned, f"{name} imports {sorted(banned)}"
 
 
@@ -163,6 +174,12 @@ def test_one_scan_runs_the_collinearity_kernel():
     callers = [node.name for node in TREES["geodesy.py"].body if isinstance(node, ast.FunctionDef)
                and "_collinear_fields" in _used_names(node)]
     assert len(callers) == 1, callers
+
+
+@pytest.mark.parametrize("name", ["graphs.py", "geodesy.py", "genpos.py", "cycle_cover.py"])
+def test_computing_modules_handle_no_file_format(name):
+    banned = _imported(TREES[name]) & {"graph_io", "json"}
+    assert not banned, f"{name} imports {sorted(banned)}"
 
 
 def test_only_main_finishes_a_run_or_writes_a_product():

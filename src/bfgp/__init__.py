@@ -21,8 +21,8 @@ from .genpos import (
 from .geodesy import (
     DistanceMatrix,
     all_pairs_distances,
+    check_walk,
     lies_between,
-    walk_defect,
     walk_violation,
 )
 from .graph_io import export_graph, import_graph

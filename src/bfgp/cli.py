@@ -36,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import reprlib
 import sys
 import time
@@ -56,10 +57,23 @@ class _UsageError(Exception):
     pass
 
 
+# a word of an argparse message: a value it echoes quoted, spaces and all, or a bare word
+_WORD = re.compile(r"""'[^']*'|"[^"]*"|\S+""")
+
+
+def _short_word(m: re.Match) -> str:
+    """The word unchanged, or, if reprlib shortens it, its value shortened as flag values are."""
+    word = m.group()
+    value = word[1:-1] if len(word) > 1 and word[0] in "'\"" and word[-1] == word[0] else word
+    short = reprlib.repr(value)
+    return word if short == repr(value) else short
+
+
 class _Parser(argparse.ArgumentParser):
-    # argparse prints usage and exits; we need a JSON document on stdout instead
+    # argparse prints usage and exits; we need a JSON document on stdout instead,
+    # and argparse echoes a bad choice or an unrecognized argument whole
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(_WORD.sub(_short_word, message))
 
 
 def _sha256(data: bytes) -> str:

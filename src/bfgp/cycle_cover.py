@@ -11,18 +11,21 @@ certified by the verifier, not trusted: `verify_cover` walks each member
 of a cycle or path cover once, as a closed or open walk, and decides the
 gp bound in the same pass, with the same code on every graph; it never
 asks for BF(r), since gp <= 3k holds for any vertex cover by k isometric
-cycles.  `verify_bf_cover` is only another name for it.  Each walk
-edge (u, v), u < v, is the int u * n + v in one set: disjointness is a
-set test, and since every walk edge is a graph edge, the partition is
-decided by count.
+cycles.  `verify_bf_cover` is only another name for it.  Each member
+is checked by `geodesy.check_walk`, in one loop that also marks its
+vertices in a bytearray and lists its edges as keys, in the format that
+function alone writes; here keys are only collected in one set and read
+back by divmod.  Disjointness is a set test, and since every walk edge
+is a graph edge, the partition is decided by count.
 """
 
 from __future__ import annotations
 
 import reprlib
+from operator import xor
 
 from .errors import InvalidCoverError, InvalidParameterError, UnverifiedCoverError
-from .geodesy import DistanceMatrix, walk_defect, walk_violation
+from .geodesy import DistanceMatrix, check_walk, walk_violation
 from .graphs import Graph, butterfly_ref
 from .records import Record
 
@@ -88,21 +91,17 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
     def fail(check: str, cycle_index: int | None, detail: str) -> None:
         failures.setdefault(check, {"check": check, "cycle_index": cycle_index, "detail": detail})
 
-    incidence = [0] * n
-    seen_edges: set[int] = set()  # edge (u, v), u < v, as u * n + v: keys order as pairs do
+    covered = bytearray(n)
+    seen_edges: set[int] = set()  # check_walk's keys: they order as their pairs do
     for i, seq in enumerate(cover.cycles):
-        defect = walk_defect(g, seq, closed)
+        defect, keys = check_walk(g, seq, closed, covered)
         if defect is not None:
             raise InvalidCoverError(f"{member} #{i}: {defect}")
-        for v in seq:
-            incidence[v] += 1
         if "edge_disjoint" not in failures:
-            ends = seq[1:] + seq[:1] if closed else seq[1:]
-            keys = {u * n + v if u < v else v * n + u for u, v in zip(seq, ends)}
             if not seen_edges.isdisjoint(keys):
-                edge = divmod(min(seen_edges & keys), n)
+                edge = divmod(min(seen_edges.intersection(keys)), n)
                 fail("edge_disjoint", i, f"edge {edge} already covered")
-            seen_edges |= keys
+            seen_edges.update(keys)
         pair = walk_violation(dm, seq, closed)
         if pair is not None:
             fail("all_isometric", i, f"pair {pair} violates {member} distance")
@@ -111,11 +110,12 @@ def verify_cover(g: Graph, dm: DistanceMatrix, cover: CycleCover) -> CoverReport
         # an overlap breaks the partition too; edge_disjoint is reported first
         fail("edge_partition", None, "edges overlap")
     elif len(seen_edges) != g.num_edges:
-        # walk_defect passed every walk edge as a graph edge, so only a short count fails
-        missing = next(e for e in g.edges if e[0] * n + e[1] not in seen_edges)
+        # check_walk passed every walk edge as a graph edge, so only a short count fails
+        pairs = {divmod(key, n) for key in seen_edges}
+        missing = next(e for e in g.edges if e not in pairs)
         fail("edge_partition", None, f"edge {missing} uncovered")
-    if 0 in incidence:
-        fail("vertex_cover", None, f"vertex {incidence.index(0)} uncovered")
+    if 0 in covered:
+        fail("vertex_cover", None, f"vertex {covered.index(0)} uncovered")
 
     flags = {name: name not in failures for name in FLAG_ORDER}
     first_failure = next((failures[name] for name in FLAG_ORDER if name in failures), None)
@@ -159,8 +159,12 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     candidate_cycle(r, uc, vc) is cycle 0 with each level-l vertex XOR-ed
     by (vc & ~low[l]) | (uc & low[l]).  Cycle 0's rows use bits 1 and r
     alone, which such uc and vc leave clear, so OR-ing their bits into the
-    corners is this XOR.  Nothing is checked here; a claim resting on the
-    cover must first pass verify_cover.
+    corners is this XOR.  For cycle k that offset, (k & ~low[l]) | (2k &
+    low[l]), is XOR-linear in k, as both parts are and they share no bit,
+    so cycle k is cycle k & (k - 1), k with its lowest bit b cleared,
+    XOR-ed position by position with the offsets of b alone.
+    Nothing is checked here; a claim resting on the cover must first pass
+    verify_cover.
     """
     if r < 2:
         raise InvalidParameterError(f"cover construction needs r >= 2, got {reprlib.repr(r)}")
@@ -168,10 +172,15 @@ def construct_bf_cycle_cover(r: int) -> CycleCover:
     low = [((1 << r) - 1) >> lev for lev in range(r + 1)]
     cycle0 = candidate_cycle(r, 0, 0)
     levels = [v >> r for v in cycle0]
-    cycles = []
-    for k in range(1 << (r - 1)):
-        offset = [(k & ~m) | (2 * k & m) for m in low]
-        cycles.append(tuple([v ^ offset[lev] for v, lev in zip(cycle0, levels)]))
+    # bit_offsets[b]: each position's offset for the single bit b
+    bit_offsets = {}
+    for j in range(r - 1):
+        b = 1 << j
+        offset = [(b & ~m) | (2 * b & m) for m in low]
+        bit_offsets[b] = [offset[lev] for lev in levels]
+    cycles = [cycle0]
+    for k in range(1, 1 << (r - 1)):
+        cycles.append(tuple(map(xor, cycles[k & (k - 1)], bit_offsets[k & -k])))
     return CycleCover(kind=KIND_CYCLE, cycles=tuple(cycles), graph_ref=ref)
 
 

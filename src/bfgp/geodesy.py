@@ -102,8 +102,10 @@ trivial, when that scan finds a violation, or on a table graph, where H
 is trivial and no twin is looked for, the full `iter_collinear` scan of
 S names the first triple in combinations order.
 
-A cycle is a closed walk and a path an open one: `walk_defect` checks
-either against the graph, and `walk_violation` tests either for isometry
+A cycle is a closed walk and a path an open one: `check_walk`, the one
+walk check, tests either against the graph in one loop that also lists
+its edges as int keys, u * n + v for u < v, and marks its vertices; it
+alone writes that key format.  `walk_violation` tests either for isometry
 by one distance per vertex, to the vertex half a cycle ahead or from a
 path's first: a pair closer than its walk distance would make that short.
 An even cycle meets each such pair twice, and reads its first half only.
@@ -491,32 +493,44 @@ def _collinear_fields(x: int, y: int, xy: int, low: int, high: int) -> int:
     return high & ~((((y + xy) ^ x) + low) & (((x + xy) ^ y) + low) & (((x + y) ^ xy) + low))
 
 
-def walk_defect(g: Graph, seq, closed: bool) -> str | None:
-    """The first defect of seq as a cycle (closed) or path (open) of g, or None.
+def check_walk(g: Graph, seq, closed: bool, covered: bytearray) -> tuple[str | None, list[int]]:
+    """(defect, keys): seq checked as a cycle (closed) or path (open) of g.
 
     A cycle needs at least 3 distinct vertices and a path at least 1,
     consecutive vertices adjacent, and on a cycle also the last and the
-    first.  The text names the first bad position; ids go through
-    reprlib, so an id of any length gives a short message.
+    first.  defect names the first bad position, and keys is then [];
+    ids go through reprlib, so an id of any length gives a short message.
+    Else defect is None, keys lists the walk's edges in walk order, edge
+    (u, v), u < v, as the int u * n + v, which orders as the pair does
+    and is the pair again by divmod(key, n), and every vertex of seq is
+    marked 1 in covered, a bytearray of g.n.  One loop over the walk
+    checks each step, marks its end and appends its key.
     """
     least = 3 if closed else 1
     L = len(seq)
     if L < least:
-        return f"needs >= {least} vertices, got {L}"
+        return f"needs >= {least} vertices, got {L}", []
     if len(set(seq)) != L:
         seen = set()
         for i, v in enumerate(seq):
             if v in seen:
-                return f"repeated vertex {reprlib.repr(v)} at position {i}"
+                return f"repeated vertex {reprlib.repr(v)} at position {i}", []
             seen.add(v)
+    n = g.n
+    v = seq[0]
     # a later vertex out of range fails adjacency first: only seq[0] is range-checked
-    if not 0 <= seq[0] < g.n:
-        return f"vertex {reprlib.repr(seq[0])} out of range at position 0"
+    if not 0 <= v < n:
+        return f"vertex {reprlib.repr(v)} out of range at position 0", []
     adj = g.adj
-    for v, w in zip(seq, seq[1:] + seq[:1] if closed else seq[1:]):
+    covered[v] = 1
+    keys = []
+    for w in seq[1:] + seq[:1] if closed else seq[1:]:
         if w not in adj[v]:
-            return f"{v} and {reprlib.repr(w)} are not adjacent at position {seq.index(v)}"
-    return None
+            return f"{v} and {reprlib.repr(w)} are not adjacent at position {seq.index(v)}", []
+        covered[w] = 1
+        keys.append(v * n + w if v < w else w * n + v)
+        v = w
+    return None, keys
 
 
 def walk_violation(dm: DistanceMatrix, seq, closed: bool) -> tuple[int, int] | None:

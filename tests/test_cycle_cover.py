@@ -350,13 +350,13 @@ def test_verifier_matches_the_reference_on_ring_covers(n):
 def test_each_member_is_structure_checked_once(bf2, monkeypatch, kind):
     g, dm = bf2
     calls = []
-    walk_defect = cycle_cover.walk_defect
+    check_walk = cycle_cover.check_walk
 
-    def counting(g, seq, closed):
+    def counting(g, seq, closed, covered):
         calls.append((seq, closed))
-        return walk_defect(g, seq, closed)
+        return check_walk(g, seq, closed, covered)
 
-    monkeypatch.setattr(cycle_cover, "walk_defect", counting)
+    monkeypatch.setattr(cycle_cover, "check_walk", counting)
     members = GOLDEN_BF2_COVER if kind == KIND_CYCLE else ((0, 4, 8), (1, 5), (2, 6, 10))
     verify_cover(g, dm, CycleCover(kind=kind, cycles=members))
     assert calls == [(seq, kind == KIND_CYCLE) for seq in members]

@@ -1,5 +1,6 @@
 """Fuzz the file and flag boundaries: random bytes and JSON values as every
-input file, and thousands of digits as every integer flag and `--pool`.
+input file, and thousands of digits or letters as every integer flag,
+`--pool` and every choice argparse checks.
 
 Whatever a graph, set, cover or pool file holds, a run prints exactly one
 JSON document and exits 0, 1, 2 or 3.  The other files of each command
@@ -144,13 +145,21 @@ FLAGS = [
     "report --r-max 2 --node-budget {v}",
     "gpset max --r 2 --pool {v}",
 ]
-# plus and minus the longest integer int() parses, and one it refuses
+# every choice argparse itself checks: command, action, family and --format
+CHOICES = [
+    "{v}",
+    "gpset {v}",
+    "cover {v}",
+    "generate {v} --r 2",
+    "generate butterfly --r 2 --format {v}",
+]
+# plus and minus the longest integer int() parses, one it refuses, and no number
 LONG_FLAG_VALUES = {"4299-nines": "9" * 4299, "minus-4299-nines": "-" + "9" * 4299,
-                    "20000-digits": "9" * 20_000}
+                    "20000-digits": "9" * 20_000, "20000-x": "x" * 20_000}
 
 
 @pytest.mark.parametrize("value", list(LONG_FLAG_VALUES.values()), ids=list(LONG_FLAG_VALUES))
-@pytest.mark.parametrize("template", FLAGS)
+@pytest.mark.parametrize("template", FLAGS + CHOICES)
 def test_oversized_flag_values_give_a_short_document(files, template, value):
     argv = template.format(v=value).split()
     out, err = io.StringIO(), io.StringIO()
@@ -159,4 +168,5 @@ def test_oversized_flag_values_give_a_short_document(files, template, value):
     doc = json.loads(out.getvalue())
     assert len(out.getvalue().encode()) < 4096
     assert code == (2 if "error" in doc else 0), doc
+    assert template not in CHOICES or doc["kind"] == "usage", doc
     assert err.getvalue() == ""

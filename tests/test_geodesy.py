@@ -21,19 +21,20 @@ from bfgp.geodesy import (
     DistanceMatrix,
     all_pairs_distances,
     bfs_distances,
+    check_walk,
     false_twin_firsts,
     first_collinear,
     iter_collinear,
     lies_between,
     pool_automorphisms,
     row_xor_stabilizer,
-    walk_defect,
     walk_violation,
 )
 from bfgp.graphs import Graph, build_butterfly, build_cycle, build_path
 from corpus import (
     _complete_bipartite,
     _grid,
+    _reference_walk_edges,
     _star,
     bfs_dist,
     butterfly_distance,
@@ -44,6 +45,7 @@ from corpus import (
     on_some_geodesic,
     random_connected_graph,
     reference_butterfly_rows,
+    reference_walk_defect,
     reference_walk_violation,
     twin_classes,
     twin_reduced_general_position,
@@ -711,18 +713,22 @@ def test_collinear_is_order_invariant(seed, data):
     assert any(iter_collinear(dm, (x, y, z))) == base
 
 
+def walk_defect_of(g, seq, closed):
+    return check_walk(g, seq, closed, bytearray(g.n))[0]
+
+
 def test_isometric_cycle_identity():
     for n in (4, 5, 8):
         g = build_cycle(n)
         dm = all_pairs_distances(g)
-        assert walk_defect(g, list(range(n)), True) is None
+        assert walk_defect_of(g, list(range(n)), True) is None
         assert walk_violation(dm, list(range(n)), True) is None
 
 
 def test_isometric_cycle_bf2_diamond(bf2):
     g, dm = bf2
     # two parallel level-0/1 edges: [00,0]-[00,1]-[10,0]-[10,1]
-    assert walk_defect(g, [0, 4, 2, 6], True) is None
+    assert walk_defect_of(g, [0, 4, 2, 6], True) is None
     assert walk_violation(dm, [0, 4, 2, 6], True) is None
     assert dm.dist(4, 6) == 2
 
@@ -760,7 +766,7 @@ def test_violating_pair_is_first_along_the_walk():
     g = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(1, 5)])
     dm = all_pairs_distances(g)
     seq = [2, 3, 4, 5, 6, 7, 0, 1]
-    assert walk_defect(g, seq, True) is None
+    assert walk_defect_of(g, seq, True) is None
     assert walk_violation(dm, seq, True) == (2, 6)
     assert min(all_pairs_walk_violations(dm, seq, True)) == (0, 4)
     # on a path the first vertex is read against each later one: 2 and 5
@@ -781,19 +787,19 @@ def test_invalid_cycles():
                         ([big, 0, 1], f"vertex {short} out of range at position 0"),
                         ([0, 1, big], f"1 and {short} are not adjacent at position 1"),
                         ([0, big, 1, big], f"repeated vertex {short} at position 3")):
-        assert walk_defect(g, seq, True) == defect
+        assert walk_defect_of(g, seq, True) == defect
 
 
 def test_isometric_path():
     g = build_path(5)
     dm = all_pairs_distances(g)
     for path in ([0, 1], [0, 1, 2, 3, 4]):
-        assert walk_defect(g, path, False) is None
+        assert walk_defect_of(g, path, False) is None
         assert walk_violation(dm, path, False) is None
 
     bf2 = build_butterfly(2)
     dmb = all_pairs_distances(bf2)
-    assert walk_defect(bf2, [0, 4, 8], False) is None
+    assert walk_defect_of(bf2, [0, 4, 8], False) is None
     assert walk_violation(dmb, [0, 4, 8], False) is None
 
     c6 = build_cycle(6)
@@ -804,18 +810,85 @@ def test_isometric_path():
 
 def test_invalid_paths():
     g = build_path(4)
-    assert walk_defect(g, [0, 2], False) == "0 and 2 are not adjacent at position 0"
-    assert walk_defect(g, [0, 1, 0], False) == "repeated vertex 0 at position 2"
-    assert walk_defect(g, [], False) == "needs >= 1 vertices, got 0"
+    assert walk_defect_of(g, [0, 2], False) == "0 and 2 are not adjacent at position 0"
+    assert walk_defect_of(g, [0, 1, 0], False) == "repeated vertex 0 at position 2"
+    assert walk_defect_of(g, [], False) == "needs >= 1 vertices, got 0"
 
 
 def test_wrap_around_edge_only_when_closed():
     p4 = build_path(4)
-    assert walk_defect(p4, [0, 1, 2, 3], False) is None
-    assert walk_defect(p4, [0, 1, 2, 3], True) == "3 and 0 are not adjacent at position 3"
+    assert walk_defect_of(p4, [0, 1, 2, 3], False) is None
+    assert walk_defect_of(p4, [0, 1, 2, 3], True) == "3 and 0 are not adjacent at position 3"
     c4 = build_cycle(4)
-    assert walk_defect(c4, [0, 1, 2, 3], False) is None
-    assert walk_defect(c4, [0, 1, 2, 3], True) is None
+    assert walk_defect_of(c4, [0, 1, 2, 3], False) is None
+    assert walk_defect_of(c4, [0, 1, 2, 3], True) is None
+
+
+def _random_sequences(g, rng, count):
+    """Seeded sequences on g: self-avoiding walks, some of which close, and
+    mutants of them with an id out of range, a repeat, a stray id or a cut."""
+    n = g.n
+    for _ in range(count):
+        seq = [rng.randrange(n)]
+        for _ in range(rng.randrange(n + 1)):
+            free = [w for w in g.adj[seq[-1]] if w not in seq]
+            if not free:
+                break
+            seq.append(rng.choice(free))
+        what = rng.randrange(6)
+        i = rng.randrange(len(seq))
+        if what == 1:
+            seq[i] = rng.choice((-1, n, n + 7, rng.randrange(n)))
+        elif what == 2:
+            seq.append(rng.choice(seq))
+        elif what == 3:
+            seq = seq[:i]
+        yield seq
+
+
+def _walk_cases():
+    """Named defects, each on the graph it is read against, then seeded sequences."""
+    bf2, c6, p4 = build_butterfly(2), build_cycle(6), build_path(4)
+    yield bf2, [0, 4, 8, 13], False          # a later vertex out of range
+    yield c6, [0, 1, 2, 3, 4, 9], True       # ... and on a cycle
+    yield c6, [-1, 0, 1], True               # a first vertex of -1
+    yield p4, [-1], False
+    yield c6, [6, 0, 1], True                # a first vertex of n
+    yield bf2, [12, 4, 8], False
+    yield c6, [0, 1, 2, 1], True             # a repeated vertex
+    yield p4, [0, 1, 0], False
+    yield p4, [0, 1, 2, 3], True             # a missing closing edge
+    yield c6, [0, 1], True                   # too short
+    yield p4, [], False
+    rng = random.Random(44)
+    graphs = [build_butterfly(r) for r in (2, 3, 4)]
+    graphs += [build_cycle(n) for n in (3, 4, 7)] + [build_path(n) for n in (1, 2, 6)]
+    for g in graphs:
+        for seq in _random_sequences(g, rng, 60):
+            for closed in (False, True):
+                yield g, seq, closed
+
+
+def test_check_walk_matches_the_reference_walk_check():
+    # one loop checks the walk, lists its edge keys and marks its vertices:
+    # its defect is the reference's, and a valid walk's keys are the
+    # reference's edges, in walk order
+    outcomes = set()
+    for g, seq, closed in _walk_cases():
+        covered = bytearray(g.n)
+        defect, keys = check_walk(g, seq, closed, covered)
+        assert defect == reference_walk_defect(g, seq, closed), (g, seq, closed)
+        if defect is not None:
+            assert keys == []
+            outcomes.add(defect.split()[0] if defect[0].isalpha() else "adjacency")
+            continue
+        ends = seq[1:] + seq[:1] if closed else seq[1:]
+        in_order = [(min(u, v), max(u, v)) for u, v in zip(seq, ends)]
+        assert [divmod(key, g.n) for key in keys] == in_order, (g, seq, closed)
+        assert frozenset(in_order) == _reference_walk_edges(seq, closed)
+        assert covered == bytearray(v in seq for v in range(g.n))
+        outcomes.add("closed" if closed else "open")
+    assert outcomes == {"needs", "repeated", "vertex", "adjacency", "closed", "open"}
 
 
 def _simple_paths(g):
@@ -875,7 +948,7 @@ def test_isometric_cycle_subpaths_are_geodesics(bf2):
     # contiguous arcs of at most half the cycle stay shortest
     g, dm = bf2
     cycle = [0, 4, 8, 5, 1, 7, 10, 6]
-    assert walk_defect(g, cycle, True) is None
+    assert walk_defect_of(g, cycle, True) is None
     assert walk_violation(dm, cycle, True) is None
     L = len(cycle)
     for start in range(L):
